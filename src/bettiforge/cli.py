@@ -26,7 +26,7 @@ def _apply_thread_cap() -> None:
     if not cap:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ[var] = cap
 
 
 def _json_dump(payload: dict, path: str | None) -> None:
@@ -99,15 +99,21 @@ def cmd_betti(args) -> int:
 
     g = _load_graph(args)
     beta = homology.betti_exact(g, args.k)
-    summary = homology.spectrum(g, args.k)
+    cl_k = len(graphs.enumerate_cliques(g, args.k))
+    # with no k-cliques the chain group is empty and so is the spectrum
+    gap = gamma_max = kappa = None
+    if cl_k:
+        summary = homology.spectrum(g, args.k)
+        gap, gamma_max = summary.gap, summary.top
+        kappa = summary.kappa if math.isfinite(summary.kappa) else None
     payload = {
         "n": g.n,
         "k": args.k,
-        "cl_k": len(graphs.enumerate_cliques(g, args.k)),
+        "cl_k": cl_k,
         "betti": beta,
-        "gap": summary.gap,
-        "gamma_max": summary.top,
-        "kappa": summary.kappa if math.isfinite(summary.kappa) else None,
+        "gap": gap,
+        "gamma_max": gamma_max,
+        "kappa": kappa,
         "config": {"gen": args.gen, "graph": args.graph, "k": args.k, "seed": args.seed},
     }
     _json_dump(payload, args.out)
@@ -291,7 +297,7 @@ def cmd_dequantize(args) -> int:
         "estimate": res.estimate,
         "stderr": res.stderr,
         "acceptance_rate": res.acceptance_rate,
-        "clique_acceptance": res.clique_rejection_rate,
+        "clique_acceptance": res.clique_acceptance,
         "autocorr_time": res.autocorr_time,
         "D": res.D,
         "r_T": res.r_t,

@@ -42,12 +42,7 @@ class PIMCConfig:
     seed: int = 0
     chains: int = 4
     gamma_pen: float | str = "gap"
-    eps_t: float = 0.05  # Trotter error budget (for slice derivation/reporting)
-    eps_m: float = 0.05  # Markov error budget (reporting only)
-    commutator_bound: float | None = None
     sampler: str = "exact"  # "exact" (filter/forward draws) or "mh"
-    sign_prob: float = 0.5
-    block_prob: float = 0.35  # block flips keep the chain ergodic across blocks
 
     def __post_init__(self):
         if self.t < 0 or self.r_t < 1 or self.n_samp < 2:
@@ -119,7 +114,7 @@ class DequantResult:
     stderr: float
     n_samples: int
     acceptance_rate: float  # MH move acceptance
-    clique_rejection_rate: float  # accepted / drawn k-subsets
+    clique_acceptance: float  # accepted / drawn k-subsets
     autocorr_time: float
     D: int
     D_scheduled: int
@@ -181,6 +176,7 @@ def estimate_from_operator(
     if not math.isfinite(log_z):
         raise RuntimeError("no valid closed path exists (disconnected eigenstructure)")
     draw, counters = make_clique_sampler(g, k, op.basis)
+    exact = ExactPathSampler(space, clique_sampler=draw)
     beta_half = cfg.t / (2.0 * cfg.r_t)
 
     samples = []
@@ -192,13 +188,12 @@ def estimate_from_operator(
             # anchor uniform over the cliques (by rejection), remainder of the
             # loop drawn exactly from the conditional thermal law; importance
             # weight |Cl_k| Z_anchor replaces Z / Pr in closed form
-            sampler = ExactPathSampler(space, rng, clique_sampler=draw)
             base = math.log(anchors.size) - math.log(op.d_k) - space.scalar_shift * cfg.t
             for _ in range(per_chain):
-                snap, anchor = sampler.draw()
+                snap, anchor = exact.draw(rng)
                 log_mag = (
                     base
-                    + sampler.log_z_anchor(anchor)
+                    + exact.log_z_anchor(anchor)
                     + snap.w_log2 * LN2
                     + beta_half * snap.energy
                 )
@@ -207,9 +202,7 @@ def estimate_from_operator(
             acc_den += per_chain
         else:
             log_pref = log_z - math.log(op.d_k) - space.scalar_shift * cfg.t
-            sampler = MetropolisPathSampler(
-                space, rng, clique_sampler=draw, sign_prob=cfg.sign_prob, block_prob=cfg.block_prob
-            )
+            sampler = MetropolisPathSampler(exact, rng)
             for _ in range(cfg.burn_in):
                 sampler.step()
             for _ in range(per_chain):
@@ -230,7 +223,7 @@ def estimate_from_operator(
         stderr=stderr,
         n_samples=arr.size,
         acceptance_rate=acc_num / max(acc_den, 1),
-        clique_rejection_rate=counters["accepts"] / max(counters["draws"], 1),
+        clique_acceptance=counters["accepts"] / max(counters["draws"], 1),
         autocorr_time=tau,
         D=decomp.D,
         D_scheduled=len(space.schedule) // (2 * cfg.r_t),

@@ -148,8 +148,7 @@ class OneSparseTerm:
     The eigenvector catalog is flattened into parallel arrays: eigenvector e
     has eigenvalue lam[e] and support states sup1[e] (and sup2[e] unless -1)
     with amplitudes amp1[e], amp2[e].  ``partner[e]`` is the opposite-sign
-    eigenvector of the same two-dimensional block (-1 for singletons), and
-    ``state_eigs[x]`` lists the eigenvectors whose support contains x.
+    eigenvector of the same two-dimensional block (-1 for singletons).
     """
 
     coeff: float
@@ -160,7 +159,6 @@ class OneSparseTerm:
     amp1: np.ndarray
     amp2: np.ndarray
     partner: np.ndarray
-    state_eigs: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def n_eigs(self) -> int:
@@ -194,15 +192,13 @@ def _diag_term(coeff: float, values: np.ndarray, kind: str) -> OneSparseTerm:
     amp1 = np.ones(dim)
     amp2 = np.zeros(dim)
     partner = np.full(dim, -1, dtype=np.int64)
-    state_eigs = tuple((i,) for i in range(dim))
-    return OneSparseTerm(coeff, kind, lam, sup1, sup2, amp1, amp2, partner, state_eigs)
+    return OneSparseTerm(coeff, kind, lam, sup1, sup2, amp1, amp2, partner)
 
 
 def _matching_term(coeff: float, pairs: list[tuple[int, int, float]], dim: int) -> OneSparseTerm:
     """Pairs (u, v, sign) all of magnitude ``coeff``; other states are fixed."""
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     lam, sup1, sup2, amp1, amp2, partner = [], [], [], [], [], []
-    state_eigs: list[list[int]] = [[] for _ in range(dim)]
     covered = np.zeros(dim, dtype=bool)
     for u, v, sgn in pairs:
         base = len(lam)
@@ -213,18 +209,14 @@ def _matching_term(coeff: float, pairs: list[tuple[int, int, float]], dim: int) 
             amp1.append(inv_sqrt2)
             amp2.append(s * inv_sqrt2)
         partner.extend([base + 1, base])
-        state_eigs[u].extend((base, base + 1))
-        state_eigs[v].extend((base, base + 1))
         covered[u] = covered[v] = True
     for x in np.nonzero(~covered)[0]:
-        e = len(lam)
         lam.append(0.0)
         sup1.append(int(x))
         sup2.append(-1)
         amp1.append(1.0)
         amp2.append(0.0)
         partner.append(-1)
-        state_eigs[int(x)].append(e)
     return OneSparseTerm(
         coeff,
         "matching",
@@ -234,7 +226,6 @@ def _matching_term(coeff: float, pairs: list[tuple[int, int, float]], dim: int) 
         np.array(amp1),
         np.array(amp2),
         np.array(partner, dtype=np.int64),
-        tuple(tuple(se) for se in state_eigs),
     )
 
 

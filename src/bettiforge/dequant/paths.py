@@ -57,40 +57,22 @@ def build_schedule(decomp: OneSparseDecomposition, r_t: int) -> tuple[tuple[int,
     return tuple(slice_order * r_t), shift
 
 
-def overlap(tp: OneSparseTerm, e: int, tq: OneSparseTerm, f: int) -> float:
-    """Inner product of eigenvector e of term tp with eigenvector f of tq."""
-    total = 0.0
-    u1, u2 = int(tp.sup1[e]), int(tp.sup2[e])
-    v1, v2 = int(tq.sup1[f]), int(tq.sup2[f])
-    a1, a2 = float(tp.amp1[e]), float(tp.amp2[e])
-    b1, b2 = float(tq.amp1[f]), float(tq.amp2[f])
-    if u1 == v1:
-        total += a1 * b1
-    if u1 == v2:
-        total += a1 * b2
-    if u2 >= 0:
-        if u2 == v1:
-            total += a2 * b1
-        if u2 == v2:
-            total += a2 * b2
-    return total
+def overlap_table(tp: OneSparseTerm, tq: OneSparseTerm) -> np.ndarray:
+    """Signed overlaps table[f, e] = <eigenvector f of tq | eigenvector e of tp>.
 
-
-def adjacency(tp: OneSparseTerm, tq: OneSparseTerm) -> np.ndarray:
-    """Boolean matrix adj[f, e] = (eigenvector e of tp overlaps f of tq)."""
-    n_p, n_q = tp.n_eigs, tq.n_eigs
-    adj = np.zeros((n_q, n_p), dtype=bool)
-    for e in range(n_p):
-        states = [int(tp.sup1[e])]
-        if tp.sup2[e] >= 0:
-            states.append(int(tp.sup2[e]))
-        cands = set()
-        for x in states:
-            cands.update(tq.state_eigs[x])
-        for f in cands:
-            if overlap(tp, e, tq, f) != 0.0:
-                adj[f, e] = True
-    return adj
+    Two supports share at most two states, so at most two of the four
+    products below are nonzero; their sum is then the same float whichever
+    term comes first, and the reverse direction is exactly ``table.T``.
+    """
+    u1, u2 = tp.sup1[None, :], tp.sup2[None, :]
+    v1, v2 = tq.sup1[:, None], tq.sup2[:, None]
+    a1, a2 = tp.amp1[None, :], tp.amp2[None, :]
+    b1, b2 = tq.amp1[:, None], tq.amp2[:, None]
+    table = np.where(u1 == v1, a1 * b1, 0.0)
+    table += np.where(u1 == v2, a1 * b2, 0.0)
+    table += np.where((u2 >= 0) & (u2 == v1), a2 * b1, 0.0)
+    table += np.where((u2 >= 0) & (u2 == v2), a2 * b2, 0.0)
+    return table
 
 
 @dataclass(frozen=True)
@@ -117,7 +99,15 @@ def stationary_log_prob(path: PathSample, t: float, r_t: int) -> float:
 
 
 class PathSpace:
-    """Schedules, overlaps and thermal bookkeeping for one decomposition."""
+    """Schedule, overlap tables and thermal bookkeeping for one decomposition.
+
+    ``links[i][f, e]`` is the overlap of eigenvector e at position i with
+    eigenvector f at position i + 1; the last link closes the loop onto
+    position 0.  Each distinct pair of adjacent terms gets one table, built
+    once and shared by every link (and, transposed, by the reverse pair).
+    The first scheduled term is diagonal, so the anchor's eigenvector index
+    is its basis state.
+    """
 
     def __init__(
         self,
@@ -137,37 +127,29 @@ class PathSpace:
         if not self.anchor_states:
             raise ValueError("empty anchor set")
         self.terms = decomp.terms
-        self._adj: dict[tuple[int, int], np.ndarray] = {}
-        first = self.terms[self.schedule[0]]
-        for a in self.anchor_states:
-            eigs = first.state_eigs[a]
-            if len(eigs) != 1 or first.sup2[eigs[0]] >= 0:
-                raise ValueError("anchor term must be diagonal on the anchor states")
+        if not all(0 <= a < decomp.dim for a in self.anchor_states):
+            raise ValueError("anchor states must be basis states of the ambient space")
+        tables: dict[tuple[int, int], np.ndarray] = {}
+        n = self.length - 1
+        self.links: list[np.ndarray] = []
+        for i in range(n):
+            p, q = self.schedule[i], self.schedule[(i + 1) % n]
+            key = (min(p, q), max(p, q))
+            if key not in tables:
+                tables[key] = overlap_table(self.terms[key[0]], self.terms[key[1]])
+            self.links.append(tables[key] if p <= q else tables[key].T)
 
-    # -- adjacency / overlaps -------------------------------------------------
-
-    def adj(self, p: int, q: int) -> np.ndarray:
-        key = (p, q)
-        if key not in self._adj:
-            self._adj[key] = adjacency(self.terms[p], self.terms[q])
-        return self._adj[key]
-
-    def anchor_eig(self, state: int) -> int:
-        return self.terms[self.schedule[0]].state_eigs[state][0]
+    def linked(self, i: int) -> np.ndarray:
+        """Nonzero pattern of link i, C-ordered so products sum in a fixed order."""
+        return np.ascontiguousarray(self.links[i] != 0.0)
 
     def path_overlaps(self, eig: list[int]) -> tuple[float, float, bool]:
         """(sign, log2 magnitude, valid) of the product of consecutive overlaps."""
         sign = 1.0
         log2 = 0.0
-        sched = self.schedule
-        last = self.length - 2
-        for i in range(last + 1):
-            p = sched[i]
-            if i < last:
-                q, f = sched[i + 1], eig[i + 1]
-            else:
-                q, f = sched[0], eig[0]
-            val = overlap(self.terms[p], eig[i], self.terms[q], f)
+        n = self.length - 1
+        for i in range(n):
+            val = float(self.links[i][eig[(i + 1) % n], eig[i]])
             if val == 0.0:
                 return 0.0, -math.inf, False
             if val < 0.0:
@@ -185,8 +167,7 @@ class PathSpace:
 
     def snapshot(self, eig: list[int]) -> PathSample:
         sign, log2, valid = self.path_overlaps(eig)
-        anchor = int(self.terms[self.schedule[0]].sup1[eig[0]])
-        return PathSample(tuple(eig), anchor, self.path_energy(eig), sign, log2, valid)
+        return PathSample(tuple(eig), int(eig[0]), self.path_energy(eig), sign, log2, valid)
 
     # -- partition function ---------------------------------------------------
 
@@ -195,29 +176,23 @@ class PathSpace:
         beta = self.t / self.r_t
         sched = self.schedule
         first = self.terms[sched[0]]
-        n_anchor = len(self.anchor_states)
-        n0 = first.n_eigs
-        vec = np.zeros((n0, n_anchor))
-        for col, a in enumerate(self.anchor_states):
-            e = self.anchor_eig(a)
-            vec[e, col] = 1.0
-        anchor_eigs = np.array([self.anchor_eig(a) for a in self.anchor_states])
-        w1 = np.exp(-2.0 * beta * first.lam[anchor_eigs])
+        anchors = np.array(self.anchor_states)
+        vec = np.zeros((first.n_eigs, anchors.size))
+        vec[anchors, np.arange(anchors.size)] = 1.0
+        w1 = np.exp(-2.0 * beta * first.lam[anchors])
         log_scale = 0.0
         for i in range(1, self.length - 1):
-            p, q = sched[i - 1], sched[i]
-            damp = np.exp(-beta * self.terms[q].lam)
-            vec = damp[:, None] * (self.adj(p, q) @ vec)
+            damp = np.exp(-beta * self.terms[sched[i]].lam)
+            vec = damp[:, None] * (self.linked(i - 1) @ vec)
             peak = vec.max(initial=0.0)
             if peak <= 0.0:
                 return -math.inf
             vec /= peak
             log_scale += math.log(peak)
-        close = self.adj(sched[self.length - 2], sched[0])
+        close = self.linked(self.length - 2)
         total = 0.0
         for col, a in enumerate(self.anchor_states):
-            e = self.anchor_eig(a)
-            total += w1[col] * float(close[e, :] @ vec[:, col])
+            total += w1[col] * float(close[a, :] @ vec[:, col])
         if total <= 0.0:
             return -math.inf
         return math.log(total) + log_scale
@@ -226,38 +201,33 @@ class PathSpace:
 
     def enumerate_paths(self, max_paths: int = 1 << 14) -> list[PathSample]:
         """All valid anchored closed paths (raises if more than max_paths)."""
-        sched = self.schedule
+        n = self.length - 1
         out: list[PathSample] = []
-        eig: list[int] = [0] * (self.length - 1)
+        eig: list[int] = [0] * n
 
         def rec(pos: int) -> None:
             if len(out) > max_paths:
                 raise RuntimeError(f"more than {max_paths} paths; not a toy instance")
-            if pos == self.length - 1:
-                closing = overlap(
-                    self.terms[sched[pos - 1]],
-                    eig[pos - 1],
-                    self.terms[sched[0]],
-                    eig[0],
-                )
-                if closing != 0.0:
+            if pos == n:
+                if self.links[n - 1][eig[0], eig[n - 1]] != 0.0:
                     out.append(self.snapshot(eig))
                 return
-            prev_term = self.terms[sched[pos - 1]]
-            term = self.terms[sched[pos]]
-            states = [int(prev_term.sup1[eig[pos - 1]])]
-            if prev_term.sup2[eig[pos - 1]] >= 0:
-                states.append(int(prev_term.sup2[eig[pos - 1]]))
-            cands = sorted({f for x in states for f in term.state_eigs[x]})
-            for f in cands:
-                if overlap(prev_term, eig[pos - 1], term, f) != 0.0:
-                    eig[pos] = f
-                    rec(pos + 1)
+            for f in np.flatnonzero(self.links[pos - 1][:, eig[pos - 1]]):
+                eig[pos] = int(f)
+                rec(pos + 1)
 
         for a in self.anchor_states:
-            eig[0] = self.anchor_eig(a)
+            eig[0] = a
             rec(1)
         return out
+
+
+# Move mix of the Metropolis sampler: an independence redraw with probability
+# REDRAW_PROB; otherwise a sign flip with probability SIGN_PROB, a block flip
+# with BLOCK_PROB, and an anchor move with the rest.
+SIGN_PROB = 0.5
+BLOCK_PROB = 0.35
+REDRAW_PROB = 0.15
 
 
 class MetropolisPathSampler:
@@ -275,106 +245,35 @@ class MetropolisPathSampler:
     sectors cannot exchange.  A fourth move fixes this: an independence
     redraw proposing a whole path from the exact conditional sampler, with
     acceptance min(1, Z_b / Z_a) in the per-anchor partition functions
-    (detailed balance holds exactly for the asymmetric proposal).
+    (detailed balance holds exactly for the asymmetric proposal).  The chain
+    starts from one exact draw.
     """
 
-    def __init__(
-        self,
-        space: PathSpace,
-        rng: np.random.Generator,
-        clique_sampler=None,
-        sign_prob: float = 0.45,
-        block_prob: float = 0.3,
-        redraw_prob: float = 0.15,
-    ):
-        self.space = space
+    def __init__(self, exact: ExactPathSampler, rng: np.random.Generator):
+        self.exact = exact
+        self.space = exact.space
         self.rng = rng
-        self.clique_sampler = clique_sampler
-        self.sign_prob = sign_prob
-        self.block_prob = block_prob
-        self.redraw_prob = redraw_prob
         self.accepted = 0
         self.proposed = 0
-        self.eig: list[int] = []
-        self._beta = space.t / space.r_t
-        self._exact = ExactPathSampler(space, rng) if redraw_prob > 0 else None
-        self._init_path()
-
-    # -- initialization -------------------------------------------------------
-
-    def _draw_anchor(self) -> int:
-        if self.clique_sampler is not None:
-            return self.clique_sampler(self.rng)
-        idx = self.rng.integers(len(self.space.anchor_states))
-        return self.space.anchor_states[idx]
-
-    def _init_path(self, max_tries: int = 200) -> None:
-        space = self.space
-        sched = space.schedule
-        for _ in range(max_tries):
-            eig = [0] * (space.length - 1)
-            eig[0] = space.anchor_eig(self._draw_anchor())
-            ok = True
-            for pos in range(1, space.length - 1):
-                prev_term = space.terms[sched[pos - 1]]
-                term = space.terms[sched[pos]]
-                states = [int(prev_term.sup1[eig[pos - 1]])]
-                if prev_term.sup2[eig[pos - 1]] >= 0:
-                    states.append(int(prev_term.sup2[eig[pos - 1]]))
-                cands = [
-                    f
-                    for x in states
-                    for f in term.state_eigs[x]
-                    if overlap(prev_term, eig[pos - 1], term, f) != 0.0
-                ]
-                if not cands:
-                    ok = False
-                    break
-                eig[pos] = cands[self.rng.integers(len(cands))]
-            if not ok:
-                continue
-            closing = overlap(
-                space.terms[sched[space.length - 2]],
-                eig[space.length - 2],
-                space.terms[sched[0]],
-                eig[0],
-            )
-            if closing != 0.0:
-                self.eig = eig
-                return
-        raise RuntimeError(f"no valid closed path found in {max_tries} attempts")
-
-    # -- moves ----------------------------------------------------------------
+        self._beta = self.space.t / self.space.r_t
+        snap, _ = exact.draw(rng)
+        self.eig: list[int] = list(snap.eig_indices)
 
     def _neighbors_ok(self, pos: int, new_eig: int) -> bool:
-        space = self.space
-        sched = space.schedule
-        eig = self.eig
-        last = space.length - 2
-        term = space.terms[sched[pos]]
-        if pos > 0:
-            before = space.terms[sched[pos - 1]]
-            if overlap(before, eig[pos - 1], term, new_eig) == 0.0:
-                return False
-            nxt_pos, nxt_term = (pos + 1, sched[pos + 1]) if pos < last else (0, sched[0])
-            if overlap(term, new_eig, space.terms[nxt_term], eig[nxt_pos]) == 0.0:
-                return False
-        else:
-            if overlap(term, new_eig, space.terms[sched[1]], eig[1]) == 0.0:
-                return False
-            if overlap(space.terms[sched[last]], eig[last], term, new_eig) == 0.0:
-                return False
-        return True
+        links, eig = self.space.links, self.eig
+        n = self.space.length - 1
+        before, after = (pos - 1) % n, (pos + 1) % n
+        return links[before][new_eig, eig[before]] != 0.0 and links[pos][eig[after], new_eig] != 0.0
 
     def step(self) -> bool:
         space = self.space
         sched = space.schedule
         self.proposed += 1
         u = self.rng.random()
-        if u < self.redraw_prob:
+        if u < REDRAW_PROB:
             return self._redraw_step()
-        u = (u - self.redraw_prob) / max(1.0 - self.redraw_prob, 1e-300)
-        if u < self.sign_prob:
+        u = (u - REDRAW_PROB) / (1.0 - REDRAW_PROB)
+        if u < SIGN_PROB:
             pos = int(self.rng.integers(1, space.length - 1))
             term = space.terms[sched[pos]]
             partner = int(term.partner[self.eig[pos]])
@@ -382,14 +281,14 @@ class MetropolisPathSampler:
                 return False
             new_eig = partner
             weight = 1.0
-        elif u < self.sign_prob + self.block_prob:
+        elif u < SIGN_PROB + BLOCK_PROB:
             pos = int(self.rng.integers(1, space.length - 1))
             term = space.terms[sched[pos]]
             new_eig = int(self.rng.integers(term.n_eigs))
             weight = 1.0
         else:
             pos = 0
-            new_eig = space.anchor_eig(self._draw_anchor())
+            new_eig = self.exact.draw_anchor(self.rng)
             weight = 2.0
         if new_eig == self.eig[pos]:
             return False
@@ -406,9 +305,8 @@ class MetropolisPathSampler:
 
     def _redraw_step(self) -> bool:
         """Independence proposal from the exact conditional path sampler."""
-        snap, anchor = self._exact.draw()
-        cur_anchor = int(self.space.terms[self.space.schedule[0]].sup1[self.eig[0]])
-        log_ratio = self._exact.log_z_anchor(anchor) - self._exact.log_z_anchor(cur_anchor)
+        snap, anchor = self.exact.draw(self.rng)
+        log_ratio = self.exact.log_z_anchor(anchor) - self.exact.log_z_anchor(self.eig[0])
         if log_ratio >= 0.0 or self.rng.random() < math.exp(log_ratio):
             self.eig = list(snap.eig_indices)
             self.accepted += 1
@@ -435,7 +333,7 @@ def mh_chain(
     if anchor_states is None:
         anchor_states = range(decomp.dim)
     space = PathSpace(decomp, t, r_t, anchor_states)
-    sampler = MetropolisPathSampler(space, np.random.default_rng(seed))
+    sampler = MetropolisPathSampler(ExactPathSampler(space), np.random.default_rng(seed))
     out = []
     for _ in range(steps):
         sampler.step()
@@ -451,12 +349,12 @@ class ExactPathSampler:
     draws Pr(path | anchor) exactly: no burn-in, no mixing error.  The
     per-anchor log partition functions Z_a are a byproduct and give the
     importance weight of the Algorithm-style scheme "anchor uniform over the
-    weight-k cliques, then path from the thermal conditional".
+    weight-k cliques, then path from the thermal conditional".  The messages
+    depend only on the path space; each draw takes the caller's generator.
     """
 
-    def __init__(self, space: PathSpace, rng: np.random.Generator, clique_sampler=None):
+    def __init__(self, space: PathSpace, clique_sampler=None):
         self.space = space
-        self.rng = rng
         self.clique_sampler = clique_sampler
         self._prepare_messages()
 
@@ -466,19 +364,15 @@ class ExactPathSampler:
         sched = space.schedule
         last = space.length - 2  # index of the final free position
         self._damps = [np.exp(-beta * space.terms[sched[i]].lam) for i in range(last + 1)]
-        close = space.adj(sched[last], sched[0]).astype(float)
         # messages[i][f, col] = total thermal weight of completions from
         # position i (eigenvector f of sched[i]) back to anchor column col
-        anchors = space.anchor_states
-        anchor_eigs = [space.anchor_eig(a) for a in anchors]
-        n_anchor = len(anchors)
+        anchors = list(space.anchor_states)
         msgs: list[np.ndarray] = [None] * (last + 1)  # type: ignore[list-item]
-        logs = np.zeros(n_anchor)
-        m = close[:, anchor_eigs].copy()
+        logs = np.zeros(len(anchors))
+        m = np.ascontiguousarray(space.linked(last)[anchors, :].T, dtype=float)
         msgs[last] = m
         for i in range(last, 0, -1):
-            adj = space.adj(sched[i - 1], sched[i]).astype(float)
-            m = adj.T @ (self._damps[i][:, None] * m)
+            m = space.linked(i - 1).astype(float).T @ (self._damps[i][:, None] * m)
             peak = m.max(axis=0)
             alive = peak > 0
             scale = np.where(alive, peak, 1.0)
@@ -486,10 +380,9 @@ class ExactPathSampler:
             logs += np.where(alive, np.log(scale), -np.inf)
             msgs[i - 1] = m
         self._messages = msgs
-        w1 = np.array(
-            [math.exp(-2.0 * beta * float(space.terms[sched[0]].lam[e])) for e in anchor_eigs]
-        )
-        starts = np.array([msgs[0][e, col] for col, e in enumerate(anchor_eigs)])
+        first = space.terms[sched[0]]
+        w1 = np.array([math.exp(-2.0 * beta * float(first.lam[a])) for a in anchors])
+        starts = np.array([msgs[0][a, col] for col, a in enumerate(anchors)])
         with np.errstate(divide="ignore"):
             self.log_z_per_anchor = np.log(w1 * starts) + logs
         self._anchor_pos = {a: col for col, a in enumerate(anchors)}
@@ -497,38 +390,23 @@ class ExactPathSampler:
     def log_z_anchor(self, state: int) -> float:
         return float(self.log_z_per_anchor[self._anchor_pos[state]])
 
-    def draw(self) -> tuple[PathSample, int]:
+    def draw_anchor(self, rng: np.random.Generator) -> int:
+        """An anchor state, uniform over the anchor set."""
+        if self.clique_sampler is not None:
+            return self.clique_sampler(rng)
+        return self.space.anchor_states[rng.integers(len(self.space.anchor_states))]
+
+    def draw(self, rng: np.random.Generator) -> tuple[PathSample, int]:
         """One exact sample: (path, anchor state)."""
         space = self.space
-        sched = space.schedule
-        last = space.length - 2
-        if self.clique_sampler is not None:
-            anchor = self.clique_sampler(self.rng)
-        else:
-            anchor = space.anchor_states[self.rng.integers(len(space.anchor_states))]
+        anchor = self.draw_anchor(rng)
         col = self._anchor_pos[anchor]
-        eig = [0] * (space.length - 1)
-        eig[0] = space.anchor_eig(anchor)
-        for i in range(1, last + 1):
-            prev_term = space.terms[sched[i - 1]]
-            term = space.terms[sched[i]]
-            states = [int(prev_term.sup1[eig[i - 1]])]
-            if prev_term.sup2[eig[i - 1]] >= 0:
-                states.append(int(prev_term.sup2[eig[i - 1]]))
-            cands = sorted({f for x in states for f in term.state_eigs[x]})
-            if i < last:
-                forward = self._messages[i][:, col]
-            else:
-                forward = space.adj(sched[last], sched[0]).astype(float)[:, eig[0]]
-            weights = []
-            for f in cands:
-                if overlap(prev_term, eig[i - 1], term, f) == 0.0:
-                    weights.append(0.0)
-                else:
-                    weights.append(self._damps[i][f] * forward[f])
+        eig = [anchor] + [0] * (space.length - 2)
+        for i in range(1, space.length - 1):
+            cands = np.flatnonzero(space.links[i - 1][:, eig[i - 1]])
+            weights = self._damps[i][cands] * self._messages[i][cands, col]
             total = float(sum(weights))
             if total <= 0.0:
                 raise RuntimeError("dead end during exact sampling (inconsistent messages)")
-            probs = np.array(weights) / total
-            eig[i] = cands[int(self.rng.choice(len(cands), p=probs))]
+            eig[i] = int(cands[rng.choice(len(cands), p=weights / total)])
         return space.snapshot(eig), anchor

@@ -296,11 +296,20 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer as is; floats, booleans and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
     try:
-        n = int(data["n"])
-        edges = tuple((int(i), int(j)) for i, j in data["edges"])
+        n = _json_int(data["n"], "n")
+        edges = tuple(
+            (_json_int(i, "edge endpoint"), _json_int(j, "edge endpoint")) for i, j in data["edges"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     return Graph.from_edges(n, edges)

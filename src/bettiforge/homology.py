@@ -104,15 +104,17 @@ def laplacian(cx: CliqueComplex, k: int) -> np.ndarray:
 
     Equals d_{k-1}^T d_{k-1} + d_k d_k^T where d_k is boundary_matrix(cx, k);
     the down-term vanishes for k = 1 (regular homology, no empty simplex).
+    The products run in float64, which BLAS multiplies and which holds these
+    small integer entries exactly; NumPy multiplies int64 matrices without it.
     """
-    dim = cx.count(k)
-    lap = np.zeros((dim, dim), dtype=np.int64)
+    up = boundary_matrix(cx, k).matrix.astype(np.float64)
+    lap = up @ up.T
+    del up  # free each float copy before the next large array is made
     if k >= 2:
-        down = boundary_matrix(cx, k - 1).matrix
+        down = boundary_matrix(cx, k - 1).matrix.astype(np.float64)
         lap += down.T @ down
-    up = boundary_matrix(cx, k).matrix
-    lap += up @ up.T
-    return lap
+        del down
+    return lap.astype(np.int64)
 
 
 def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
@@ -227,7 +229,3 @@ def kunneth_convolve(reduced_x: list[int], reduced_y: list[int]) -> list[int]:
             out[i + j + 1] += xi * yj
     return out
 
-
-def betti_sequence(g: Graph, k_max: int) -> list[int]:
-    """Regular Betti numbers beta_0..beta_{k_max} (helper for join tests)."""
-    return [betti_exact(g, k + 1) for k in range(k_max + 1)]

@@ -255,7 +255,7 @@ def test_criterion_08_dequantizer():
         # (c) detailed balance on 100 random pairs
         space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
         paths = space.enumerate_paths()
-        exact = ExactPathSampler(space, np.random.default_rng(0))
+        exact = ExactPathSampler(space)
         rng = np.random.default_rng(1)
         for _ in range(100):
             a = paths[rng.integers(len(paths))]

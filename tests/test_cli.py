@@ -1,8 +1,10 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
-from bettiforge.cli import main, parse_generator_spec
+from bettiforge.cli import _apply_thread_cap, main, parse_generator_spec
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +46,14 @@ class TestSubcommands:
         assert data["cl_k"] == 9
         assert data["gap"] == pytest.approx(3.0)
         assert data["config"]["seed"] == 0
+
+    def test_betti_without_cliques(self, capsys):
+        # the chain group is empty: beta is 0 and the spectrum fields are null
+        code, out, err = run_cli(capsys, "betti", "--gen", "er:10,0.15", "--seed", "1", "--k", "3")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["betti"] == 0 and data["cl_k"] == 0
+        assert data["gap"] is None and data["gamma_max"] is None and data["kappa"] is None
 
     def test_betti_from_file(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -135,6 +145,29 @@ class TestSubcommands:
         assert abs(data["estimate"] - 1 / 6) <= 3 * data["stderr"]
         assert data["config"]["seed"] == 11
 
+    def test_dequantize_single_reflection(self, capsys, tmp_path):
+        # the 4-cycle at k = 1 decomposes with one reflection term, so the
+        # loop closes through a matching term
+        from bettiforge.dequant.estimator import trotterized_matrix
+        from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
+        from bettiforge.graphs import Graph
+
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        path = tmp_path / "c4.json"
+        path.write_text(json.dumps({"n": 4, "edges": [list(e) for e in g.edges]}))
+        code, out, err = run_cli(
+            capsys, "dequantize", "--graph", str(path), "--k", "1", "--t", "1", "--slices", "1",
+            "--samples", "4000",
+        )
+        assert code == 0, err
+        op = penalized_operator(g, 1)
+        idx = op.basis.weight_k_clique_indices
+        mat = trotterized_matrix(one_sparse_decompose(op.matrix), 1.0, 1)
+        target = float(np.trace(mat[np.ix_(idx, idx)])) / op.d_k
+        assert target == pytest.approx(0.32225, abs=5e-5)
+        data = json.loads(out)
+        assert abs(data["estimate"] - target) <= 4 * data["stderr"]
+
     def test_verify_props(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--props")
         assert code == 0
@@ -157,6 +190,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "betti", "--gen", "kpartite:9,9", "--k", "9")
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 3.7, "edges": []}', '{"n": 3, "edges": [[0, 1.9]]}', '{"n": 3, "edges": [[0, true]]}'],
+    )
+    def test_non_integer_graph_json_is_2(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "generate", "--graph", str(path))
+        assert code == 2 and "must be an integer" in err and out == ""
+
     def test_missing_source_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "betti", "--k", "2")
         assert code == 2
@@ -168,3 +211,12 @@ class TestExitCodes:
         )
         cfg = json.loads(out)["config"]
         assert cfg["t"] == 2.0 and cfg["seed"] == 17 and cfg["sampler"] == "exact"
+
+
+def test_thread_cap_overrides_inherited_settings(monkeypatch):
+    monkeypatch.setenv("BETTIFORGE_THREADS", "1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "4")
+    _apply_thread_cap()
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1"

@@ -112,6 +112,18 @@ class TestLaplacianDirac:
         mid = dop.middle_slice()
         assert np.array_equal(square[mid, mid], laplacian(cx, 2))
 
+    @pytest.mark.parametrize("n,p,k,seed", [(10, 0.7, 1, 0), (12, 0.6, 2, 1), (14, 0.55, 3, 2), (16, 0.6, 3, 3)])
+    def test_laplacian_matches_int64_product(self, n, p, k, seed):
+        cx = build_clique_complex(gen_erdos_renyi(n, p, seed), k)
+        up = boundary_matrix(cx, k).matrix
+        want = up @ up.T
+        if k >= 2:
+            down = boundary_matrix(cx, k - 1).matrix
+            want = want + down.T @ down
+        lap = laplacian(cx, k)
+        assert lap.dtype == np.int64
+        assert np.array_equal(lap, want)
+
     def test_dirac_square_block_diagonal(self):
         g = gen_kpartite(2, 3)
         dop = dirac(build_clique_complex(g, 2), 2)
