@@ -8,8 +8,9 @@ and seed, so identical config + seed means byte-identical files.
 Exit status: 0 success, 1 verification failure, 2 invalid input, 3 desk-scale
 limit exceeded.
 
-The environment variable BETTIFORGE_THREADS caps internal parallelism (it is
-applied to the BLAS thread pools before numerics are imported).
+The BLAS and OpenMP thread pools are pinned to one thread before numerics are
+imported, overriding inherited settings: threaded LAPACK eigensolves are not
+bitwise reproducible, and the outputs must not depend on the host.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ import os
 import sys
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("BETTIFORGE_THREADS")
-    if not cap:
-        return
+def _pin_threads() -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = cap
+        os.environ[var] = "1"
 
 
 def _json_dump(payload: dict, path: str | None) -> None:
@@ -525,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
+    _pin_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     from .errors import DeskScaleError

@@ -1,11 +1,23 @@
-"""Exact integer matrix rank via fraction-free (Bareiss) Gaussian elimination.
+"""Exact ranks of integer matrices: sparse modular reduction and Bareiss.
 
 Ranks of boundary matrices must be exact, not numerical: Betti numbers are
 differences of ranks and an off-by-one from float round-off would be silent.
-Bareiss elimination keeps all intermediate entries as integer minors, so the
+
+``modular_rank`` ranks a boundary map over F_p by reducing its sparse columns
+on their lowest nonzero row, as in persistent homology (Bauer, Kerber &
+Reininghaus, "Clear and Compress"; Bauer, "Ripser").  The rank mod p is at
+most the rank over Q, and the two are equal unless p divides an invariant
+factor of the matrix, that is a torsion coefficient of the homology beside
+it.  Callers rank with both ``RANK_PRIMES`` and take the common value; when
+the two disagree one of them met torsion and the exact Bareiss rank decides.
+The common value is wrong only if both primes divide the torsion.
+
+``integer_rank`` is fraction-free (Bareiss) Gaussian elimination on a dense
+matrix.  It keeps all intermediate entries as integer minors, so the
 divisions are exact.  A vectorized int64 path covers the desk-scale matrices
 here; if entry growth ever threatens 64-bit overflow the computation restarts
-with Python big integers.
+with Python big integers.  It is the fallback under torsion and the oracle
+the tests compare the modular ranks against.
 """
 
 from __future__ import annotations
@@ -14,6 +26,39 @@ import numpy as np
 
 # |piv*x| + |y*z| stays below 2**63 when every entry magnitude is below this
 _INT64_SAFE = 2**30
+
+# two primes below 2**31, so every product of two residues is a small Python int
+RANK_PRIMES = (2147483647, 2147483629)
+
+
+def modular_rank(faces: np.ndarray, p: int) -> int:
+    """Rank over F_p of a boundary map given by its face table.
+
+    Column j has entry (-1)^i in row ``faces[j, i]``, and its rows are
+    distinct.  Each column is reduced against the columns already reduced,
+    always on its lowest (largest) nonzero row; a column left nonzero holds a
+    new pivot, so the rank is the number of pivots.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # pivot row -> column scaled to 1 there
+    minus_one = p - 1
+    for face in faces.tolist():
+        col = {row: minus_one if i & 1 else 1 for i, row in enumerate(face)}
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                scale = pow(col[low], -1, p)
+                pivots[low] = {row: value * scale % p for row, value in col.items()}
+                break
+            factor = col[low]
+            for row, value in other.items():
+                # p is prime, so an entry cancels only in a row col already has
+                entry = (col.get(row, 0) - factor * value) % p
+                if entry:
+                    col[row] = entry
+                else:
+                    del col[row]
+    return len(pivots)
 
 
 def integer_rank(matrix) -> int:

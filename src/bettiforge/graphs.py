@@ -185,10 +185,10 @@ def rips_graph(points: PointCloud, threshold: float) -> Graph:
 
     The comparison is done on squared distances in double precision with no
     tolerance, so a pair at distance exactly equal to the threshold gets an
-    edge.
+    edge.  A NaN or infinite threshold is rejected.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     pts = points.points
     n = len(pts)
     if n > MAX_VERTICES:

@@ -5,9 +5,14 @@ weight k of the basis states, i.e. the CLIQUE SIZE, and quantities like
 ``betti_exact(g, k)`` return the Betti number of simplex dimension k-1.  So
 ``betti_exact(g, 2)`` is beta_1, computed on the vertex/edge/triangle bases.
 
-Betti numbers come from exact integer ranks (fraction-free elimination), not
-from floating point; spectra come from a dense symmetric eigensolver and are
-cross-checked against the exact ranks in the test suite.
+Every boundary map has one representation, its face table (``face_table``),
+from which the dense matrices of Laplacians and Dirac operators are scattered.
+
+Betti numbers come from exact ranks, not from floating point: sparse column
+reduction of the face table over F_p for two primes, with dense Bareiss
+elimination when they disagree (see ``betti_exact`` and ``exactrank``).
+Spectra come from a dense symmetric eigensolver and are cross-checked against
+the exact ranks in the test suite.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeskScaleError
-from .exactrank import integer_rank
-from .graphs import CliqueComplex, Graph, bit_indices, build_clique_complex
+from .exactrank import RANK_PRIMES, integer_rank, modular_rank
+from .graphs import CliqueComplex, Graph, build_clique_complex
 
 # eigenvalue |lambda| < ZERO_TOL * max(1, gamma_max) counts as zero; the
 # complexes here have integer spectra, so the separation is enormous
 ZERO_TOL = 1e-8
 
-# dense eigensolves and exact ranks are capped at this many basis elements
+# dense eigensolves and the dense Bareiss fallback are capped at this many
+# basis elements
 MAX_DENSE_DIM = 4096
 
 
@@ -77,25 +83,41 @@ class SpectralSummary:
     kappa: float
 
 
+def face_table(cx: CliqueComplex, k: int) -> np.ndarray:
+    """Face table of the boundary map from size-(k+1) cliques onto size-k cliques.
+
+    An int array of shape (|Cl_{k+1}|, k+1): entry [j, i] is the row (index
+    into ``cx.basis(k)``) of column clique j with its i-th vertex removed,
+    vertices taken in ascending order and i counted from 0.  The boundary
+    matrix holds (-1)^i there and zeros elsewhere.
+    """
+    if k < 1:
+        raise ValueError("boundary maps need k >= 1")
+    if k + 1 > cx.k_max + 1:
+        raise ValueError(f"complex built to size {cx.k_max + 1}; level {k + 1} missing")
+    rows = np.array(cx.basis(k), dtype=np.uint64)
+    cols = np.array(cx.basis(k + 1), dtype=np.uint64)
+    faces = np.empty((cols.size, k + 1), dtype=np.intp)
+    rest = cols.copy()
+    for i in range(k + 1):
+        low = rest & (~rest + np.uint64(1))  # lowest vertex still in rest
+        faces[:, i] = np.searchsorted(rows, cols ^ low)
+        rest ^= low
+    return faces
+
+
 def boundary_matrix(cx: CliqueComplex, k: int) -> BoundaryMatrix:
-    """Matrix of the boundary map from size-(k+1) cliques onto size-k cliques.
+    """Dense matrix of the boundary map from size-(k+1) cliques onto size-k cliques.
 
     Column x (a size-(k+1) clique) carries entry (-1)^i in the row of the
     subset obtained by clearing the i-th one of x (bit positions in ascending
-    order, i counted from 0).
+    order, i counted from 0); the rows come from ``face_table``.
     """
-    if k < 1:
-        raise ValueError("boundary_matrix needs k >= 1")
-    if k + 1 > cx.k_max + 1:
-        raise ValueError(f"complex built to size {cx.k_max + 1}; level {k + 1} missing")
+    faces = face_table(cx, k)
     rows = cx.basis(k)
     cols = cx.basis(k + 1)
-    row_index = {mask: i for i, mask in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, mask in enumerate(cols):
-        for i, v in enumerate(bit_indices(mask)):
-            face = mask & ~(1 << v)
-            mat[row_index[face], j] = -1 if i & 1 else 1
+    mat[faces, np.arange(len(cols))[:, None]] = np.where(np.arange(k + 1) & 1, -1, 1)
     return BoundaryMatrix(k, rows, cols, mat)
 
 
@@ -139,24 +161,31 @@ def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
     return DiracOperator(k, sizes, mat)
 
 
+def _boundary_rank(cx: CliqueComplex, k: int) -> int:
+    """Rank over Q of the boundary map from size-(k+1) onto size-k cliques."""
+    faces = face_table(cx, k)
+    ranks = {modular_rank(faces, p) for p in RANK_PRIMES}
+    if len(ranks) == 1:
+        return ranks.pop()
+    # one prime divides a torsion coefficient, so only the integer rank is exact
+    _check_desk_scale(max(cx.count(k), cx.count(k + 1)), f"betti_exact torsion fallback (k={k})")
+    return integer_rank(boundary_matrix(cx, k).matrix)
+
+
 def betti_exact(g: Graph, k: int) -> int:
     """Betti number of dimension k-1 of the clique complex, via exact ranks.
 
-    beta = |Cl_k| - rank(d_{k-1}) - rank(d_k), all ranks computed with
-    fraction-free integer elimination.
+    beta = |Cl_k| - rank(d_{k-1}) - rank(d_k), each rank the common rank over
+    F_p for both primes of ``RANK_PRIMES``, or the Bareiss rank over Q when
+    the two disagree.  The result is wrong only if both primes divide a
+    torsion coefficient of the homology.  No dense matrix is built unless the
+    primes disagree, so only that fallback is under the dense cap.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (Hamming weight of the basis states)")
     cx = build_clique_complex(g, k)
-    dim = cx.count(k)
-    _check_desk_scale(max(dim, cx.count(k + 1), cx.count(k - 1)), f"betti_exact(k={k})")
-    rank_down = 0
-    if k >= 2 and cx.count(k - 1):
-        rank_down = integer_rank(boundary_matrix(cx, k - 1).matrix)
-    rank_up = 0
-    if cx.count(k + 1):
-        rank_up = integer_rank(boundary_matrix(cx, k).matrix)
-    return dim - rank_down - rank_up
+    rank_down = _boundary_rank(cx, k - 1) if k >= 2 else 0
+    return cx.count(k) - rank_down - _boundary_rank(cx, k)
 
 
 def _zero_tol(eigenvalues: np.ndarray) -> float:

@@ -1,10 +1,16 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bettiforge.cli import _apply_thread_cap, main, parse_generator_spec
+import bettiforge
+from bettiforge.cli import _pin_threads, main, parse_generator_spec
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +196,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "betti", "--gen", "kpartite:9,9", "--k", "9")
         assert code == 3 and "error" in err
 
+    def test_spectrum_cap_is_3(self, capsys):
+        # the exact rank has no dense cap, the spectrum still does
+        code, out, err = run_cli(capsys, "betti", "--gen", "kpartite:1,16", "--k", "8")
+        assert code == 3 and "spectrum(k=8) needs dimension 12870" in err and out == ""
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_rips_threshold_is_2(self, capsys, threshold):
+        code, out, err = run_cli(capsys, "betti", "--gen", f"rips:4,1,{threshold}", "--k", "1")
+        assert code == 2 and "finite" in err and out == ""
+
     @pytest.mark.parametrize(
         "text",
         ['{"n": 3.7, "edges": []}', '{"n": 3, "edges": [[0, 1.9]]}', '{"n": 3, "edges": [[0, true]]}'],
@@ -214,9 +230,29 @@ class TestExitCodes:
 
 
 def test_thread_cap_overrides_inherited_settings(monkeypatch):
-    monkeypatch.setenv("BETTIFORGE_THREADS", "1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARS:
         monkeypatch.setenv(var, "4")
-    _apply_thread_cap()
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _pin_threads()
+    for var in THREAD_VARS:
         assert os.environ[var] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--gen", "er:28,0.6", "--seed", "1", "--k", "3"],
+        ["simulate", "walk", "--gen", "er:8,0.7", "--seed", "1", "--k", "2"],
+    ],
+)
+def test_output_independent_of_inherited_threads(argv):
+    src = str(Path(bettiforge.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update((var, threads) for var in THREAD_VARS)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bettiforge.cli", *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from bettiforge.exactrank import integer_rank
+from bettiforge import homology
+from bettiforge.errors import DeskScaleError
+from bettiforge.exactrank import RANK_PRIMES, integer_rank, modular_rank
 from bettiforge.graphs import (
     Graph,
     build_clique_complex,
@@ -11,10 +15,12 @@ from bettiforge.graphs import (
     rips_graph,
 )
 from bettiforge.homology import (
+    MAX_DENSE_DIM,
     betti_delta_approx,
     betti_exact,
     boundary_matrix,
     dirac,
+    face_table,
     kunneth_convolve,
     laplacian,
     reduced_from_regular,
@@ -40,6 +46,96 @@ class TestExactRank:
         big = 2**40
         a = [[big, 1], [1, big]]
         assert integer_rank(a) == 2
+
+
+def _loop_boundary(cx, k):
+    """Boundary matrix by the defining double loop over columns and faces."""
+    from bettiforge.graphs import bit_indices
+
+    rows, cols = cx.basis(k), cx.basis(k + 1)
+    row_index = {mask: i for i, mask in enumerate(rows)}
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, mask in enumerate(cols):
+        for i, v in enumerate(bit_indices(mask)):
+            mat[row_index[mask & ~(1 << v)], j] = -1 if i & 1 else 1
+    return mat
+
+
+def _property_cases():
+    """Seeded G(n, p) with n <= 12 and k = 1-4, complete graphs, K(m,k), and
+    graphs without k-cliques."""
+    cases = []
+    for seed in range(30):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(4, 13))
+        p = float(rng.uniform(0.25, 0.9))
+        k = int(rng.integers(1, 5))
+        cases.append(pytest.param(gen_erdos_renyi(n, p, seed), k, id=f"er{n},{p:.2f},s{seed},k{k}"))
+    for n, k in ((3, 2), (6, 3), (8, 4), (9, 3)):
+        cases.append(pytest.param(gen_kpartite(1, n), k, id=f"K{n},k{k}"))
+    for m, k in ((2, 3), (3, 3), (2, 4), (4, 2), (3, 2)):
+        cases.append(pytest.param(gen_kpartite(m, k), k, id=f"K({m},{k})"))
+    cycle = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    for g, k, name in ((Graph(6, ()), 2, "empty6,k2"), (cycle, 3, "C5,k3"), (gen_erdos_renyi(10, 0.15, 1), 3, "er10,0.15,k3")):
+        cases.append(pytest.param(g, k, id=name))
+    return cases
+
+
+def _rp2_subdivision() -> Graph:
+    """Barycentric subdivision of the 6-vertex RP^2, whose H_1 is Z/2.
+
+    Its vertices are the 6 + 15 + 10 simplices of the triangulation, with an
+    edge between two simplices when one is a face of the other.  Order
+    complexes are flag, so its clique complex is the subdivision itself.
+    """
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                 (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    simplices = set()
+    for tri in triangles:
+        for size in (1, 2, 3):
+            simplices.update(frozenset(face) for face in combinations(tri, size))
+    order = sorted(simplices, key=lambda s: (len(s), sorted(s)))
+    edges = [(i, j) for i, a in enumerate(order) for j, b in enumerate(order) if i < j and a < b]
+    return Graph.from_edges(len(order), edges)
+
+
+class TestModularRank:
+    @pytest.mark.parametrize("g,k", _property_cases())
+    def test_matches_bareiss_and_nullity(self, g, k):
+        cx = build_clique_complex(g, k)
+        for level in range(1, k + 1):
+            faces = face_table(cx, level)
+            want = integer_rank(boundary_matrix(cx, level).matrix)
+            assert [modular_rank(faces, p) for p in RANK_PRIMES] == [want, want]
+        beta = betti_exact(g, k)
+        if cx.count(k) == 0:
+            assert beta == 0
+            return
+        evals = np.linalg.eigvalsh(laplacian(cx, k).astype(float))
+        tol = 1e-8 * max(1.0, evals.max())
+        assert int((evals < tol).sum()) == beta
+
+    def test_torsion_falls_back_to_bareiss(self, monkeypatch):
+        g = _rp2_subdivision()
+        cx = build_clique_complex(g, 3)
+        assert (cx.count(1), cx.count(2), cx.count(3), cx.count(4)) == (31, 90, 60, 0)
+        faces = face_table(cx, 2)
+        # H_1 = Z/2: d_2 loses one rank mod 2 and none mod 3
+        assert (modular_rank(faces, 2), modular_rank(faces, 3)) == (59, 60)
+        calls = []
+
+        def counting_rank(matrix):
+            calls.append(matrix.shape)
+            return integer_rank(matrix)
+
+        monkeypatch.setattr(homology, "integer_rank", counting_rank)
+        monkeypatch.setattr(homology, "RANK_PRIMES", (2, 3))
+        assert betti_exact(g, 2) == 0
+        assert calls == [(90, 60)]
+        calls.clear()
+        monkeypatch.setattr(homology, "RANK_PRIMES", (3, 5))
+        assert betti_exact(g, 2) == 0
+        assert calls == []
 
 
 class TestBoundary:
@@ -78,6 +174,15 @@ class TestBoundary:
             hi = boundary_matrix(cx, k).matrix
             if lo.size and hi.size:
                 assert np.all(lo @ hi == 0)
+
+    @pytest.mark.parametrize("g,k", [(gen_erdos_renyi(9, 0.7, 2), 4), (gen_kpartite(2, 4), 4), (gen_kpartite(1, 7), 3)])
+    def test_matches_loop_reference(self, g, k):
+        cx = build_clique_complex(g, k)
+        for level in range(1, k + 1):
+            mat = boundary_matrix(cx, level).matrix
+            want = _loop_boundary(cx, level)
+            assert mat.dtype == want.dtype and mat.shape == want.shape
+            assert mat.tobytes() == want.tobytes()
 
     def test_missing_level_rejected(self):
         cx = build_clique_complex(gen_kpartite(2, 2), 1)
@@ -280,8 +385,15 @@ class TestKunneth:
 
 class TestDeskScale:
     def test_size_report(self):
-        from bettiforge.errors import DeskScaleError
-
         g = gen_kpartite(1, 16)  # complete graph: C(16,8) = 12870 middle cliques
         with pytest.raises(DeskScaleError, match="dimension"):
-            betti_exact(g, 8)
+            spectrum(g, 8)
+
+    def test_full_simplex_past_dense_cap(self):
+        # the full simplex is contractible
+        assert betti_exact(gen_kpartite(1, 16), 8) == 0
+
+    def test_kpartite_past_dense_cap(self):
+        g = gen_kpartite(4, 6)
+        assert build_clique_complex(g, 5).count(5) == 6144 > MAX_DENSE_DIM
+        assert betti_exact(g, 6) == 3**6
