@@ -41,12 +41,17 @@ class PIMCConfig:
     chain_thin: int = 8
     seed: int = 0
     chains: int = 4
-    gamma_pen: float | str = "gap"
     sampler: str = "exact"  # "exact" (filter/forward draws) or "mh"
 
     def __post_init__(self):
-        if self.t < 0 or self.r_t < 1 or self.n_samp < 2:
-            raise ValueError("need t >= 0, r_t >= 1 and n_samp >= 2")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"imaginary time t must be finite and >= 0, got {self.t}")
+        if self.r_t < 1 or self.n_samp < 2:
+            raise ValueError("need r_t >= 1 and n_samp >= 2")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.chain_thin < 1:
+            raise ValueError(f"chain_thin (--thin) must be >= 1, got {self.chain_thin}")
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.sampler not in ("exact", "mh"):
@@ -156,7 +161,7 @@ def _batch_stderr(samples: np.ndarray, n_batches: int = 32) -> float:
 
 def estimate_normalized_betti(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult:
     """Run the full estimator on a graph; see the module docstring."""
-    op = penalized_operator(g, k, cfg.gamma_pen)
+    op = penalized_operator(g, k)
     decomp = one_sparse_decompose(op.matrix)
     return estimate_from_operator(g, k, op, decomp, cfg)
 
@@ -334,7 +339,7 @@ def variance_report(
         result = estimate_normalized_betti(g, k, cfg)
     emp_var = result.stderr**2 * result.n_samples
     bound_log2 = analytic_variance_log2_bound(
-        one_sparse_decompose(penalized_operator(g, k, cfg.gamma_pen).matrix),
+        one_sparse_decompose(penalized_operator(g, k).matrix),
         cfg.t,
         result.r_t,
         result.d_k,

@@ -39,6 +39,7 @@ from ..graphs import Graph, is_clique
 from ..homology import ZERO_TOL
 
 MAX_DEQUANT_QUBITS = 8
+DECOMPOSE_TOL = 1e-12  # symmetry, identity-term and off-diagonal cutoff of one_sparse_decompose
 
 
 @dataclass(frozen=True)
@@ -250,12 +251,12 @@ class OneSparseDecomposition:
         return out
 
 
-def one_sparse_decompose(mat: np.ndarray, tol: float = 1e-12) -> OneSparseDecomposition:
+def one_sparse_decompose(mat: np.ndarray) -> OneSparseDecomposition:
     """Exact decomposition of a real symmetric matrix into weighted involutions."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(mat - mat.T).max(initial=0.0) > tol:
+    if np.abs(mat - mat.T).max(initial=0.0) > DECOMPOSE_TOL:
         raise ValueError("matrix is not symmetric")
     dim = mat.shape[0]
     terms: list[OneSparseTerm] = []
@@ -270,11 +271,11 @@ def one_sparse_decompose(mat: np.ndarray, tol: float = 1e-12) -> OneSparseDecomp
     for v in distinct:
         values = np.where(diag == v, v / 2.0, -v / 2.0)
         terms.append(_diag_term(abs(v) / 2.0, values, "reflection"))
-    if abs(ident) > tol:
+    if abs(ident) > DECOMPOSE_TOL:
         terms.append(_diag_term(abs(ident), np.full(dim, ident), "identity"))
 
     # off-diagonal part: split by magnitude, then greedy edge coloring
-    iu, ju = np.nonzero(np.triu(np.abs(mat), k=1) > tol)
+    iu, ju = np.nonzero(np.triu(np.abs(mat), k=1) > DECOMPOSE_TOL)
     edges = sorted(zip(iu.tolist(), ju.tolist()))
     by_mag: dict[float, list[tuple[int, int]]] = {}
     for u, v in edges:

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+EXACT_MAX_N = 8  # dicke_success_prob adds the exact failure law up to this n
+
 
 def seed_modulus(n: int, c: int) -> int:
     """f(n): smallest power of two >= c*n."""
@@ -131,13 +133,11 @@ class SuccessProbResult:
     exact_failure: Fraction | None
 
 
-def dicke_success_prob(
-    n: int, k: int, c: int, trials: int, seed: int, exact_max_n: int = 8
-) -> SuccessProbResult:
+def dicke_success_prob(n: int, k: int, c: int, trials: int, seed: int) -> SuccessProbResult:
     """Monte-Carlo failure frequency of the threshold preparation.
 
     Draws ``trials`` independent n-register seed tuples from PCG64 and applies
-    the tie criterion.  For n <= exact_max_n the exact combinatorial failure
+    the tie criterion.  For n <= EXACT_MAX_N the exact combinatorial failure
     probability is computed alongside.
     """
     if trials <= 0:
@@ -152,5 +152,5 @@ def dicke_success_prob(
         draws = rng.integers(0, f, size=(take, n))
         failures += int(np.count_nonzero(~threshold_success_batch(draws, k)))
         done += take
-    exact = exact_failure_prob(n, k, c) if n <= exact_max_n else None
+    exact = exact_failure_prob(n, k, c) if n <= EXACT_MAX_N else None
     return SuccessProbResult(n, k, c, trials, seed, failures / trials, exact)

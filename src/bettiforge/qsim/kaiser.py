@@ -12,6 +12,10 @@ zero sits at dt = (pi/N) sqrt(1 + a^2).  The asymptotic tail mass beyond that
 point is 8 ln(2a) sqrt(a) exp(-2 pi a), which pins alpha for a requested
 confidence delta; a quadrature mode solves for alpha against the numerically
 integrated tail instead.
+
+Closed-form sizing (``window_size``, ``solve_alpha_asymptotic``) needs no
+scipy, so this module imports it only inside ``tail_fraction``,
+``kaiser_kernel``, ``kaiser_phase_distribution`` and ``PhaseErrorDistribution``.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import i0e
+
+from ..errors import DeskScaleError
 
 ALPHA_LO = 0.5
 ALPHA_HI = 25.0
+MAX_QAE_WINDOW = 1 << 20  # simulated outcome grids hold 2N+1 points
 
 
 def _kernel_sq(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -144,6 +149,8 @@ class KaiserKernel:
 
 
 def kaiser_kernel(N: int, alpha: float) -> KaiserKernel:
+    from scipy.special import i0e
+
     if N < 1:
         raise ValueError("window half-width N must be >= 1")
     m = np.arange(-N, N + 1)
@@ -165,6 +172,8 @@ class PhaseErrorDistribution:
     first_zero: float
 
     def density(self, dtheta) -> np.ndarray:
+        from scipy.special import i0e
+
         u = np.asarray(dtheta, dtype=float) * self.N
         scale = i0e(math.pi * self.alpha) * math.exp(math.pi * self.alpha)
         return _kernel_sq(u, self.alpha) / (scale * scale) / self.normalization
@@ -184,6 +193,9 @@ class PhaseErrorDistribution:
 
 def kaiser_phase_distribution(N: int, alpha: float) -> PhaseErrorDistribution:
     """Numerically normalized phase-error distribution for given N, alpha."""
+    from scipy.integrate import quad
+    from scipy.special import i0e
+
     if N < 1 or alpha <= 0:
         raise ValueError("need N >= 1 and alpha > 0")
     scale = i0e(math.pi * alpha) * math.exp(math.pi * alpha)
@@ -207,13 +219,15 @@ def window_size(epsilon: float, delta: float, refined: bool = False) -> tuple[fl
     N = ceil((pi/epsilon) sqrt(1+alpha^2)); alpha comes from the asymptotic
     equation, or from the integrated tail when ``refined``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     alpha = solve_alpha_quadrature(delta) if refined else solve_alpha_asymptotic(delta)
-    n = math.ceil(math.pi / epsilon * math.sqrt(1.0 + alpha * alpha))
-    return alpha, n
+    n = math.pi / epsilon * math.sqrt(1.0 + alpha * alpha)
+    if not math.isfinite(n):
+        raise ValueError(f"epsilon {epsilon} too small: the window size overflows the float range")
+    return alpha, math.ceil(n)
 
 
 @dataclass(frozen=True)
@@ -237,6 +251,8 @@ def qae_outcome_distribution(a: float, epsilon: float, delta: float, refined: bo
     if not 0.0 < a < 1.0:
         raise ValueError("amplitude must lie strictly in (0, 1)")
     alpha, n = window_size(epsilon, delta, refined=refined)
+    if n > MAX_QAE_WINDOW:
+        raise DeskScaleError(f"window half-width N = {n} exceeds the simulation limit {MAX_QAE_WINDOW}")
     kern = kaiser_kernel(n, alpha)
     m_count = 2 * n + 1
     theta = 2.0 * math.asin(a)

@@ -7,9 +7,10 @@ Kaiser-window estimation.  Over- or under-rotation from the first (noisy)
 amplitude estimate propagates exactly through the two-dimensional rotation
 algebra.
 
-Error budgets are assigned the same way as in the cost model; the true Betti
-number is used only to size the budgets (the reported estimate comes from the
-simulated measurements alone).
+The error budget, stage precisions and walk normalization come from one
+``resources.ResourceParams``, as in the cost model.  The true Betti number
+(floored at 1) and the Dirac gap only size the budgets; the reported estimate
+comes from the simulated measurements alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from ..errors import DeskScaleError
 from ..graphs import Graph, enumerate_cliques
 from ..homology import betti_exact
-from ..resources import chebyshev_degree
+from ..resources import ResourceParams, chebyshev_degree
 from .filters import apply_filter_to_state, dirac_gap
 from .kaiser import amplitude_estimate_sim
 
@@ -47,18 +48,18 @@ def end_to_end_normalized_betti(
     """Simulate the full pipeline and return the normalized Betti estimate."""
     if g.n > MAX_PIPELINE_QUBITS:
         raise DeskScaleError(f"pipeline simulation limited to n <= {MAX_PIPELINE_QUBITS}")
-    if not 0.0 < r < 1.0 or not 0.0 < delta < 1.0:
-        raise ValueError("r and delta must lie in (0, 1)")
     cl = enumerate_cliques(g, k)
     if not cl:
         raise ValueError(f"graph has no {k}-cliques")
     cl_count = len(cl)
     d_k = math.comb(g.n, k)
-
-    r1, r3 = r / 20.0, r / 20.0
-    r2 = r - r1 - r3
-    delta1 = delta / 20.0
-    delta2 = delta - delta1
+    beta = betti_exact(g, k)
+    # a vanishing Betti number cannot set a relative scale
+    params = ResourceParams(
+        n=g.n, k=k, edge_count=len(g.edges), clique_count=cl_count, betti=max(beta, 1),
+        lambda_min=dirac_gap(g, k), r=r, delta=delta,
+    )
+    eps1, eps2, eps3 = params.precisions()
 
     # stage 1: estimate the clique amplitude a0 = sqrt(|Cl_k| / C(n,k))
     a0 = math.sqrt(cl_count / d_k)
@@ -68,8 +69,7 @@ def end_to_end_normalized_betti(
         rounds = 0
         amp_true = amp_assumed = 1.0
     else:
-        eps1 = 2.0 * math.sqrt(r1) / math.pi * a0
-        a0_hat = amplitude_estimate_sim(a0, eps1, delta1, seed)
+        a0_hat = amplitude_estimate_sim(a0, eps1, params.delta1, seed)
         a0_hat = min(max(a0_hat, 1e-12), 1.0 - 1e-12)
         # stage 2: amplification with the ideal rotation count from a0_hat
         theta_hat = math.asin(a0_hat)
@@ -78,17 +78,12 @@ def end_to_end_normalized_betti(
         amp_assumed = math.sin((2 * rounds + 1) * theta_hat)
 
     # stage 3: Chebyshev filtering sized from the true spectral data
-    beta = betti_exact(g, k)
-    beta_eff = max(beta, 1)  # a vanishing Betti number cannot set a relative scale
-    eps3 = math.sqrt(r3 * beta_eff / cl_count)
-    ell = chebyshev_degree(eps3, dirac_gap(g, k), float(g.n))
-    ell = max(ell, 2)
+    ell = max(chebyshev_degree(eps3, params.lambda_min, params.lam), 2)
     filt = apply_filter_to_state(g, k, ell, eps3)
 
     # stage 4: Kaiser-window estimation of the surviving amplitude
     a_total = abs(amp_true) * math.sqrt(filt.amplitude_sq)
-    eps2 = 0.5 * r2 * math.sqrt(beta_eff / cl_count)
-    a_total_hat = amplitude_estimate_sim(min(max(a_total, 1e-12), 1 - 1e-12), eps2, delta2, seed + 1)
+    a_total_hat = amplitude_estimate_sim(min(max(a_total, 1e-12), 1 - 1e-12), eps2, params.delta2, seed + 1)
 
     estimate = (a_total_hat / amp_assumed) ** 2
     return PipelineResult(

@@ -96,6 +96,8 @@ def build_block_encoding(g: Graph, k: int) -> BlockEncoding:
     _check_qubits(n)
     if n < 1:
         raise ValueError("need at least one vertex")
+    if k < 1:
+        raise ValueError(f"clique size k must be >= 1, got {k}")
     dim = 1 << n
     prep = _uniform_prep(n)
     select = np.zeros((n * dim, n * dim))

@@ -12,11 +12,13 @@ Error budget: a requested relative error r is split as
     r1 = r/20    initial amplitude estimation
     r3 = r/20    eigenvalue filtering (enters only inside a logarithm)
     r2 = 0.9 r   final overlap estimation (the 1/r2 prefactor)
-and a failure budget delta as delta1 = delta/20, delta2 = rest.  The split is
-configurable; only r1+r2+r3 = r and delta1+delta2 = delta are enforced.  Note
-the published figure's shares (filtering r/20, overlap estimation 0.95 r)
-leave nothing for the initial estimation stage, whose cost diverges as its
-share vanishes, so the overlap share is trimmed to 0.9 r to fund it.
+and a failure budget delta as delta1 = delta/20, delta2 = rest.
+``ResourceParams`` derives the split and the stage precisions; the cost model
+and the simulated pipeline both read them from it.  Note the published
+figure's shares (filtering r/20, overlap estimation 0.95 r) leave nothing for
+the initial estimation stage, whose cost diverges as its share vanishes, so
+the overlap share is trimmed to 0.9 r to fund it.  Only the refined-Kaiser
+mode loads scipy (for the tail quadrature).
 """
 
 from __future__ import annotations
@@ -38,9 +40,20 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _ceil_count(x: float) -> int:
+    """Round a stage count up; a count past the float range means r or delta is too small."""
+    if not math.isfinite(x):
+        raise ValueError("error budget r or delta too small: a stage count overflows the float range")
+    return math.ceil(x)
+
+
 @dataclass(frozen=True)
 class ResourceParams:
-    """All inputs of the cost model for one problem instance."""
+    """All inputs of the cost model for one problem instance.
+
+    The budget shares, the precisions and lam = n are derived, not stored,
+    so ``dataclasses.replace`` re-derives them.
+    """
 
     n: int
     k: int
@@ -50,19 +63,13 @@ class ResourceParams:
     lambda_min: float
     r: float
     delta: float
-    lam: float | None = None  # block-encoding normalization; defaults to n
     c: int = 8  # seed-range constant of the threshold preparation
-    r1: float | None = None
-    r2: float | None = None
-    r3: float | None = None
-    delta1: float | None = None
-    delta2: float | None = None
 
     def __post_init__(self):
         if self.n < 2 or not 1 <= self.k <= self.n:
             raise ValueError("need n >= 2 and 1 <= k <= n")
-        if self.edge_count < 0 or self.clique_count < 0 or self.betti < 0:
-            raise ValueError("counts must be nonnegative")
+        if self.edge_count < 0 or self.betti < 1:
+            raise ValueError("need edge count >= 0 and Betti number >= 1 (a relative target needs beta >= 1)")
         if self.clique_count > math.comb(self.n, self.k):
             raise ValueError("clique count exceeds C(n, k)")
         if self.betti > self.clique_count:
@@ -71,25 +78,24 @@ class ResourceParams:
             raise ValueError("relative error r must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("failure probability delta must lie in (0, 1)")
-        if self.lam is None:
-            object.__setattr__(self, "lam", float(self.n))
-        if self.lambda_min <= 0 or self.lambda_min >= self.lam:
-            raise ValueError("need 0 < lambda_min < lambda")
-        if self.r1 is None and self.r2 is None and self.r3 is None:
-            object.__setattr__(self, "r1", self.r / 20.0)
-            object.__setattr__(self, "r3", self.r / 20.0)
-            object.__setattr__(self, "r2", self.r - self.r1 - self.r3)
-        if self.delta1 is None and self.delta2 is None:
-            object.__setattr__(self, "delta1", self.delta / 20.0)
-            object.__setattr__(self, "delta2", self.delta - self.delta1)
-        for name in ("r1", "r2", "r3", "delta1", "delta2"):
-            val = getattr(self, name)
-            if val is None or val <= 0:
-                raise ValueError(f"error-budget share {name} must be positive")
-        if abs(self.r1 + self.r2 + self.r3 - self.r) > 1e-12 * self.r:
-            raise ValueError("r1 + r2 + r3 must equal r")
-        if abs(self.delta1 + self.delta2 - self.delta) > 1e-12 * self.delta:
-            raise ValueError("delta1 + delta2 must equal delta")
+        if not 0.0 < self.lambda_min < self.lam:
+            raise ValueError("spectral gap lambda_min must lie in (0, n)")
+
+    lam = property(lambda self: float(self.n))  # block-encoding normalization, as in walkenc
+    r1 = property(lambda self: self.r / 20.0)
+    r3 = property(lambda self: self.r / 20.0)
+    r2 = property(lambda self: self.r - self.r1 - self.r3)
+    delta1 = property(lambda self: self.delta / 20.0)
+    delta2 = property(lambda self: self.delta - self.delta1)
+
+    def precisions(self) -> tuple[float, float, float]:
+        """(eps1, eps2, eps3): initial and final estimation phase precisions, filter suppression."""
+        log_cl = math.log(self.clique_count)
+        sqrt_beta_over_cl = math.exp(0.5 * (math.log(self.betti) - log_cl))
+        eps1 = 2.0 * math.sqrt(self.r1) / math.pi * math.exp(0.5 * (log_cl - _log_comb(self.n, self.k)))
+        eps2 = 0.5 * self.r2 * sqrt_beta_over_cl
+        eps3 = math.sqrt(self.r3) * sqrt_beta_over_cl
+        return eps1, eps2, eps3
 
 
 def kpartite_params(m: int, k: int, r: float, delta: float, c: int = 8) -> ResourceParams:
@@ -174,21 +180,6 @@ def block_encoding_cost(n: int, edge_count: int, k: int) -> int:
     return 6 * edge_count + 5 * n + 11 * _ceil_log2(n) + 2 * _ceil_log2(max(k, 1))
 
 
-def kaiser_params(epsilon: float, delta: float, refined: bool = False) -> tuple[float, int]:
-    """Window shape alpha and step count N for phase precision epsilon.
-
-    N = ceil((pi/epsilon) sqrt(1 + alpha^2)).  Default alpha solves the
-    asymptotic tail equation ln(1/delta) = 2 pi a - ln(8 ln(2a) sqrt(a));
-    ``refined`` solves against the numerically integrated tail instead (used
-    for figure-grade totals).
-    """
-    if epsilon <= 0:
-        raise ValueError("phase precision must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("tail probability must lie in (0, 1)")
-    return kaiser.window_size(epsilon, delta, refined=refined)
-
-
 def chebyshev_degree(epsilon: float, lambda_min: float, lam: float) -> int:
     """Filter degree acosh(1/eps) / acosh(1/sqrt(1-(lambda_min/lam)^2)).
 
@@ -196,22 +187,23 @@ def chebyshev_degree(epsilon: float, lambda_min: float, lam: float) -> int:
     polynomial in the squared walk step.  Satisfies the bound
     (lam/lambda_min) ln(2/eps) + 1 after rounding.
     """
-    if lambda_min <= 0 or lambda_min >= lam:
+    if not 0 < lambda_min < lam:
         raise ValueError("need 0 < lambda_min < lambda (strict spectral gap)")
+    if not epsilon > 0:
+        raise ValueError("suppression factor epsilon must be positive")
     if epsilon >= 1.0:
         return 0
-    if epsilon <= 0:
-        raise ValueError("suppression factor must be positive")
     ratio = lambda_min / lam
-    raw = math.acosh(1.0 / epsilon) / math.acosh(1.0 / math.sqrt(1.0 - ratio * ratio))
+    width = math.acosh(1.0 / math.sqrt(1.0 - ratio * ratio))
+    if width == 0.0:
+        raise ValueError(f"gap ratio lambda_min/lambda = {ratio} is below float resolution")
+    raw = math.acosh(1.0 / epsilon) / width
     ell = math.ceil(raw)
     return ell + (ell & 1)
 
 
 def amp_amplification_steps(params: ResourceParams) -> int:
     """(pi/4) sqrt(C(n,k)/|Cl_k|) rounds of amplitude amplification."""
-    if params.clique_count == 0:
-        raise ValueError("no cliques to amplify onto")
     log_ratio = _log_comb(params.n, params.k) - math.log(params.clique_count)
     return math.ceil(math.pi / 4.0 * math.exp(0.5 * log_ratio))
 
@@ -222,8 +214,6 @@ def amp_estimation_cost(params: ResourceParams) -> int:
     ceil( ln(1/delta1)/sqrt(r1) * (pi/4) sqrt(C(n,k)/|Cl_k|) ); each
     iteration costs two fixed-weight preparations plus one clique reflection.
     """
-    if params.clique_count == 0:
-        raise ValueError("no cliques: overlap is zero")
     log_ratio = _log_comb(params.n, params.k) - math.log(params.clique_count)
     real = (
         math.log(1.0 / params.delta1)
@@ -231,7 +221,7 @@ def amp_estimation_cost(params: ResourceParams) -> int:
         * (math.pi / 4.0)
         * math.exp(0.5 * log_ratio)
     )
-    return math.ceil(real)
+    return _ceil_count(real)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +236,6 @@ def leading_order_toffoli(params: ResourceParams) -> float:
     with the filter share r3 inside the logarithm.
     """
     p = params
-    if p.betti == 0:
-        raise ValueError("relative-error target undefined at Betti number 0")
-    if p.clique_count == 0:
-        raise ValueError("no cliques: nothing to estimate")
     log_cl = math.log(p.clique_count)
     sqrt_cl_over_beta = math.exp(0.5 * (log_cl - math.log(p.betti)))
     sqrt_choose_over_cl = math.exp(0.5 * (_log_comb(p.n, p.k) - log_cl))
@@ -276,11 +262,6 @@ def total_toffoli(params: ResourceParams, refined_kaiser: bool = False) -> Resou
     (this is the mode that reproduces the headline figure anchors).
     """
     p = params
-    if p.betti == 0:
-        raise ValueError("relative-error target undefined at Betti number 0")
-    if p.clique_count == 0:
-        raise ValueError("no cliques: nothing to estimate")
-
     c_dicke = dicke_prep_cost(p.n, p.c)
     c_reflect = clique_detect_cost(p.edge_count, p.k, reflect=True)
     c_prep = 2 * c_dicke + c_reflect
@@ -288,22 +269,15 @@ def total_toffoli(params: ResourceParams, refined_kaiser: bool = False) -> Resou
 
     n_aa = amp_amplification_steps(p)
 
-    log_cl = math.log(p.clique_count)
-    sqrt_beta_over_cl = math.exp(0.5 * (math.log(p.betti) - log_cl))
-    eps3 = math.sqrt(p.r3) * sqrt_beta_over_cl
+    eps1, eps2, eps3 = p.precisions()
     ell = chebyshev_degree(eps3, p.lambda_min, p.lam)
-
-    eps2 = 0.5 * p.r2 * sqrt_beta_over_cl
     if refined_kaiser:
-        alpha2, n_window = kaiser_params(eps2, p.delta2, refined=True)
+        alpha2, n_window = kaiser.window_size(eps2, p.delta2, refined=True)
         n2 = 2 * n_window
-        eps1 = (
-            2.0 * math.sqrt(p.r1) / math.pi * math.exp(0.5 * (log_cl - _log_comb(p.n, p.k)))
-        )
-        alpha1, n1 = kaiser_params(eps1, p.delta1, refined=True)
+        alpha1, n1 = kaiser.window_size(eps1, p.delta1, refined=True)
     else:
         alpha2 = kaiser.solve_alpha_asymptotic(p.delta2)
-        n2 = math.ceil(math.log(1.0 / p.delta2) / eps2)
+        n2 = _ceil_count(math.log(1.0 / p.delta2) / eps2)
         alpha1 = kaiser.solve_alpha_asymptotic(p.delta1)
         n1 = amp_estimation_cost(p)
 
@@ -343,25 +317,11 @@ def total_toffoli_abs(
     """Total for an absolute accuracy target alpha_abs in the Betti number.
 
     Substitutes r = alpha_abs / beta (so alpha_abs = r * beta reproduces
-    total_toffoli exactly) and rescales the budget shares proportionally.
+    total_toffoli exactly); the budget shares follow r.
     """
-    p = params
-    if p.betti == 0:
-        raise ValueError("absolute-error form still needs a nonzero Betti number")
-    if alpha_abs <= 0:
+    if not alpha_abs > 0:
         raise ValueError("absolute accuracy must be positive")
-    r_new = alpha_abs / p.betti
-    if not 0.0 < r_new < 1.0:
-        raise ValueError(f"implied relative error {r_new} outside (0, 1)")
-    scale = r_new / p.r
-    swapped = replace(
-        p,
-        r=r_new,
-        r1=p.r1 * scale,
-        r2=p.r2 * scale,
-        r3=p.r3 * scale,
-    )
-    return total_toffoli(swapped, refined_kaiser=refined_kaiser)
+    return total_toffoli(replace(params, r=alpha_abs / params.betti), refined_kaiser=refined_kaiser)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +353,8 @@ def sweep(
     Entries with k not dividing n, or with a single vertex per cluster (Betti
     number zero), are skipped with a warning callback.
     """
+    if k < 1:
+        raise ValueError(f"clique size k must be >= 1, got {k}")
     rows = []
     for n in n_list:
         if n % k != 0:

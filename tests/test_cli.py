@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bettiforge
 from bettiforge.cli import _pin_threads, main, parse_generator_spec
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+DEQUANT_K22 = ["dequantize", "--gen", "kpartite:2,2", "--k", "2", "--slices", "1", "--samples", "100"]
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +224,57 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "generate", "--graph", str(path))
         assert code == 2 and "must be an integer" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            pytest.param(["sweep", "--k", "0", "--n", "16:32:8"], "k must be >= 1", id="sweep-k0"),
+            pytest.param(["sweep", "--k", "-2", "--n", "16:32:8"], "k must be >= 1", id="sweep-k-neg"),
+            pytest.param([*DEQUANT_K22, "--t", "1", "--burn-in", "-5"], "burn_in must be >= 0", id="burn-in-neg"),
+            pytest.param([*DEQUANT_K22, "--t", "1", "--thin", "0"], "(--thin) must be >= 1", id="thin-0"),
+            pytest.param([*DEQUANT_K22, "--t", "nan"], "time t must be finite", id="t-nan"),
+            pytest.param(
+                ["simulate", "walk", "--gen", "er:6,0.7", "--seed", "1", "--k", "0"], "k must be >= 1", id="walk-k0"
+            ),
+            pytest.param(
+                ["estimate", "--n", "9", "--k", "3", "--edges", "27", "--cliques", "27", "--betti", "8",
+                 "--gap", "nan", "--r", "0.05", "--delta", "0.05"],
+                "spectral gap",
+                id="gap-nan",
+            ),
+            pytest.param(["simulate", "qae", "--epsilon", "nan"], "epsilon must be positive", id="epsilon-nan"),
+            pytest.param(
+                ["simulate", "filter", "--gen", "er:6,0.7", "--seed", "1", "--k", "2", "--epsilon", "nan"],
+                "epsilon must be positive",
+                id="filter-epsilon-nan",
+            ),
+        ],
+    )
+    def test_bad_input_is_2_and_named(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and named in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv,code,named",
+        [
+            pytest.param(["estimate", "--gen", "kpartite:2,2", "--r", "1e-308", "--delta", "0.05"], 2, "too small",
+                         id="r-tiny"),
+            pytest.param(["estimate", "--gen", "kpartite:2,2", "--r", "0.05", "--delta", "1e-308"], 2, "too small",
+                         id="delta-tiny"),
+            pytest.param(["simulate", "qae", "--epsilon", "1e-310"], 2, "too small", id="epsilon-tiny"),
+            pytest.param(["simulate", "qae", "--epsilon", "1e-7"], 3, "simulation limit", id="qae-window-cap"),
+            pytest.param(
+                ["estimate", "--n", "9", "--k", "3", "--edges", "27", "--cliques", "27", "--betti", "8",
+                 "--gap", "1e-9", "--r", "0.05", "--delta", "0.05"],
+                2,
+                "below float resolution",
+                id="gap-ratio-tiny",
+            ),
+        ],
+    )
+    def test_precision_past_float_range(self, capsys, argv, code, named):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code and named in err and out == ""
+
     def test_missing_source_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "betti", "--k", "2")
         assert code == 2
@@ -256,3 +315,82 @@ def test_output_independent_of_inherited_threads(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the input grammar: any value exits 0, 2 or 3 and never raises
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+EDGE_INTS = st.integers(-3, 64)
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 0.05, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _flags(**values) -> list[str]:
+    # --name=value keeps argparse from reading "-inf" or "-3" as an option
+    return [f"--{name}={value}" for name, value in values.items()]
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@FUZZ
+@given(n=EDGE_INTS, k=EDGE_INTS, edges=EDGE_INTS, cliques=EDGE_INTS, betti=EDGE_INTS,
+       gap=EDGE_FLOATS, r=EDGE_FLOATS, delta=EDGE_FLOATS, c=EDGE_INTS)
+def test_fuzz_estimate_explicit(n, k, edges, cliques, betti, gap, r, delta, c):
+    argv = ["estimate", *_flags(n=n, k=k, edges=edges, cliques=cliques, betti=betti, gap=gap, r=r, delta=delta, c=c)]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@FUZZ
+@given(m=EDGE_INTS, k=EDGE_INTS, r=EDGE_FLOATS, delta=EDGE_FLOATS, c=EDGE_INTS)
+def test_fuzz_estimate_kpartite(m, k, r, delta, c):
+    argv = ["estimate", *_flags(gen=f"kpartite:{m},{k}", r=r, delta=delta, c=c)]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@FUZZ
+@given(k=EDGE_INTS, start=EDGE_INTS, stop=st.integers(-3, 200), step=EDGE_INTS, r=EDGE_FLOATS, delta=EDGE_FLOATS)
+def test_fuzz_sweep(k, start, stop, step, r, delta):
+    argv = ["sweep", *_flags(k=k, n=f"{start}:{stop}:{step}", r=r, delta=delta)]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@FUZZ
+@given(amplitude=EDGE_FLOATS, epsilon=EDGE_FLOATS, delta=EDGE_FLOATS, seed=EDGE_INTS)
+def test_fuzz_simulate_qae(amplitude, epsilon, delta, seed):
+    argv = ["simulate", "qae", *_flags(amplitude=amplitude, epsilon=epsilon, delta=delta, seed=seed)]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@FUZZ
+@given(n=EDGE_INTS, k=EDGE_INTS, c=EDGE_INTS, trials=st.integers(-3, 1000), seed=EDGE_INTS)
+def test_fuzz_simulate_dicke(n, k, c, trials, seed):
+    argv = ["simulate", "dicke", *_flags(n=n, k=k, c=c, trials=trials, seed=seed)]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+GRAPH_TEXT = st.one_of(
+    st.text(max_size=40),
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries({"n": JSON_VALUES, "edges": st.lists(st.lists(JSON_VALUES, max_size=3), max_size=6)}).map(
+        json.dumps
+    ),
+)
+
+
+@FUZZ
+@given(text=GRAPH_TEXT, k=st.integers(-1, 4))
+def test_fuzz_betti_graph_json(tmp_path_factory, text, k):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(text)
+    assert _exit_code(["betti", "--graph", str(path), "--k", str(k)]) in (0, 2, 3)

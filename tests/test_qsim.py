@@ -8,6 +8,7 @@ import pytest
 from bettiforge.graphs import Graph, build_clique_complex, gen_erdos_renyi, gen_kpartite
 from bettiforge.homology import dirac
 from bettiforge.qsim import dicke, filters, kaiser, pipeline, walkenc
+from bettiforge.resources import ResourceParams, chebyshev_degree
 
 
 class TestDickeThreshold:
@@ -283,13 +284,6 @@ class TestAmplitudeEstimation:
         fail = float(np.mean(np.abs(est - 0.3) > eps))
         assert fail <= delta + 3.0 * math.sqrt(delta * (1 - delta) / 2000)
 
-    def test_cost_matches_kaiser_params(self):
-        from bettiforge.resources import kaiser_params
-
-        dist = kaiser.qae_outcome_distribution(0.3, 0.01, 0.05)
-        alpha, n = kaiser_params(0.01, 0.05)
-        assert dist.N == n and dist.alpha == alpha
-
     def test_single_run_reproducible(self):
         a = kaiser.amplitude_estimate_sim(0.4, 0.02, 0.05, seed=9)
         b = kaiser.amplitude_estimate_sim(0.4, 0.02, 0.05, seed=9)
@@ -318,6 +312,18 @@ class TestPipeline:
         out = pipeline.end_to_end_normalized_betti(g, 2, r=0.1, delta=0.05, seed=2)
         eps3 = math.sqrt(0.1 / 20.0 / 3.0)
         assert out.estimate <= eps3 * eps3
+
+    @pytest.mark.parametrize("m,k", [(2, 2), (2, 3)])
+    def test_filter_degree_from_resource_params(self, m, k):
+        g = gen_kpartite(m, k)
+        out = pipeline.end_to_end_normalized_betti(g, k, r=0.1, delta=0.05, seed=5)
+        gap = filters.dirac_gap(g, k)
+        params = ResourceParams(
+            n=g.n, k=k, edge_count=len(g.edges), clique_count=m**k, betti=(m - 1) ** k,
+            lambda_min=gap, r=0.1, delta=0.05,
+        )
+        _, _, eps3 = params.precisions()
+        assert out.filter_degree == max(chebyshev_degree(eps3, gap, g.n), 2)
 
     def test_confidence_over_seeds(self):
         g = gen_kpartite(2, 2)

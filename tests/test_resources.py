@@ -1,9 +1,12 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bettiforge.qsim.kaiser import window_size
 from bettiforge.resources import (
     ResourceParams,
     amp_amplification_steps,
@@ -13,7 +16,6 @@ from bettiforge.resources import (
     clique_detect_cost,
     dicke_alt_cost,
     dicke_prep_cost,
-    kaiser_params,
     kpartite_params,
     leading_order_toffoli,
     sweep,
@@ -36,9 +38,25 @@ class TestParams:
         assert p.delta1 + p.delta2 == pytest.approx(p.delta, rel=1e-12)
         assert p.lam == p.n
 
+    def test_shares_derived_from_r_and_delta(self):
+        p = params_k33()
+        for q, r, delta in ((p, 0.05, 0.05), (replace(p, r=2 * p.r), 0.1, 0.05)):
+            assert (q.r1, q.r2, q.r3) == (r / 20, r - r / 20 - r / 20, r / 20)
+            assert (q.delta1, q.delta2) == (delta / 20, delta - delta / 20)
+
     @pytest.mark.parametrize(
         "field,value",
-        [("r", 0.0), ("r", 1.0), ("delta", 0.0), ("betti", 10**9), ("clique_count", 10**9)],
+        [
+            ("r", 0.0),
+            ("r", 1.0),
+            ("r", math.nan),
+            ("delta", 0.0),
+            ("delta", math.nan),
+            ("betti", 10**9),
+            ("clique_count", 10**9),
+            ("lambda_min", math.nan),
+            ("lambda_min", 9.0),
+        ],
     )
     def test_invalid_rejected(self, field, value):
         good = dict(
@@ -47,13 +65,6 @@ class TestParams:
         good[field] = value
         with pytest.raises(ValueError):
             ResourceParams(**good)
-
-    def test_split_must_sum(self):
-        with pytest.raises(ValueError):
-            ResourceParams(
-                n=9, k=3, edge_count=27, clique_count=27, betti=8, lambda_min=3.0,
-                r=0.05, delta=0.05, r1=0.01, r2=0.01, r3=0.01,
-            )
 
 
 class TestStageCosts:
@@ -131,26 +142,26 @@ class TestChebyshev:
 class TestKaiserParams:
     def test_leading_order_alpha(self):
         delta = 1e-10
-        alpha, _ = kaiser_params(1e-3, delta)
+        alpha, _ = window_size(1e-3, delta)
         lead = math.log(1.0 / delta) / (2.0 * math.pi)
         assert abs(lead / alpha - 1.0) < 0.15
 
     def test_n_at_least_pi_over_eps(self):
         for eps, delta in ((1e-2, 0.05), (1e-3, 1e-4)):
-            _, n = kaiser_params(eps, delta)
+            _, n = window_size(eps, delta)
             assert n >= math.pi / eps
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            kaiser_params(0.0, 0.05)
+            window_size(0.0, 0.05)
         with pytest.raises(ValueError):
-            kaiser_params(0.01, 1.0)
+            window_size(0.01, 1.0)
 
     def test_simulated_tail_below_requested(self):
         from bettiforge.qsim.kaiser import tail_fraction
 
         for delta in (0.1, 0.05, 0.01):
-            alpha, _ = kaiser_params(0.01, delta)
+            alpha, _ = window_size(0.01, delta)
             assert tail_fraction(alpha) <= delta
 
     def test_tail_mass_beyond_eps_within_delta(self):
@@ -159,7 +170,7 @@ class TestKaiserParams:
         from bettiforge.qsim.kaiser import kaiser_phase_distribution
 
         for eps, delta in ((0.02, 0.1), (0.01, 0.05), (0.005, 0.01)):
-            alpha, n = kaiser_params(eps, delta)
+            alpha, n = window_size(eps, delta)
             dist = kaiser_phase_distribution(n, alpha)
             assert dist.first_zero <= eps + 1e-12
             assert dist.tail_mass(eps) <= delta
@@ -199,11 +210,10 @@ class TestTotals:
             assert 0 <= comp <= est.total_toffoli
 
     def test_rejects_zero_betti(self):
-        p = ResourceParams(
-            n=4, k=2, edge_count=6, clique_count=6, betti=0, lambda_min=1.0, r=0.05, delta=0.05
-        )
-        with pytest.raises(ValueError):
-            total_toffoli(p)
+        with pytest.raises(ValueError, match="Betti number >= 1"):
+            ResourceParams(
+                n=4, k=2, edge_count=6, clique_count=6, betti=0, lambda_min=1.0, r=0.05, delta=0.05
+            )
 
     def test_abs_identity(self):
         p = params_k33()
@@ -225,11 +235,17 @@ class TestTotals:
         )
 
     def test_doubling_r_halves_leading_closed_form(self):
-        shares = dict(r1=0.002, r3=0.002)
+        # the 1/r prefactor halves; the filter share r3 = r/20 moves the log term too
         p1 = kpartite_params(4, 3, r=0.04, delta=0.05)
-        p1 = replace(p1, **shares, r2=0.04 - 0.004)
-        p2 = replace(p1, r=0.08, r2=0.08 - 0.004)
-        assert leading_order_toffoli(p2) == pytest.approx(leading_order_toffoli(p1) / 2.0)
+        p2 = replace(p1, r=0.08)
+
+        def bracket(p):
+            return math.pi / 2.0 * math.sqrt(math.comb(p.n, p.k) / p.clique_count) + (
+                p.n / p.lambda_min * math.log(4.0 * p.clique_count / (p.r / 20.0 * p.betti))
+            )
+
+        ratio = leading_order_toffoli(p2) / leading_order_toffoli(p1)
+        assert ratio == pytest.approx(bracket(p2) / bracket(p1) / 2.0, rel=1e-12)
 
     def test_monotonicity_grid(self):
         base = dict(n=24, k=4, r=0.05, delta=0.05)
@@ -309,3 +325,32 @@ class TestSweep:
         assert lines[0] == "n,k,m,toffoli_total,toffoli_prep,toffoli_filter,binom,cliques"
         assert len(lines) == 4 and lines[-1] == ""
         assert text == sweep_to_csv(rows)  # deterministic
+
+
+def _load_time_imports(tree: ast.Module):
+    """Module names imported when the module loads (function bodies excluded)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    # closed-form sizing must not pay for a scipy load: scipy is imported
+    # only inside the functions that use it
+    import bettiforge
+
+    root = Path(bettiforge.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}: {name}"
+        for path in sorted(root.rglob("*.py"))
+        for name in _load_time_imports(ast.parse(path.read_text()))
+        if name.split(".")[0] == "scipy"
+    ]
+    assert offenders == []
