@@ -301,6 +301,8 @@ def cmd_dequantize(args) -> int:
         "r_T": res.r_t,
         "n_samples": res.n_samples,
         "d_k": res.d_k,
+        **{key: res.diagnostics[key] for key in ("exact_trotter_mean", "average_sign", "z_score")
+           if key in res.diagnostics},
         "config": {
             "gen": args.gen,
             "graph": args.graph,
@@ -392,20 +394,33 @@ def _verify_dicke() -> list[tuple[str, bool, str]]:
 
 
 def _verify_dequant_toy() -> list[tuple[str, bool, str]]:
+    import numpy as np
+
     from . import graphs
-    from .dequant import estimator
+    from .dequant import estimator, operators
 
     g = graphs.gen_kpartite(2, 2)
     cfg = estimator.PIMCConfig(t=3.0, r_t=1, n_samp=20000, seed=7, chains=4)
     res = estimator.estimate_normalized_betti(g, 2, cfg)
-    dev = abs(res.estimate - 1 / 6)
-    ok = dev <= 3 * res.stderr
+    # the estimator is unbiased for the Trotterized mean, which lies just
+    # above the normalized Betti number 1/6 at this t
+    op = operators.penalized_operator(g, 2)
+    idx = op.basis.weight_k_clique_indices
+    trotter = estimator.trotterized_matrix(operators.one_sparse_decompose(op.matrix), cfg.t, cfg.r_t)
+    mean = float(np.trace(trotter[np.ix_(idx, idx)])) / op.d_k
+    band = 3 * res.stderr
     return [
         (
-            "toy normalized Betti (1/6)",
-            ok,
-            f"estimate {res.estimate:.5f} +- {res.stderr:.5f}",
-        )
+            "toy Trotterized mean vs normalized Betti (1/6)",
+            1 / 6 <= mean <= 1.01 / 6,
+            f"mean {mean:.5f} in [{1 / 6:.5f}, {1.01 / 6:.5f}]",
+        ),
+        (
+            "toy estimate vs Trotterized mean",
+            abs(res.estimate - mean) <= band,
+            f"estimate {res.estimate:.5f} vs mean {mean:.5f} +- {band:.5f}"
+            f" (normalized Betti {1 / 6:.5f}, z {(res.estimate - 1 / 6) / res.stderr:+.2f})",
+        ),
     ]
 
 

@@ -2,6 +2,7 @@
 
 Submodules:
     operators  penalized squared Dirac operator and one-sparse decomposition
-    paths      closed eigenvector paths, thermal weights, Metropolis-Hastings
+    paths      closed eigenvector paths, the pattern and magnitude measures,
+               batched exact draws, Metropolis-Hastings
     estimator  the sampling algorithm, Trotter slicing, variance diagnostics
 """

@@ -2,13 +2,19 @@
 
 Implements the randomized trace estimation: draw a starting weight-k clique
 by rejection from the uniform weight-k strings, draw a closed eigenvector
-path from the thermal distribution by Metropolis-Hastings, and accumulate
+path, and average its value (see ``paths`` for the two path measures).
 
-    E_q = (1/d_k) exp(-lambda_1 t/r - sum_mid lambda_i t/(2r)) W(path) / Pr(path).
+  * ``sampler="exact"`` draws each chain's anchors in blocks, then its paths
+    exactly from the magnitude measure, all in a few array operations.  A
+    sample's value is sign(W) |Cl_k| Z^abs_a exp(-shift t) / d_k.
+  * ``sampler="mh"`` runs Metropolis-Hastings chains on the pattern measure
+    and records E_q = (Z / d_k) W exp(beta E / 2) exp(-shift t).
 
-At fixed Trotterization the estimator is exactly unbiased for
-(1/d_k) Tr_restricted(Trotterized exp(-H t)); increasing t then pushes the
-value down onto beta_{k-1}/d_k from above at rate exp(-gamma t).
+At fixed Trotterization both estimators are exactly unbiased for
+(1/d_k) Tr_restricted(Trotterized exp(-H t)), which one signed transfer pass
+computes exactly (``exact_trotter_mean`` in the diagnostics of exact runs);
+increasing t then pushes the value down onto beta_{k-1}/d_k from above at
+rate exp(-gamma t).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .operators import (
     one_sparse_decompose,
     penalized_operator,
 )
-from .paths import ExactPathSampler, MetropolisPathSampler, PathSpace
+from .paths import MAGNITUDE, ExactPathSampler, MetropolisPathSampler, PathSpace
 
 LN2 = math.log(2.0)
 
@@ -91,24 +97,42 @@ def trotter_slices(
 def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
     """Rejection sampler for uniform weight-k cliques, with try accounting.
 
-    Draws a uniform k-subset of the vertices and retries until it is a
-    clique; the acceptance frequency estimates |Cl_k| / C(n, k).
+    ``draw(rng)`` draws a uniform k-subset of the vertices and retries until
+    it is a clique, returning its basis index.  ``draw(rng, count)`` returns
+    ``count`` of them, drawing the subsets in blocks (a row of uniforms per
+    subset, its k smallest entries name the vertices).  Every drawn subset
+    is counted, so the acceptance frequency estimates |Cl_k| / C(n, k).
     """
-    from ..graphs import is_clique
-
-    state_index = {x: i for i, x in enumerate(basis.states)}
+    state_of_mask = np.full(1 << g.n, -1, dtype=np.int64)
+    cliques = basis.weight_k_clique_indices
+    state_of_mask[np.array(basis.states)[cliques]] = cliques
+    accept_rate = cliques.size / math.comb(g.n, k)
     counters = {"draws": 0, "accepts": 0}
 
-    def draw(rng: np.random.Generator) -> int:
-        while True:
-            counters["draws"] += 1
-            verts = rng.choice(g.n, size=k, replace=False)
-            mask = 0
-            for v in verts:
-                mask |= 1 << int(v)
-            if is_clique(g, mask):
-                counters["accepts"] += 1
-                return state_index[mask]
+    def draw(rng: np.random.Generator, count: int | None = None):
+        if count is None:
+            while True:
+                counters["draws"] += 1
+                verts = rng.choice(g.n, size=k, replace=False)
+                mask = 0
+                for v in verts:
+                    mask |= 1 << int(v)
+                if state_of_mask[mask] >= 0:
+                    counters["accepts"] += 1
+                    return int(state_of_mask[mask])
+        out = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            block = math.ceil(1.25 * (count - filled) / accept_rate) + 16
+            verts = np.argsort(rng.random((block, g.n)), axis=1)[:, :k]
+            states = state_of_mask[np.left_shift(1, verts).sum(axis=1)]
+            states = states[states >= 0]
+            counters["draws"] += block
+            counters["accepts"] += states.size
+            take = min(states.size, count - filled)
+            out[filled : filled + take] = states[:take]
+            filled += take
+        return out
 
     return draw, counters
 
@@ -182,47 +206,55 @@ def estimate_from_operator(
         raise RuntimeError("no valid closed path exists (disconnected eigenstructure)")
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)
-    beta_half = cfg.t / (2.0 * cfg.r_t)
 
-    samples = []
+    chunks = []
     acc_num = acc_den = 0
     per_chain = -(-cfg.n_samp // cfg.chains)
+    diagnostics = {}
+    if cfg.sampler == "exact":
+        # anchor uniform over the cliques (by rejection), remainder of the
+        # loop drawn exactly from the magnitude measure; the importance
+        # weight depends only on the anchor and the path's sign
+        log_values = math.log(anchors.size) - math.log(op.d_k) - space.scalar_shift * cfg.t
+        anchor_values = np.exp(log_values + exact.log_z(MAGNITUDE))
+        exact_mean = space.restricted_trace() / op.d_k
+        # Z_signed / Z^abs: the mean anchor value is Z^abs exp(-shift t) / d_k
+        diagnostics = {
+            "exact_trotter_mean": exact_mean,
+            "average_sign": exact_mean / float(anchor_values.mean()),
+        }
     for chain in range(cfg.chains):
         rng = np.random.default_rng((cfg.seed, chain))
         if cfg.sampler == "exact":
-            # anchor uniform over the cliques (by rejection), remainder of the
-            # loop drawn exactly from the conditional thermal law; importance
-            # weight |Cl_k| Z_anchor replaces Z / Pr in closed form
-            base = math.log(anchors.size) - math.log(op.d_k) - space.scalar_shift * cfg.t
-            for _ in range(per_chain):
-                snap, anchor = exact.draw(rng)
-                log_mag = (
-                    base
-                    + exact.log_z_anchor(anchor)
-                    + snap.w_log2 * LN2
-                    + beta_half * snap.energy
-                )
-                samples.append(snap.w_sign * math.exp(log_mag))
+            cols = exact.draw_anchor_columns(rng, per_chain)
+            eig = exact.draw(rng, cols, MAGNITUDE)
+            chunks.append(space.path_signs(eig) * anchor_values[cols])
             acc_num += per_chain
             acc_den += per_chain
         else:
             log_pref = log_z - math.log(op.d_k) - space.scalar_shift * cfg.t
+            beta_half = cfg.t / (2.0 * cfg.r_t)
             sampler = MetropolisPathSampler(exact, rng)
             for _ in range(cfg.burn_in):
                 sampler.step()
+            samples = []
             for _ in range(per_chain):
                 for _ in range(cfg.chain_thin):
                     sampler.step()
                 snap = sampler.sample()
                 log_mag = log_pref + snap.w_log2 * LN2 + beta_half * snap.energy
                 samples.append(snap.w_sign * math.exp(log_mag))
+            chunks.append(np.array(samples))
             acc_num += sampler.accepted
             acc_den += sampler.proposed
 
-    arr = np.array(samples)
+    arr = np.concatenate(chunks)
     estimate = float(arr.mean())
     stderr = _batch_stderr(arr)
     tau = integrated_autocorr_time(arr)
+    if "exact_trotter_mean" in diagnostics:
+        dev = estimate - diagnostics["exact_trotter_mean"]
+        diagnostics["z_score"] = dev / stderr if stderr > 0 else None
     return DequantResult(
         estimate=estimate,
         stderr=stderr,
@@ -243,6 +275,8 @@ def estimate_from_operator(
             "scalar_shift": space.scalar_shift,
             "clique_draws": counters["draws"],
             "samples_mean_abs": float(np.abs(arr).mean()),
+            "samples_max_abs": float(np.abs(arr).max()),
+            **diagnostics,
         },
     )
 

@@ -8,14 +8,23 @@ a computational basis state of the first term, drawn from the weight-k clique
 set, which makes the restricted-trace closure exact.
 
 A path is valid when every consecutive overlap (including the closing one)
-is nonzero.  Its thermal weight is exp(-(t/r) E) with path energy
-E = 2 lambda_0 + sum of the middle eigenvalues, and the estimator weight is
+is nonzero.  With beta = t/r, W the product of the 2 r D - 1 consecutive
+overlaps and path energy E = 2 lambda_0 + sum of the middle eigenvalues, the
+path contributes W exp(-beta E / 2) to the Trotterized restricted trace.
+The exact sampler draws paths under one of two measures, each normalized
+per anchor by transfer-matrix messages:
 
-    E_q = (Z / d_k) * W * exp((t/(2r)) E),
+  * pattern:   Pr(path | a) = [valid] exp(-beta E) / Z_a.  Anchors drawn
+    uniformly give the estimator weight E_q = (Z / d_k) W exp(beta E / 2),
+    with Z the sum of Z_a.  The Metropolis sampler targets this measure and
+    proposes its redraws from it.
+  * magnitude: Pr(path | a) = |W| exp(-beta E / 2) / Z^abs_a.  The sample
+    value sign(W) |Cl_k| Z^abs_a / d_k depends only on the anchor and the
+    sign, so it is bounded by |Cl_k| max_a Z^abs_a / d_k.  The exact
+    sampler's estimates use this measure.
 
-where W is the product of the 2 r D - 1 consecutive overlaps and Z the
-partition function over valid anchored closed paths, computed exactly by
-transfer matrices.
+Both values are multiplied by the scalar factor exp(-shift t) of the
+identity term (see ``build_schedule``).
 """
 
 from __future__ import annotations
@@ -75,6 +84,34 @@ def overlap_table(tp: OneSparseTerm, tq: OneSparseTerm) -> np.ndarray:
     return table
 
 
+def column_nonzeros(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and values of each column's nonzeros, padded to one width.
+
+    Row ``e`` of both arrays lists the nonzero rows of ``table[:, e]`` in
+    ascending order, as ``np.flatnonzero`` does; padding slots hold row 0
+    and value 0.0.  An eigenvector touches at most two basis states, and
+    each state lies in one block of at most two eigenvectors, so the width
+    is at most 4.
+    """
+    cols, rows = np.nonzero(table.T)
+    counts = np.bincount(cols, minlength=table.shape[1])
+    width = int(counts.max(initial=0))
+    assert width <= 4, f"overlap column with {width} nonzeros"
+    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((table.shape[1], width), dtype=np.int64)
+    value = np.zeros((table.shape[1], width))
+    index[cols, slot] = rows
+    value[cols, slot] = table[rows, cols]
+    return index, value
+
+
+# the two path measures (see the module docstring), and the signed path
+# weight of the Trotterized trace
+PATTERN = "pattern"
+MAGNITUDE = "magnitude"
+SIGNED = "signed"
+
+
 @dataclass(frozen=True)
 class PathSample:
     """Immutable snapshot of one closed anchored path."""
@@ -91,22 +128,16 @@ class PathSample:
         return self.w_sign * 2.0**self.w_log2 if self.valid else 0.0
 
 
-def stationary_log_prob(path: PathSample, t: float, r_t: int) -> float:
-    """Log of the unnormalized thermal path weight; -inf for invalid paths."""
-    if not path.valid:
-        return -math.inf
-    return -(t / r_t) * path.energy
-
-
 class PathSpace:
     """Schedule, overlap tables and thermal bookkeeping for one decomposition.
 
     ``links[i][f, e]`` is the overlap of eigenvector e at position i with
     eigenvector f at position i + 1; the last link closes the loop onto
     position 0.  Each distinct pair of adjacent terms gets one table, built
-    once and shared by every link (and, transposed, by the reverse pair).
-    The first scheduled term is diagonal, so the anchor's eigenvector index
-    is its basis state.
+    once and shared by every link (and, transposed, by the reverse pair);
+    ``columns[i]`` holds the ``column_nonzeros`` of link i, likewise built
+    once per table and direction.  The first scheduled term is diagonal, so
+    the anchor's eigenvector index is its basis state.
     """
 
     def __init__(
@@ -130,14 +161,21 @@ class PathSpace:
         if not all(0 <= a < decomp.dim for a in self.anchor_states):
             raise ValueError("anchor states must be basis states of the ambient space")
         tables: dict[tuple[int, int], np.ndarray] = {}
+        nonzeros: dict[tuple[tuple[int, int], bool], tuple[np.ndarray, np.ndarray]] = {}
         n = self.length - 1
         self.links: list[np.ndarray] = []
+        self.columns: list[tuple[np.ndarray, np.ndarray]] = []
         for i in range(n):
             p, q = self.schedule[i], self.schedule[(i + 1) % n]
             key = (min(p, q), max(p, q))
             if key not in tables:
                 tables[key] = overlap_table(self.terms[key[0]], self.terms[key[1]])
-            self.links.append(tables[key] if p <= q else tables[key].T)
+            link = tables[key] if p <= q else tables[key].T
+            direction = (key, p <= q)
+            if direction not in nonzeros:
+                nonzeros[direction] = column_nonzeros(link)
+            self.links.append(link)
+            self.columns.append(nonzeros[direction])
 
     def linked(self, i: int) -> np.ndarray:
         """Nonzero pattern of link i, C-ordered so products sum in a fixed order."""
@@ -157,6 +195,14 @@ class PathSpace:
                 val = -val
             log2 += math.log2(val)
         return sign, log2, True
+
+    def path_signs(self, eig: np.ndarray) -> np.ndarray:
+        """Sign of the overlap product of each row of a (paths, L-1) array; 0 if invalid."""
+        n = self.length - 1
+        sign = np.ones(eig.shape[0])
+        for i in range(n):
+            sign *= np.sign(self.links[i][eig[:, (i + 1) % n], eig[:, i]])
+        return sign
 
     def path_energy(self, eig: list[int]) -> float:
         sched = self.schedule
@@ -197,6 +243,55 @@ class PathSpace:
             return -math.inf
         return math.log(total) + log_scale
 
+    def backward_pass(self, kind: str) -> tuple[list, list, np.ndarray, np.ndarray]:
+        """Backward messages of one path weight, per anchor column.
+
+        ``kind`` is PATTERN ([valid] exp(-beta E)), MAGNITUDE (|W| exp(-beta
+        E / 2)) or SIGNED (W exp(-beta E / 2)).  Returns ``weighted``, where
+        ``weighted[i][f, col]`` is the weight of eigenvector f at position i
+        (its damping times the completions from there back to anchor column
+        col); ``coefs``, the weight of each padded candidate of
+        ``columns[i]``; and per anchor column the start value and log scale:
+        the anchor's summed weight is ``start * exp(log_scale)``.  Each
+        column of the messages is rescaled by its largest magnitude at every
+        position.  Only the two measures are drawn from, so the signed pass
+        keeps no messages (``weighted`` is then all None).
+        """
+        weigh = {
+            PATTERN: lambda v: (v != 0.0).astype(float),
+            MAGNITUDE: np.abs,
+            SIGNED: lambda v: v,
+        }[kind]
+        rate = self.t / self.r_t if kind == PATTERN else 0.5 * self.t / self.r_t
+        sched = self.schedule
+        last = self.length - 2
+        anchors = np.array(self.anchor_states)
+        cols = np.arange(anchors.size)
+        m = weigh(np.ascontiguousarray(self.links[last][anchors, :].T))
+        coefs = [weigh(value) for _, value in self.columns[:last]]
+        log_scale = np.zeros(anchors.size)
+        weighted: list = [None] * (last + 1)
+        for i in range(last, 0, -1):
+            damped = np.exp(-rate * self.terms[sched[i]].lam)[:, None] * m
+            if kind != SIGNED:
+                weighted[i] = damped
+            index = self.columns[i - 1][0]
+            m = np.zeros((index.shape[0], anchors.size))
+            for j in range(index.shape[1]):
+                m += coefs[i - 1][:, j, None] * damped[index[:, j]]
+            peak = np.abs(m).max(axis=0)
+            scale = np.where(peak > 0, peak, 1.0)
+            m /= scale
+            log_scale += np.log(scale)
+        start = np.exp(-2.0 * rate * self.terms[sched[0]].lam[anchors]) * m[anchors, cols]
+        return weighted, coefs, start, log_scale
+
+    def restricted_trace(self) -> float:
+        """Trotterized restricted trace: the sum of W exp(-beta E / 2) exp(-shift t)."""
+        _, _, start, log_scale = self.backward_pass(SIGNED)
+        top = float(log_scale.max())
+        return math.exp(top - self.scalar_shift * self.t) * float(start @ np.exp(log_scale - top))
+
     # -- exhaustive enumeration (toy oracle) ----------------------------------
 
     def enumerate_paths(self, max_paths: int = 1 << 14) -> list[PathSample]:
@@ -231,7 +326,7 @@ REDRAW_PROB = 0.15
 
 
 class MetropolisPathSampler:
-    """Metropolis-Hastings over valid anchored closed paths.
+    """Metropolis-Hastings over valid anchored closed paths, pattern measure.
 
     Local moves (symmetric proposals, acceptance min(1, p_b/p_a)):
       * sign flip: swap one middle eigenvector for its opposite-sign partner;
@@ -243,8 +338,8 @@ class MetropolisPathSampler:
     Local moves alone are not irreducible: the anchor is wedged between
     diagonal-term positions that must hold the same basis state, so anchor
     sectors cannot exchange.  A fourth move fixes this: an independence
-    redraw proposing a whole path from the exact conditional sampler, with
-    acceptance min(1, Z_b / Z_a) in the per-anchor partition functions
+    redraw proposing a whole path from the exact pattern-measure sampler,
+    with acceptance min(1, Z_b / Z_a) in the per-anchor partition functions
     (detailed balance holds exactly for the asymmetric proposal).  The chain
     starts from one exact draw.
     """
@@ -256,8 +351,8 @@ class MetropolisPathSampler:
         self.accepted = 0
         self.proposed = 0
         self._beta = self.space.t / self.space.r_t
-        snap, _ = exact.draw(rng)
-        self.eig: list[int] = list(snap.eig_indices)
+        exact.log_z(PATTERN)  # build the messages apart from the first draw
+        self.eig: list[int] = exact.draw_path(rng, PATTERN)
 
     def _neighbors_ok(self, pos: int, new_eig: int) -> bool:
         links, eig = self.space.links, self.eig
@@ -304,11 +399,11 @@ class MetropolisPathSampler:
         return False
 
     def _redraw_step(self) -> bool:
-        """Independence proposal from the exact conditional path sampler."""
-        snap, anchor = self.exact.draw(self.rng)
-        log_ratio = self.exact.log_z_anchor(anchor) - self.exact.log_z_anchor(self.eig[0])
+        """Independence proposal from the exact pattern-measure sampler."""
+        eig = self.exact.draw_path(self.rng, PATTERN)
+        log_ratio = self.exact.log_z_anchor(eig[0]) - self.exact.log_z_anchor(self.eig[0])
         if log_ratio >= 0.0 or self.rng.random() < math.exp(log_ratio):
-            self.eig = list(snap.eig_indices)
+            self.eig = eig
             self.accepted += 1
             return True
         return False
@@ -321,74 +416,55 @@ class MetropolisPathSampler:
         return self.space.snapshot(self.eig)
 
 
-def mh_chain(
-    decomp: OneSparseDecomposition,
-    t: float,
-    r_t: int,
-    steps: int,
-    seed: int,
-    anchor_states=None,
-) -> list[PathSample]:
-    """Run a chain and return one PathSample snapshot per step."""
-    if anchor_states is None:
-        anchor_states = range(decomp.dim)
-    space = PathSpace(decomp, t, r_t, anchor_states)
-    sampler = MetropolisPathSampler(ExactPathSampler(space), np.random.default_rng(seed))
-    out = []
-    for _ in range(steps):
-        sampler.step()
-        out.append(sampler.sample())
-    return out
-
-
 class ExactPathSampler:
-    """Exact draws from the conditional thermal path distribution.
+    """Exact draws from the conditional path law of either measure.
 
-    Conditioned on the anchor, the thermal weight factorizes over the loop
-    into nearest-neighbor terms, so backward filtering / forward sampling
-    draws Pr(path | anchor) exactly: no burn-in, no mixing error.  The
-    per-anchor log partition functions Z_a are a byproduct and give the
-    importance weight of the Algorithm-style scheme "anchor uniform over the
-    weight-k cliques, then path from the thermal conditional".  The messages
-    depend only on the path space; each draw takes the caller's generator.
+    Conditioned on the anchor, a path's weight factorizes over the loop into
+    nearest-neighbor terms, so backward filtering / forward sampling draws
+    Pr(path | anchor) exactly: no burn-in, no mixing error.  The per-anchor
+    log partition functions are a byproduct: log Z_a of the pattern measure
+    (``log_z_per_anchor``) and log Z^abs_a of the magnitude measure.  The
+    messages of a measure are built the first time it is used; each draw
+    takes the caller's generator.
     """
 
     def __init__(self, space: PathSpace, clique_sampler=None):
         self.space = space
         self.clique_sampler = clique_sampler
-        self._prepare_messages()
+        self._anchors = np.array(space.anchor_states, dtype=np.int64)
+        self._column_of = np.full(space.decomp.dim, -1, dtype=np.int64)
+        self._column_of[self._anchors] = np.arange(self._anchors.size)
+        # measure -> (weighted messages, log Z per anchor column, per-link
+        # weight of each padded candidate of ``space.columns``)
+        self._messages: dict[str, tuple[list, np.ndarray, list]] = {}
 
-    def _prepare_messages(self) -> None:
-        space = self.space
-        beta = space.t / space.r_t
-        sched = space.schedule
-        last = space.length - 2  # index of the final free position
-        self._damps = [np.exp(-beta * space.terms[sched[i]].lam) for i in range(last + 1)]
-        # messages[i][f, col] = total thermal weight of completions from
-        # position i (eigenvector f of sched[i]) back to anchor column col
-        anchors = list(space.anchor_states)
-        msgs: list[np.ndarray] = [None] * (last + 1)  # type: ignore[list-item]
-        logs = np.zeros(len(anchors))
-        m = np.ascontiguousarray(space.linked(last)[anchors, :].T, dtype=float)
-        msgs[last] = m
-        for i in range(last, 0, -1):
-            m = space.linked(i - 1).astype(float).T @ (self._damps[i][:, None] * m)
-            peak = m.max(axis=0)
-            alive = peak > 0
-            scale = np.where(alive, peak, 1.0)
-            m = m / scale
-            logs += np.where(alive, np.log(scale), -np.inf)
-            msgs[i - 1] = m
-        self._messages = msgs
-        first = space.terms[sched[0]]
-        w1 = np.array([math.exp(-2.0 * beta * float(first.lam[a])) for a in anchors])
-        starts = np.array([msgs[0][a, col] for col, a in enumerate(anchors)])
+    def _prepare_messages(self, measure: str) -> None:
+        if measure not in (PATTERN, MAGNITUDE):
+            raise ValueError(f"unknown path measure {measure!r}")
+        weighted, coefs, start, log_scale = self.space.backward_pass(measure)
         with np.errstate(divide="ignore"):
-            self.log_z_per_anchor = np.log(w1 * starts) + logs
-        self._anchor_pos = {a: col for col, a in enumerate(anchors)}
+            self._messages[measure] = (weighted, np.log(start) + log_scale, coefs)
+
+    def messages(self, measure: str) -> tuple[list, np.ndarray, list]:
+        """(weighted messages, log Z per anchor column, candidate weights) of ``measure``.
+
+        Built the first time the measure is used.
+        """
+        if measure not in self._messages:
+            self._prepare_messages(measure)
+        return self._messages[measure]
+
+    def log_z(self, measure: str) -> np.ndarray:
+        """Log partition function of each anchor column under ``measure``."""
+        return self.messages(measure)[1]
+
+    @property
+    def log_z_per_anchor(self) -> np.ndarray:
+        return self.log_z(PATTERN)
 
     def log_z_anchor(self, state: int) -> float:
-        return float(self.log_z_per_anchor[self._anchor_pos[state]])
+        """Pattern-measure log Z of one anchor state."""
+        return float(self.log_z_per_anchor[self._column_of[state]])
 
     def draw_anchor(self, rng: np.random.Generator) -> int:
         """An anchor state, uniform over the anchor set."""
@@ -396,17 +472,62 @@ class ExactPathSampler:
             return self.clique_sampler(rng)
         return self.space.anchor_states[rng.integers(len(self.space.anchor_states))]
 
-    def draw(self, rng: np.random.Generator) -> tuple[PathSample, int]:
-        """One exact sample: (path, anchor state)."""
+    def draw_anchor_columns(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` anchor columns, uniform over the cliques, from the clique sampler's blocks."""
+        return self._column_of[self.clique_sampler(rng, count)]
+
+    def draw_path(self, rng: np.random.Generator, measure: str) -> list[int]:
+        """One anchor, then one path from it: the path's eigenvector indices."""
+        col = self._column_of[self.draw_anchor(rng)]
+        return self.draw(rng, np.array([col]), measure)[0].tolist()
+
+    def draw(self, rng: np.random.Generator, cols, measure: str) -> np.ndarray:
+        """One path per anchor column: a (len(cols), L-1) array of eigenvector indices.
+
+        Each position takes one uniform per path, searched against the
+        normalized cumulative candidate weights exactly as
+        ``rng.choice(len(c), p=w / total)`` searches them, so a single path
+        consumes the same uniforms and picks the same eigenvectors as that
+        scalar draw.  A single path runs the same float operations on Python
+        floats, which saves the per-call cost of the array operations.
+        """
+        weighted, _, coefs = self.messages(measure)
         space = self.space
-        anchor = self.draw_anchor(rng)
-        col = self._anchor_pos[anchor]
-        eig = [anchor] + [0] * (space.length - 2)
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.size == 1:
+            return np.array([self._draw_one(rng, int(cols[0]), weighted, coefs)])
+        rows = np.arange(cols.size)
+        eig = np.empty((cols.size, space.length - 1), dtype=np.int64)
+        eig[:, 0] = self._anchors[cols]
         for i in range(1, space.length - 1):
-            cands = np.flatnonzero(space.links[i - 1][:, eig[i - 1]])
-            weights = self._damps[i][cands] * self._messages[i][cands, col]
-            total = float(sum(weights))
+            index, _ = space.columns[i - 1]
+            prev = eig[:, i - 1]
+            cands = index[prev]
+            weights = coefs[i - 1][prev] * weighted[i][cands, cols[:, None]]
+            total = weights[:, 0].copy()
+            for j in range(1, weights.shape[1]):
+                total += weights[:, j]
+            if not np.all(total > 0.0):
+                raise RuntimeError("dead end during exact sampling (inconsistent messages)")
+            cdf = np.cumsum(weights / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            pick = np.count_nonzero(cdf <= rng.random(cols.size)[:, None], axis=1)
+            eig[:, i] = cands[rows, pick]
+        return eig
+
+    def _draw_one(self, rng: np.random.Generator, col: int, weighted: list, coefs: list) -> list[int]:
+        eig = [int(self._anchors[col])]
+        for i in range(1, self.space.length - 1):
+            cands = self.space.columns[i - 1][0][eig[-1]]
+            weights = (coefs[i - 1][eig[-1]] * weighted[i][cands, col]).tolist()
+            total = sum(weights)
             if total <= 0.0:
                 raise RuntimeError("dead end during exact sampling (inconsistent messages)")
-            eig[i] = int(cands[rng.choice(len(cands), p=weights / total)])
-        return space.snapshot(eig), anchor
+            cdf = []
+            acc = 0.0
+            for w in weights:
+                acc += w / total
+                cdf.append(acc)
+            u = rng.random()
+            eig.append(int(cands[sum(c / acc <= u for c in cdf)]))
+        return eig

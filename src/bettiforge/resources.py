@@ -41,10 +41,21 @@ def _log_comb(n: int, k: int) -> float:
 
 
 def _ceil_count(x: float) -> int:
-    """Round a stage count up; a count past the float range means r or delta is too small."""
+    """Round a stage count up; a count past the float range is bad input, not a count."""
     if not math.isfinite(x):
-        raise ValueError("error budget r or delta too small: a stage count overflows the float range")
+        raise ValueError(
+            "a stage count overflows the float range: error budget r or delta too small,"
+            " or C(n, k) / |Cl_k| too large"
+        )
     return math.ceil(x)
+
+
+def _sqrt_exp(log_x: float) -> float:
+    """sqrt(exp(log_x)), infinite rather than raising once it passes the float range."""
+    try:
+        return math.exp(0.5 * log_x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,8 @@ class ResourceParams:
             raise ValueError("need n >= 2 and 1 <= k <= n")
         if self.edge_count < 0 or self.betti < 1:
             raise ValueError("need edge count >= 0 and Betti number >= 1 (a relative target needs beta >= 1)")
+        if self.edge_count > math.comb(self.n, 2):
+            raise ValueError("edge count exceeds C(n, 2)")
         if self.clique_count > math.comb(self.n, self.k):
             raise ValueError("clique count exceeds C(n, k)")
         if self.betti > self.clique_count:
@@ -205,7 +218,7 @@ def chebyshev_degree(epsilon: float, lambda_min: float, lam: float) -> int:
 def amp_amplification_steps(params: ResourceParams) -> int:
     """(pi/4) sqrt(C(n,k)/|Cl_k|) rounds of amplitude amplification."""
     log_ratio = _log_comb(params.n, params.k) - math.log(params.clique_count)
-    return math.ceil(math.pi / 4.0 * math.exp(0.5 * log_ratio))
+    return _ceil_count(math.pi / 4.0 * _sqrt_exp(log_ratio))
 
 
 def amp_estimation_cost(params: ResourceParams) -> int:
@@ -219,7 +232,7 @@ def amp_estimation_cost(params: ResourceParams) -> int:
         math.log(1.0 / params.delta1)
         / math.sqrt(params.r1)
         * (math.pi / 4.0)
-        * math.exp(0.5 * log_ratio)
+        * _sqrt_exp(log_ratio)
     )
     return _ceil_count(real)
 

@@ -187,6 +187,26 @@ class TestSubcommands:
         assert code == 0
         assert out.count("PASS") == 12
 
+    def test_verify_dequant_toy(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--dequant-toy")
+        assert code == 0
+        assert out.count("PASS") == 2 and "FAIL" not in out
+        assert "mean 0.16749 in [0.16667, 0.16833]" in out
+        assert "(normalized Betti 0.16667, z " in out
+
+    def test_dequantize_exact_references(self, capsys):
+        # the exact sampler reports the Trotterized mean, the average sign
+        # and the estimate's z-score against that mean
+        code, out, _ = run_cli(
+            capsys, "dequantize", "--gen", "kpartite:2,2", "--k", "2", "--t", "3.0",
+            "--slices", "1", "--samples", "4000", "--seed", "11",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["exact_trotter_mean"] == pytest.approx(0.1674939, abs=1e-6)
+        assert 0.0 < data["average_sign"] <= 1.0
+        assert data["z_score"] == pytest.approx((data["estimate"] - data["exact_trotter_mean"]) / data["stderr"])
+
     def test_verify_dicke(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--dicke")
         assert code == 0
@@ -242,6 +262,18 @@ class TestExitCodes:
                 id="gap-nan",
             ),
             pytest.param(["simulate", "qae", "--epsilon", "nan"], "epsilon must be positive", id="epsilon-nan"),
+            pytest.param(
+                ["estimate", "--n", "5000", "--k", "2500", "--edges", "1", "--cliques", "1", "--betti", "1",
+                 "--gap", "1", "--r", "0.05", "--delta", "0.05"],
+                "C(n, k) / |Cl_k| too large",
+                id="amplification-overflow",
+            ),
+            pytest.param(
+                ["estimate", "--n", "9", "--k", "3", "--edges", "1000", "--cliques", "27", "--betti", "8",
+                 "--gap", "3", "--r", "0.05", "--delta", "0.05"],
+                "edge count exceeds C(n, 2)",
+                id="edges-past-complete",
+            ),
             pytest.param(
                 ["simulate", "filter", "--gen", "er:6,0.7", "--seed", "1", "--k", "2", "--epsilon", "nan"],
                 "epsilon must be positive",
@@ -301,6 +333,8 @@ def test_thread_cap_overrides_inherited_settings(monkeypatch):
     [
         ["betti", "--gen", "er:28,0.6", "--seed", "1", "--k", "3"],
         ["simulate", "walk", "--gen", "er:8,0.7", "--seed", "1", "--k", "2"],
+        ["dequantize", "--gen", "kpartite:2,4", "--k", "3", "--t", "1", "--slices", "1", "--samples", "2000",
+         "--sampler", "exact", "--seed", "3"],
     ],
 )
 def test_output_independent_of_inherited_threads(argv):

@@ -21,12 +21,17 @@ from bettiforge.dequant.operators import (
     penalized_operator,
 )
 from bettiforge.dequant.paths import (
+    MAGNITUDE,
+    PATTERN,
     ExactPathSampler,
     MetropolisPathSampler,
     PathSpace,
-    mh_chain,
-    stationary_log_prob,
 )
+from bettiforge.graphs import Graph, enumerate_cliques, gen_erdos_renyi
+
+from oracles import mh_chain, scalar_pattern_draw, stationary_log_prob
+
+CYCLE4 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 @pytest.fixture(scope="module")
@@ -267,15 +272,28 @@ def _random_symmetric(rng):
 
 
 class TestPartitionConsistency:
-    """Per-anchor messages, the transfer pass and exhaustive enumeration agree."""
+    """Per-anchor messages, the transfer pass and exhaustive enumeration agree.
+
+    The pattern measure's log Z (the Metropolis target) is checked three
+    ways; the magnitude measure's Z^abs is checked per anchor against
+    enumeration.
+    """
 
     @staticmethod
     def _three_ways(decomp, t, r_t, anchors, max_paths=1 << 14):
         space = PathSpace(decomp, t, r_t, anchors)
         beta = t / r_t
-        z = sum(math.exp(-beta * p.energy) for p in space.enumerate_paths(max_paths))
+        paths = space.enumerate_paths(max_paths)
+        z = sum(math.exp(-beta * p.energy) for p in paths)
         log_z_enum = math.log(z) if z > 0 else -math.inf
-        log_z_msgs = float(logsumexp(ExactPathSampler(space).log_z_per_anchor))
+        exact = ExactPathSampler(space)
+        log_z_msgs = float(logsumexp(exact.log_z(PATTERN)))
+        # magnitude measure: Z^abs_a sums |W| exp(-beta E / 2) over the paths from a
+        z_abs = dict.fromkeys(space.anchor_states, 0.0)
+        for p in paths:
+            z_abs[p.anchor_state] += 2.0**p.w_log2 * math.exp(-0.5 * beta * p.energy)
+        z_abs_msgs = np.exp(exact.log_z(MAGNITUDE))
+        assert z_abs_msgs == pytest.approx([z_abs[a] for a in space.anchor_states], rel=1e-9, abs=1e-300)
         return log_z_msgs, space.log_partition(), log_z_enum
 
     def test_random_symmetric_matrices(self):
@@ -328,6 +346,8 @@ class TestPartitionConsistency:
 
 
 class TestMetropolis:
+    """The Metropolis sampler and its redraw move, on the pattern measure it targets."""
+
     def test_detailed_balance_local_moves(self, k22):
         # p_a p_ab == p_b p_ba for sign flips across 100 random valid pairs
         _, op, decomp = k22
@@ -357,8 +377,8 @@ class TestMetropolis:
             checked += 1
 
     def test_detailed_balance_redraw_move(self, k22):
-        # independence proposal q(x) = therm(x) / (|A| Z_anchor(x)):
-        # p_a q(b) min(1, Zb/Za) == p_b q(a) min(1, Za/Zb)
+        # independence proposal from the pattern measure, q(x) = therm(x) /
+        # (|A| Z_anchor(x)): p_a q(b) min(1, Zb/Za) == p_b q(a) min(1, Za/Zb)
         _, op, decomp = k22
         space = PathSpace(decomp, 1.2, 1, op.basis.weight_k_clique_indices)
         sampler = ExactPathSampler(space)
@@ -417,19 +437,173 @@ class TestMetropolis:
         assert all(p.valid for p in chain)
 
 
+def _trotter_mean(op, decomp, t, r_t):
+    """Restricted trace of the dense Trotterized product over d_k."""
+    idx = op.basis.weight_k_clique_indices
+    return float(np.trace(trotterized_matrix(decomp, t, r_t)[np.ix_(idx, idx)])) / op.d_k
+
+
+def _draw_cases():
+    """(graph, k, t, slices): K(2,k), the 4-cycle, complete graphs, a triangle, seeded G(n, p)."""
+    cases = [
+        (gen_kpartite(2, 2), 2, 3.0, 1),
+        (gen_kpartite(2, 2), 2, 1.0, 2),
+        (gen_kpartite(2, 3), 2, 1.0, 1),
+        (gen_kpartite(2, 3), 3, 3.0, 1),
+        (gen_kpartite(2, 3), 3, 1.0, 2),
+        (gen_kpartite(2, 4), 3, 1.0, 1),
+        (CYCLE4, 1, 1.0, 1),
+        (CYCLE4, 1, 0.5, 2),
+        (gen_kpartite(1, 4), 2, 4.0, 1),
+        (gen_kpartite(1, 5), 3, 1.0, 1),
+        (Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 1, 1.0, 1),
+    ]
+    rng = np.random.default_rng(8)
+    while len(cases) < 22:
+        n, k = int(rng.integers(5, 9)), int(rng.integers(1, 4))
+        g = gen_erdos_renyi(n, float(rng.uniform(0.4, 0.8)), int(rng.integers(1000)))
+        if enumerate_cliques(g, k):
+            cases.append((g, k, float(rng.uniform(0.5, 3.0)), int(rng.integers(1, 3))))
+    return cases
+
+
+def _space(g, k, t, r_t):
+    op = penalized_operator(g, k)
+    return op, PathSpace(one_sparse_decompose(op.matrix), t, r_t, op.basis.weight_k_clique_indices)
+
+
+class _Replay:
+    """Stands in for a Generator's ``random``: hands out given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+class TestDrawRoutine:
+    """The batched draw: pattern measure against the scalar oracle, magnitude measure against enumeration."""
+
+    def test_single_pattern_draws_match_scalar_oracle(self):
+        cases = _draw_cases()
+        assert len(cases) >= 20
+        for seed, (g, k, t, r_t) in enumerate(cases):
+            _, space = _space(g, k, t, r_t)
+            exact = ExactPathSampler(space)
+            rng_batch, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(25):
+                assert exact.draw_path(rng_batch, PATTERN) == scalar_pattern_draw(exact, rng_scalar)
+            assert rng_batch.random() == rng_scalar.random()
+
+    @pytest.mark.parametrize("measure", [PATTERN, MAGNITUDE])
+    def test_batch_matches_single_paths_on_the_same_uniforms(self, measure):
+        # a batch takes its uniforms position by position, a single path
+        # takes its own column of them; both must pick the same eigenvectors
+        for seed, (g, k, t, r_t) in enumerate(_draw_cases()):
+            _, space = _space(g, k, t, r_t)
+            exact = ExactPathSampler(space)
+            rng = np.random.default_rng(seed)
+            cols = rng.integers(len(space.anchor_states), size=16)
+            uniforms = rng.random((space.length - 2, cols.size))
+            batch = exact.draw(_Replay(uniforms.ravel()), cols, measure)
+            for b, col in enumerate(cols):
+                assert batch[b].tolist() == exact.draw(_Replay(uniforms[:, b]), [col], measure)[0].tolist()
+
+    @pytest.mark.parametrize(
+        "graph,k",
+        [
+            (gen_kpartite(2, 2), 2),
+            (CYCLE4, 1),
+            (Graph.from_edges(3, [(0, 1), (1, 2)]), 1),
+            (Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 1),
+        ],
+        ids=["K22", "cycle4", "path3", "triangle"],
+    )
+    def test_magnitude_frequencies_match_enumeration(self, graph, k):
+        # 4000 draws per anchor at t = 1, one slice; the chi-square bound
+        # df + 5 sqrt(2 df) over the enumerated paths is fixed in advance.
+        # On K(2,2) and the 4-cycle every candidate set has overlaps of one
+        # magnitude; the path and the triangle mix magnitudes 1/2 and 1/sqrt(2)
+        _, space = _space(graph, k, 1.0, 1)
+        exact = ExactPathSampler(space)
+        per_anchor = 4000
+        cols = np.repeat(np.arange(len(space.anchor_states)), per_anchor)
+        eig = exact.draw(np.random.default_rng(5), cols, MAGNITUDE)
+        rows, counts = np.unique(eig, axis=0, return_counts=True)
+        observed = {tuple(row.tolist()): int(c) for row, c in zip(rows, counts)}
+        z_abs = np.exp(exact.log_z(MAGNITUDE))
+        paths = space.enumerate_paths()
+        chi2 = 0.0
+        for p in paths:
+            col = space.anchor_states.index(p.anchor_state)
+            expected = per_anchor * 2.0**p.w_log2 * math.exp(-0.5 * p.energy) / z_abs[col]
+            chi2 += (observed.pop(p.eig_indices, 0) - expected) ** 2 / expected
+        assert not observed, "drew a path that is not a valid closed path"
+        df = len(paths) - len(space.anchor_states)
+        assert chi2 <= df + 5.0 * math.sqrt(2.0 * df)
+
+    def test_exact_sample_values_bounded(self):
+        # |value| <= |Cl_k| exp(-shift t) max_a Z^abs_a / d_k for every sample
+        for g, k, t, r_t in _draw_cases()[:12]:
+            op, space = _space(g, k, t, r_t)
+            res = estimate_from_operator(g, k, op, space.decomp, PIMCConfig(t=t, r_t=r_t, n_samp=400, chains=2))
+            log_bound = (
+                math.log(len(space.anchor_states)) - math.log(op.d_k) - space.scalar_shift * t
+                + float(ExactPathSampler(space).log_z(MAGNITUDE).max())
+            )
+            assert res.diagnostics["samples_max_abs"] <= math.exp(log_bound) * (1.0 + 1e-12)
+
+
+class TestExactReferences:
+    """The signed transfer pass and the average sign in the exact-sampler diagnostics."""
+
+    @staticmethod
+    def _cases():
+        cases = [(gen_kpartite(2, 2), 2), (gen_kpartite(2, 3), 2), (gen_kpartite(2, 3), 3),
+                 (gen_kpartite(2, 4), 3), (CYCLE4, 1)]
+        rng = np.random.default_rng(3)
+        while len(cases) < 15:
+            n, k = int(rng.integers(4, 8)), int(rng.integers(1, 4))
+            g = gen_erdos_renyi(n, float(rng.uniform(0.4, 0.8)), int(rng.integers(1000)))
+            if enumerate_cliques(g, k):
+                cases.append((g, k))
+        return cases
+
+    def test_trotter_mean_and_average_sign(self):
+        for g, k in self._cases():
+            op = penalized_operator(g, k)
+            decomp = one_sparse_decompose(op.matrix)
+            for t, r_t in ((1.0, 1), (2.5, 2)):
+                res = estimate_from_operator(g, k, op, decomp, PIMCConfig(t=t, r_t=r_t, n_samp=64, chains=1))
+                diag = res.diagnostics
+                assert diag["exact_trotter_mean"] == pytest.approx(_trotter_mean(op, decomp, t, r_t), rel=1e-9)
+                assert 0.0 < diag["average_sign"] <= 1.0
+
+
 class TestEstimator:
     def test_k22_three_stderr(self, k22):
+        # the estimate is unbiased for the Trotterized mean, which lies
+        # within 1% above beta / C(n, k) = 1/6 here
         g, op, decomp = k22
+        target = _trotter_mean(op, decomp, 3.0, 1)
+        assert 1.0 / 6.0 <= target <= 1.01 / 6.0
         cfg = PIMCConfig(t=3.0, r_t=1, n_samp=20000, seed=11, chains=4)
         res = estimate_from_operator(g, 2, op, decomp, cfg)
-        assert abs(res.estimate - 1.0 / 6.0) <= 3.0 * res.stderr
+        assert abs(res.estimate - target) <= 3.0 * res.stderr
         assert res.stderr < 0.01
 
     def test_k23_three_stderr(self):
         g = gen_kpartite(2, 3)
+        op = penalized_operator(g, 3)
+        target = _trotter_mean(op, one_sparse_decompose(op.matrix), 3.0, 1)
+        assert 1.0 / 20.0 <= target <= 1.01 / 20.0
         cfg = PIMCConfig(t=3.0, r_t=1, n_samp=20000, seed=11, chains=4)
         res = estimate_normalized_betti(g, 3, cfg)
-        assert abs(res.estimate - 1.0 / 20.0) <= 3.0 * res.stderr
+        assert abs(res.estimate - target) <= 3.0 * res.stderr
 
     def test_mh_mode_agrees(self, k22):
         g, op, decomp = k22
@@ -497,8 +671,9 @@ class TestEstimator:
             estimate_normalized_betti(g, 2, cfg)
 
     def test_zero_temperature_collapse(self, k22):
-        # as t -> 0 the exponential factors collapse and each sample reduces
-        # to its overlap-product weight times the (uniform-law) constants
+        # as t -> 0 the exponential factors collapse and each pattern-measure
+        # sample reduces to its overlap-product weight times the (uniform-law)
+        # constants
         g, op, decomp = k22
         t = 1e-12
         space = PathSpace(decomp, t, 1, op.basis.weight_k_clique_indices)
@@ -506,8 +681,8 @@ class TestEstimator:
         rng = np.random.default_rng(0)
         n_anchor = len(space.anchor_states)
         for _ in range(100):
-            snap, anchor = sampler.draw(rng)
-            z_a = math.exp(sampler.log_z_anchor(anchor))
+            snap = space.snapshot(sampler.draw_path(rng, PATTERN))
+            z_a = math.exp(sampler.log_z_anchor(snap.anchor_state))
             e_q = n_anchor * z_a / op.d_k * snap.weight  # exponent factors ~ 1
             full = (
                 n_anchor

@@ -257,7 +257,7 @@ class TestTotals:
             for b in bettis
         ]
         assert totals == sorted(totals, reverse=True)
-        edges = [150, 216, 300, 400]
+        edges = [150, 216, 250, 276]  # up to C(24, 2)
         totals_e = [
             total_toffoli(
                 ResourceParams(edge_count=e, clique_count=1296, betti=81, lambda_min=6.0, **base)
