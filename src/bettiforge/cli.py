@@ -96,12 +96,15 @@ def cmd_betti(args) -> int:
     from . import graphs, homology
 
     g = _load_graph(args)
-    beta = homology.betti_exact(g, args.k)
-    cl_k = len(graphs.enumerate_cliques(g, args.k))
+    # one complex serves the rank and the spectrum; betti_exact rejects
+    # k < 1 with its own message before reading it
+    cx = graphs.build_clique_complex(g, max(args.k, 0))
+    beta = homology.betti_exact(g, args.k, cx)
+    cl_k = cx.count(args.k)
     # with no k-cliques the chain group is empty and so is the spectrum
     gap = gamma_max = kappa = None
     if cl_k:
-        summary = homology.spectrum(g, args.k)
+        summary = homology.spectrum(g, args.k, cx)
         gap, gamma_max = summary.gap, summary.top
         kappa = summary.kappa if math.isfinite(summary.kappa) else None
     payload = {

@@ -34,6 +34,7 @@ from .operators import (
 from .paths import MAGNITUDE, ExactPathSampler, MetropolisPathSampler, PathSpace
 
 LN2 = math.log(2.0)
+NO_CLOSED_PATH = "no valid closed path exists (disconnected eigenstructure)"
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,6 @@ class DequantResult:
     r_t: int
     t: float
     d_k: int
-    log_partition: float
     diagnostics: dict = field(repr=False)
 
 
@@ -201,9 +201,6 @@ def estimate_from_operator(
     if anchors.size == 0:
         raise ValueError(f"graph has no {k}-cliques")
     space = PathSpace(decomp, cfg.t, cfg.r_t, anchors)
-    log_z = space.log_partition()
-    if not math.isfinite(log_z):
-        raise RuntimeError("no valid closed path exists (disconnected eigenstructure)")
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)
 
@@ -215,14 +212,23 @@ def estimate_from_operator(
         # anchor uniform over the cliques (by rejection), remainder of the
         # loop drawn exactly from the magnitude measure; the importance
         # weight depends only on the anchor and the path's sign
+        log_z = exact.log_z(MAGNITUDE)
+        if not np.isfinite(log_z).any():
+            raise RuntimeError(NO_CLOSED_PATH)
         log_values = math.log(anchors.size) - math.log(op.d_k) - space.scalar_shift * cfg.t
-        anchor_values = np.exp(log_values + exact.log_z(MAGNITUDE))
+        anchor_values = np.exp(log_values + log_z)
         exact_mean = space.restricted_trace() / op.d_k
         # Z_signed / Z^abs: the mean anchor value is Z^abs exp(-shift t) / d_k
         diagnostics = {
             "exact_trotter_mean": exact_mean,
             "average_sign": exact_mean / float(anchor_values.mean()),
         }
+    else:
+        log_z = space.log_partition()
+        if not math.isfinite(log_z):
+            raise RuntimeError(NO_CLOSED_PATH)
+        log_pref = log_z - math.log(op.d_k) - space.scalar_shift * cfg.t
+        beta_half = cfg.t / (2.0 * cfg.r_t)
     for chain in range(cfg.chains):
         rng = np.random.default_rng((cfg.seed, chain))
         if cfg.sampler == "exact":
@@ -232,8 +238,6 @@ def estimate_from_operator(
             acc_num += per_chain
             acc_den += per_chain
         else:
-            log_pref = log_z - math.log(op.d_k) - space.scalar_shift * cfg.t
-            beta_half = cfg.t / (2.0 * cfg.r_t)
             sampler = MetropolisPathSampler(exact, rng)
             for _ in range(cfg.burn_in):
                 sampler.step()
@@ -267,7 +271,6 @@ def estimate_from_operator(
         r_t=cfg.r_t,
         t=cfg.t,
         d_k=op.d_k,
-        log_partition=log_z,
         diagnostics={
             "gamma_min": op.gamma_min,
             "gamma_pen": op.gamma_pen,

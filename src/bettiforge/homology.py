@@ -172,18 +172,28 @@ def _boundary_rank(cx: CliqueComplex, k: int) -> int:
     return integer_rank(boundary_matrix(cx, k).matrix)
 
 
-def betti_exact(g: Graph, k: int) -> int:
+def _complex(g: Graph, k: int, cx: CliqueComplex | None) -> CliqueComplex:
+    """The clique complex through size k+1: ``cx`` if the caller built it."""
+    if cx is None:
+        return build_clique_complex(g, k)
+    if cx.n != g.n or cx.k_max < k:
+        raise ValueError(f"clique complex (n={cx.n}, k_max={cx.k_max}) does not cover n={g.n}, k={k}")
+    return cx
+
+
+def betti_exact(g: Graph, k: int, cx: CliqueComplex | None = None) -> int:
     """Betti number of dimension k-1 of the clique complex, via exact ranks.
 
     beta = |Cl_k| - rank(d_{k-1}) - rank(d_k), each rank the common rank over
     F_p for both primes of ``RANK_PRIMES``, or the Bareiss rank over Q when
     the two disagree.  The result is wrong only if both primes divide a
     torsion coefficient of the homology.  No dense matrix is built unless the
-    primes disagree, so only that fallback is under the dense cap.
+    primes disagree, so only that fallback is under the dense cap.  ``cx``,
+    the complex of g through size k+1, saves rebuilding it.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (Hamming weight of the basis states)")
-    cx = build_clique_complex(g, k)
+    cx = _complex(g, k, cx)
     rank_down = _boundary_rank(cx, k - 1) if k >= 2 else 0
     return cx.count(k) - rank_down - _boundary_rank(cx, k)
 
@@ -193,13 +203,14 @@ def _zero_tol(eigenvalues: np.ndarray) -> float:
     return ZERO_TOL * max(1.0, top)
 
 
-def spectrum(g: Graph, k: int) -> SpectralSummary:
+def spectrum(g: Graph, k: int, cx: CliqueComplex | None = None) -> SpectralSummary:
     """Dense symmetric eigensolve of the (k-1)-Laplacian over Cl_k.
 
     ``gap`` is the smallest eigenvalue above the zero tolerance (0.0 when the
-    whole spectrum is zero), ``kappa`` = top/gap (NaN when gap is 0).
+    whole spectrum is zero), ``kappa`` = top/gap (NaN when gap is 0).  ``cx``
+    is as for ``betti_exact``.
     """
-    cx = build_clique_complex(g, k)
+    cx = _complex(g, k, cx)
     dim = cx.count(k)
     if dim == 0:
         raise ValueError(f"graph has no {k}-cliques; spectrum undefined")

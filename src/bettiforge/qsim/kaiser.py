@@ -13,9 +13,12 @@ point is 8 ln(2a) sqrt(a) exp(-2 pi a), which pins alpha for a requested
 confidence delta; a quadrature mode solves for alpha against the numerically
 integrated tail instead.
 
-Closed-form sizing (``window_size``, ``solve_alpha_asymptotic``) needs no
-scipy, so this module imports it only inside ``tail_fraction``,
-``kaiser_kernel``, ``kaiser_phase_distribution`` and ``PhaseErrorDistribution``.
+The module runs on numpy alone.  The tail quadrature uses ``_simpson``, a
+copy of scipy's composite Simpson rule for given abscissae, and the window
+weights use ``_i0e``, a copy of the Cephes exponentially scaled Bessel
+function I0e; both repeat their reference's float operations in the same
+order, so the outputs are bit-identical to the scipy routines (tests check
+both against scipy).
 """
 
 from __future__ import annotations
@@ -31,6 +34,71 @@ from ..errors import DeskScaleError
 ALPHA_LO = 0.5
 ALPHA_HI = 25.0
 MAX_QAE_WINDOW = 1 << 20  # simulated outcome grids hold 2N+1 points
+
+# Chebyshev coefficients of exp(-x) I0(x) from Cephes i0.c: on [0, 8] in
+# x/2 - 2, and of exp(-x) sqrt(x) I0(x) on (8, inf) in 32/x - 2
+_I0E_A = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0E_B = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+
+
+def _chbevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """Clenshaw sum of a Chebyshev series, as Cephes ``chbevl`` orders it."""
+    b0, b1, b2 = coeffs[0], 0.0, 0.0
+    for c in coeffs[1:]:
+        b2 = b1
+        b1 = b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0e(x) -> np.ndarray:
+    """exp(-|x|) I0(x), elementwise, bit-identical to ``scipy.special.i0e``."""
+    x = np.abs(np.asarray(x, dtype=float))
+    small = x <= 8.0
+    out = np.empty_like(x)
+    out[small] = _chbevl(x[small] / 2.0 - 2.0, _I0E_A)
+    big = x[~small]
+    out[~small] = _chbevl(32.0 / big - 2.0, _I0E_B) / np.sqrt(big)
+    return out
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule on an odd number of given abscissae.
+
+    The float operations and their order are those of
+    ``scipy.integrate.simpson(y, x=x)`` for odd ``len(x)``, so the result is
+    the same to the bit.
+    """
+    h = np.diff(x).astype(float, copy=False)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - 1.0 / h0divh1) + y[1:-1:2] * (hsum * (hsum / hprod)) + y[2::2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp)
 
 
 def _kernel_sq(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -62,15 +130,13 @@ def _tail_fraction_scaled(alpha: float) -> float:
     Both integrals are over u in [0, inf); the far tail past the dense grid
     is closed with the analytic mean-value remainder of sin^2/(u^2-c^2).
     """
-    from scipy.integrate import simpson
-
     c = math.pi * alpha
     z1 = first_zero_scaled(alpha)
     grid_head = np.linspace(0.0, z1, 4001)
-    head = simpson(_kernel_sq(grid_head, alpha), x=grid_head)
+    head = _simpson(_kernel_sq(grid_head, alpha), grid_head)
     cutoff = z1 + 300.0 * math.pi
     grid_tail = np.linspace(z1, cutoff, 60001)
-    tail = simpson(_kernel_sq(grid_tail, alpha), x=grid_tail)
+    tail = _simpson(_kernel_sq(grid_tail, alpha), grid_tail)
     # remainder: mean sin^2 = 1/2 against 1/(u^2 - c^2)
     tail += 0.25 / c * math.log((cutoff + c) / (cutoff - c)) if c > 0 else 0.5 / cutoff
     return tail / (head + tail)
@@ -83,9 +149,11 @@ def tail_fraction(alpha: float) -> float:
     return _tail_fraction_scaled(round(float(alpha), 12))
 
 
-def asymptotic_tail_bound(alpha: float) -> float:
-    """Analytic large-alpha tail estimate 8 ln(2a) sqrt(a) exp(-2 pi a)."""
-    return 8.0 * math.log(2.0 * alpha) * math.sqrt(alpha) * math.exp(-2.0 * math.pi * alpha)
+def _out_of_range(delta: float, tail: float) -> ValueError:
+    return ValueError(
+        f"failure probability {delta:g} too small: the Kaiser tail at the largest"
+        f" window shape alpha = {ALPHA_HI:g} is {tail:.3g}"
+    )
 
 
 def solve_alpha_asymptotic(delta: float) -> float:
@@ -94,7 +162,8 @@ def solve_alpha_asymptotic(delta: float) -> float:
     The right-hand side diverges at both ends of [0.5, 25] and has a single
     minimum near a ~ 0.64; for delta too large to intersect the rising branch
     the minimizer itself is returned (the window cannot do better under this
-    asymptotic model).
+    asymptotic model).  A delta below the modelled tail at ALPHA_HI raises
+    ValueError.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -110,6 +179,8 @@ def solve_alpha_asymptotic(delta: float) -> float:
     a_min, g_min = float(grid[i]), vals[i]
     if target <= g_min:
         return a_min
+    if g(ALPHA_HI) < target:
+        raise _out_of_range(delta, math.exp(-g(ALPHA_HI)))
     lo, hi = a_min, ALPHA_HI
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -121,7 +192,11 @@ def solve_alpha_asymptotic(delta: float) -> float:
 
 
 def solve_alpha_quadrature(delta: float) -> float:
-    """Smallest alpha whose numerically integrated tail mass is <= delta."""
+    """Smallest alpha whose numerically integrated tail mass is <= delta.
+
+    Raises ValueError when even the tail at ALPHA_HI exceeds delta; that
+    tail is evaluated only when the bisection never moved off ALPHA_HI.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     lo, hi = 0.05, ALPHA_HI
@@ -133,6 +208,10 @@ def solve_alpha_quadrature(delta: float) -> float:
             hi = mid
         else:
             lo = mid
+    if hi == ALPHA_HI:
+        tail = tail_fraction(hi)
+        if tail > delta:
+            raise _out_of_range(delta, tail)
     return hi
 
 
@@ -149,64 +228,15 @@ class KaiserKernel:
 
 
 def kaiser_kernel(N: int, alpha: float) -> KaiserKernel:
-    from scipy.special import i0e
-
     if N < 1:
         raise ValueError("window half-width N must be >= 1")
     m = np.arange(-N, N + 1)
     # I0(pi a sqrt(1-(m/N)^2))/I0(pi a), computed stably via i0e ratios
     arg = math.pi * alpha * np.sqrt(np.clip(1.0 - (m / N) ** 2, 0.0, None))
     top = math.pi * alpha
-    w = i0e(arg) * np.exp(arg - top) / i0e(top)
+    w = _i0e(arg) * np.exp(arg - top) / _i0e(top)
     w = w / np.linalg.norm(w)
     return KaiserKernel(N, alpha, w)
-
-
-@dataclass(frozen=True)
-class PhaseErrorDistribution:
-    """Continuum phase-error density on [-pi, pi] with numeric normalization."""
-
-    N: int
-    alpha: float
-    normalization: float  # integral of the unnormalized (I0-scaled) kernel
-    first_zero: float
-
-    def density(self, dtheta) -> np.ndarray:
-        from scipy.special import i0e
-
-        u = np.asarray(dtheta, dtype=float) * self.N
-        scale = i0e(math.pi * self.alpha) * math.exp(math.pi * self.alpha)
-        return _kernel_sq(u, self.alpha) / (scale * scale) / self.normalization
-
-    def tail_mass(self, width: float) -> float:
-        if width < 0:
-            raise ValueError("width must be nonnegative")
-        if width >= math.pi:
-            return 0.0
-        from scipy.integrate import simpson
-
-        # ~40 nodes per kernel oscillation keep Simpson exact to ~1e-9
-        nodes = max(2001, 40 * self.N) | 1
-        grid = np.linspace(width, math.pi, nodes)
-        return 2.0 * float(simpson(self.density(grid), x=grid))
-
-
-def kaiser_phase_distribution(N: int, alpha: float) -> PhaseErrorDistribution:
-    """Numerically normalized phase-error distribution for given N, alpha."""
-    from scipy.integrate import quad
-    from scipy.special import i0e
-
-    if N < 1 or alpha <= 0:
-        raise ValueError("need N >= 1 and alpha > 0")
-    scale = i0e(math.pi * alpha) * math.exp(math.pi * alpha)
-
-    def q(x):
-        return _kernel_sq(np.array([x * N]), alpha)[0] / (scale * scale)
-
-    c_over_n = math.pi * alpha / N
-    pts = [p for p in (c_over_n, first_zero_scaled(alpha) / N) if p < math.pi]
-    z = 2.0 * quad(q, 0.0, math.pi, points=pts, limit=400)[0]
-    return PhaseErrorDistribution(N, alpha, z, first_zero_scaled(alpha) / N)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +277,10 @@ class QaeOutcomeDistribution:
     probabilities: np.ndarray
 
 
-def qae_outcome_distribution(a: float, epsilon: float, delta: float, refined: bool = False) -> QaeOutcomeDistribution:
+def qae_outcome_distribution(a: float, epsilon: float, delta: float) -> QaeOutcomeDistribution:
     if not 0.0 < a < 1.0:
         raise ValueError("amplitude must lie strictly in (0, 1)")
-    alpha, n = window_size(epsilon, delta, refined=refined)
+    alpha, n = window_size(epsilon, delta)
     if n > MAX_QAE_WINDOW:
         raise DeskScaleError(f"window half-width N = {n} exceeds the simulation limit {MAX_QAE_WINDOW}")
     kern = kaiser_kernel(n, alpha)
@@ -273,13 +303,3 @@ def amplitude_estimate_sim(a: float, epsilon: float, delta: float, seed: int) ->
     rng = np.random.default_rng(seed)
     idx = rng.choice(dist.estimates.size, p=dist.probabilities / dist.probabilities.sum())
     return float(dist.estimates[idx])
-
-
-def amplitude_estimate_trials(
-    a: float, epsilon: float, delta: float, trials: int, seed: int, refined: bool = False
-) -> np.ndarray:
-    """Vectorized repeated measurements (one shared outcome distribution)."""
-    dist = qae_outcome_distribution(a, epsilon, delta, refined=refined)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(dist.estimates.size, size=trials, p=dist.probabilities / dist.probabilities.sum())
-    return dist.estimates[idx]

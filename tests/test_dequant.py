@@ -271,6 +271,20 @@ def _random_symmetric(rng):
     return mat
 
 
+def test_exact_sampler_skips_pattern_partition(monkeypatch):
+    # only the Metropolis weights read the pattern-measure log Z
+    g = gen_kpartite(2, 2)
+    cfg = PIMCConfig(t=1.0, r_t=1, n_samp=400, seed=4, chains=2)
+    want = estimate_normalized_betti(g, 2, cfg)
+
+    def fail(self):
+        raise AssertionError("log_partition called")
+
+    monkeypatch.setattr(PathSpace, "log_partition", fail)
+    got = estimate_normalized_betti(g, 2, cfg)
+    assert (got.estimate, got.stderr) == (want.estimate, want.stderr)
+
+
 class TestPartitionConsistency:
     """Per-anchor messages, the transfer pass and exhaustive enumeration agree.
 

@@ -315,6 +315,22 @@ class TestBettiExact:
             assert int((evals < tol).sum()) == betti_exact(g, 2)
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_given_complex_matches_own(self, seed):
+        g = gen_erdos_renyi(11, 0.6, seed)
+        cx = build_clique_complex(g, 4)  # a deeper complex serves too
+        for k in (1, 2, 3):
+            assert betti_exact(g, k, cx) == betti_exact(g, k)
+            assert np.array_equal(spectrum(g, k, cx).eigenvalues, spectrum(g, k).eigenvalues)
+
+    def test_complex_too_shallow_rejected(self):
+        g = gen_kpartite(2, 3)
+        with pytest.raises(ValueError, match="does not cover"):
+            betti_exact(g, 3, build_clique_complex(g, 2))
+        with pytest.raises(ValueError, match="does not cover"):
+            spectrum(g, 2, build_clique_complex(gen_kpartite(2, 2), 2))
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (3, 3), (4, 2), (2, 4)])
     def test_kpartite_gap_and_lattice(self, m, k):

@@ -9,6 +9,7 @@ from bettiforge.graphs import Graph, build_clique_complex, gen_erdos_renyi, gen_
 from bettiforge.homology import dirac
 from bettiforge.qsim import dicke, filters, kaiser, pipeline, walkenc
 from bettiforge.resources import ResourceParams, chebyshev_degree
+from oracles import amplitude_estimate_trials, asymptotic_tail_bound, kaiser_phase_distribution
 
 
 class TestDickeThreshold:
@@ -242,21 +243,21 @@ class TestKaiserWindow:
     def test_density_normalized_and_symmetric(self):
         from scipy.integrate import quad
 
-        dist = kaiser.kaiser_phase_distribution(48, 3.0)
+        dist = kaiser_phase_distribution(48, 3.0)
         total = 2.0 * quad(lambda x: float(dist.density(x)), 0.0, math.pi, limit=300)[0]
         assert total == pytest.approx(1.0, abs=1e-6)
         xs = np.linspace(0.0, math.pi, 50)
         assert np.allclose(dist.density(xs), dist.density(-xs))
 
     def test_first_zero(self):
-        dist = kaiser.kaiser_phase_distribution(48, 2.0)
+        dist = kaiser_phase_distribution(48, 2.0)
         assert dist.first_zero == pytest.approx(math.pi / 48 * math.sqrt(5.0))
         assert float(dist.density(dist.first_zero)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0, 8.0])
     def test_tail_within_asymptotic_bound(self, alpha):
         tail = kaiser.tail_fraction(alpha)
-        bound = kaiser.asymptotic_tail_bound(alpha)
+        bound = asymptotic_tail_bound(alpha)
         assert tail <= bound * 1.5
         assert tail >= bound * 0.2  # sanity: same order of magnitude
 
@@ -266,21 +267,79 @@ class TestKaiserWindow:
 
     def test_normalization_asymptote(self):
         n, alpha = 64, 8.0
-        dist = kaiser.kaiser_phase_distribution(n, alpha)
+        dist = kaiser_phase_distribution(n, alpha)
         ratio = dist.normalization / (math.pi / (2.0 * n * math.sqrt(alpha)))
         assert abs(ratio - 1.0) < 0.10
+
+    @pytest.mark.parametrize("solve", [kaiser.solve_alpha_quadrature, kaiser.solve_alpha_asymptotic])
+    def test_delta_below_largest_window_tail_rejected(self, solve):
+        with pytest.raises(ValueError, match="too small"):
+            solve(1e-80)
+
+    def test_solvers_in_range_below_alpha_cap(self):
+        # a budget of 1e-60 is still met below the cap; only smaller ones fail
+        assert kaiser.solve_alpha_quadrature(1e-60) < kaiser.ALPHA_HI
+        assert kaiser.solve_alpha_asymptotic(1e-60) < kaiser.ALPHA_HI
+
+
+class TestNumpyReplicas:
+    """The numpy Simpson rule and I0e against scipy, bit for bit.
+
+    Verified against scipy 1.17.1 on x86_64. ``_simpson`` repeats the float
+    operation order of that release's ``_basic_simpson``, and ``_i0e`` matches
+    a Cephes build without fused multiply-adds. A failure here under another
+    scipy or platform may mean the reference changed, not bettiforge; check
+    the ``desk`` outputs against a pinned run before reading it as a bug.
+    """
+
+    def test_simpson_on_tail_fraction_grids(self):
+        from scipy.integrate import simpson
+
+        for alpha in np.random.default_rng(3).uniform(0.05, kaiser.ALPHA_HI, 20):
+            z1 = kaiser.first_zero_scaled(alpha)
+            for grid in (np.linspace(0.0, z1, 4001), np.linspace(z1, z1 + 300.0 * math.pi, 60001)):
+                y = kaiser._kernel_sq(grid, alpha)
+                assert kaiser._simpson(y, grid) == simpson(y, x=grid)
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 101, 2001])
+    def test_simpson_on_random_grids(self, n):
+        from scipy.integrate import simpson
+
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(1e-3, 2.0, n)) - 5.0
+            y = rng.normal(size=n)
+            assert kaiser._simpson(y, x) == simpson(y, x=x)
+
+    def test_i0e_edges_and_random_points(self):
+        from scipy.special import i0e
+
+        edges = [0.0, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0), math.pi * kaiser.ALPHA_HI]
+        x = np.concatenate([edges, np.random.default_rng(7).uniform(0.0, 100.0, 20000)])
+        assert np.array_equal(kaiser._i0e(x), i0e(x))
+        assert kaiser._i0e(math.pi * 2.5) == i0e(math.pi * 2.5)
+
+    def test_kernel_weights_match_scipy_i0e(self):
+        from scipy.special import i0e
+
+        for n, alpha in ((1, 0.5), (32, 3.0), (400, 7.25), (1000, kaiser.ALPHA_HI)):
+            m = np.arange(-n, n + 1)
+            arg = math.pi * alpha * np.sqrt(np.clip(1.0 - (m / n) ** 2, 0.0, None))
+            top = math.pi * alpha
+            w = i0e(arg) * np.exp(arg - top) / i0e(top)
+            assert np.array_equal(kaiser.kaiser_kernel(n, alpha).coefficients, w / np.linalg.norm(w))
 
 
 class TestAmplitudeEstimation:
     def test_on_grid_recovery(self):
         alpha, n = kaiser.window_size(0.01, 0.05)
         a = math.sin(math.pi * 20 / (2 * n + 1))
-        est = kaiser.amplitude_estimate_trials(a, 0.01, 0.05, 400, seed=3)
+        est = amplitude_estimate_trials(a, 0.01, 0.05, 400, seed=3)
         assert np.mean(np.abs(est - a) < 1e-12) > 0.9
 
     @pytest.mark.parametrize("eps,delta", [(0.01, 0.05), (0.005, 0.01)])
     def test_failure_rate(self, eps, delta):
-        est = kaiser.amplitude_estimate_trials(0.3, eps, delta, 2000, seed=13)
+        est = amplitude_estimate_trials(0.3, eps, delta, 2000, seed=13)
         fail = float(np.mean(np.abs(est - 0.3) > eps))
         assert fail <= delta + 3.0 * math.sqrt(delta * (1 - delta) / 2000)
 

@@ -167,7 +167,7 @@ class TestKaiserParams:
     def test_tail_mass_beyond_eps_within_delta(self):
         # the chosen (alpha, N) keep the integrated error mass past +-eps
         # below the requested failure budget
-        from bettiforge.qsim.kaiser import kaiser_phase_distribution
+        from oracles import kaiser_phase_distribution
 
         for eps, delta in ((0.02, 0.1), (0.01, 0.05), (0.005, 0.01)):
             alpha, n = window_size(eps, delta)
@@ -327,30 +327,25 @@ class TestSweep:
         assert text == sweep_to_csv(rows)  # deterministic
 
 
-def _load_time_imports(tree: ast.Module):
-    """Module names imported when the module loads (function bodies excluded)."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+def _imported_modules(tree: ast.Module):
+    """Every module name the source imports, function bodies included."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             yield node.module or ""
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def test_no_module_level_scipy_import():
-    # closed-form sizing must not pay for a scipy load: scipy is imported
-    # only inside the functions that use it
+    # the program runs on numpy alone: no module imports scipy, neither at
+    # load time nor inside a function
     import bettiforge
 
     root = Path(bettiforge.__file__).parent
     offenders = [
         f"{path.relative_to(root)}: {name}"
         for path in sorted(root.rglob("*.py"))
-        for name in _load_time_imports(ast.parse(path.read_text()))
+        for name in _imported_modules(ast.parse(path.read_text()))
         if name.split(".")[0] == "scipy"
     ]
     assert offenders == []
