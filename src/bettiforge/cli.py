@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     import numpy as np
 
-    if args.what in ("walk", "filter", "pipeline") and args.k is None:
+    if args.what in ("dicke", "walk", "filter", "pipeline") and args.k is None:
         raise ValueError(f"simulate {args.what} needs --k")
     if args.what == "dicke":
         from .qsim import dicke

@@ -65,36 +65,6 @@ class PIMCConfig:
             raise ValueError("sampler must be 'exact' or 'mh'")
 
 
-def trotter_slices(
-    t: float,
-    eps_t: float,
-    term_norm_sum: float,
-    commutator_bound: float | None = None,
-    n_terms: int | None = None,
-    gamma_max: float | None = None,
-) -> int:
-    """Slice count r = ceil(t * max(sqrt(4 e t alpha / eps_t), 4/ln2 sum||H||)).
-
-    ``commutator_bound`` is alpha; when omitted it is bounded by the
-    fixed-point closure of alpha <= 8 r D gamma_max^3, which resolves to
-    r = 32 e t^3 D gamma_max^3 / eps_t on the dominant branch.
-    """
-    if eps_t <= 0:
-        raise ValueError("Trotter budget must be positive")
-    if t == 0:
-        return 0
-    if t < 0:
-        raise ValueError("imaginary time must be nonnegative")
-    norm_branch = t * 4.0 / LN2 * term_norm_sum
-    if commutator_bound is not None:
-        alpha_branch = t * math.sqrt(4.0 * math.e * t * commutator_bound / eps_t)
-    else:
-        if n_terms is None or gamma_max is None:
-            raise ValueError("need n_terms and gamma_max to bound the commutator term")
-        alpha_branch = 32.0 * math.e * t**3 * n_terms * gamma_max**3 / eps_t
-    return math.ceil(max(alpha_branch, norm_branch))
-
-
 def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
     """Rejection sampler for uniform weight-k cliques, with try accounting.
 
@@ -233,8 +203,8 @@ def estimate_from_operator(
         rng = np.random.default_rng((cfg.seed, chain))
         if cfg.sampler == "exact":
             cols = exact.draw_anchor_columns(rng, per_chain)
-            eig = exact.draw(rng, cols, MAGNITUDE)
-            chunks.append(space.path_signs(eig) * anchor_values[cols])
+            _, signs = exact.draw(rng, cols, MAGNITUDE, signed=True)
+            chunks.append(signs * anchor_values[cols])
             acc_num += per_chain
             acc_den += per_chain
         else:
@@ -285,7 +255,7 @@ def estimate_from_operator(
 
 
 # ---------------------------------------------------------------------------
-# oracles and diagnostics
+# dense reference
 
 
 def trotterized_matrix(decomp: OneSparseDecomposition, t: float, r_t: int) -> np.ndarray:
@@ -321,74 +291,3 @@ def trotterized_matrix(decomp: OneSparseDecomposition, t: float, r_t: int) -> np
     for idx in schedule:
         out = term_exp(idx) @ out
     return math.exp(-shift * t) * out
-
-
-def exhaustive_check(
-    op: PenalizedOperator, decomp: OneSparseDecomposition, t: float, r_t: int, max_paths: int = 1 << 14
-) -> dict:
-    """Exact path-sum identities on a toy instance (exponentially many paths).
-
-    Returns the exhaustive partition function, the path-sum estimate of the
-    restricted trace, and the matrix-product value it must equal.
-    """
-    anchors = op.basis.weight_k_clique_indices
-    space = PathSpace(decomp, t, r_t, anchors)
-    paths = space.enumerate_paths(max_paths=max_paths)
-    beta = t / r_t
-    z = 0.0
-    trace_pathsum = 0.0
-    for p in paths:
-        z += math.exp(-beta * p.energy)
-        trace_pathsum += p.weight * math.exp(-0.5 * beta * p.energy)
-    trace_pathsum *= math.exp(-space.scalar_shift * t)
-    mat = trotterized_matrix(decomp, t, r_t)
-    idx = anchors
-    trace_matrix = float(np.trace(mat[np.ix_(idx, idx)]))
-    return {
-        "n_paths": len(paths),
-        "log_partition_exhaustive": math.log(z) if z > 0 else -math.inf,
-        "log_partition_transfer": space.log_partition(),
-        "trace_pathsum": trace_pathsum,
-        "trace_matrix": trace_matrix,
-        "expectation_pathsum": trace_pathsum / op.d_k,
-        "expectation_matrix": trace_matrix / op.d_k,
-    }
-
-
-def analytic_variance_log2_bound(
-    decomp: OneSparseDecomposition, t: float, r_t: int, d_k: int, d_sched: int
-) -> float:
-    """log2 of the worst-case variance bound 2^(2rD) e^(2 D t c_max) / d_k."""
-    c_max = max((term.coeff for term in decomp.terms), default=0.0)
-    return 2.0 * r_t * d_sched + 2.0 * d_sched * t * c_max / LN2 - math.log2(d_k)
-
-
-def variance_report(
-    g: Graph, k: int, cfg: PIMCConfig, result: DequantResult | None = None
-) -> dict:
-    """Empirical sample variance against the analytic worst-case bound.
-
-    The bound is astronomically loose by construction, so both sides are
-    reported as log2 values; the Markov gap itself is never computed, the
-    integrated autocorrelation time stands in as its reciprocal proxy.
-    """
-    if result is None:
-        result = estimate_normalized_betti(g, k, cfg)
-    emp_var = result.stderr**2 * result.n_samples
-    bound_log2 = analytic_variance_log2_bound(
-        one_sparse_decompose(penalized_operator(g, k).matrix),
-        cfg.t,
-        result.r_t,
-        result.d_k,
-        result.D_scheduled,
-    )
-    emp_log2 = math.log2(emp_var) if emp_var > 0 else -math.inf
-    return {
-        "empirical_variance_log2": emp_log2,
-        "analytic_bound_log2": bound_log2,
-        "slack_log2": bound_log2 - emp_log2,
-        "autocorr_time": result.autocorr_time,
-        "acceptance_rate": result.acceptance_rate,
-        "estimate": result.estimate,
-        "stderr": result.stderr,
-    }

@@ -98,14 +98,6 @@ class PenalizedOperator:
     gamma_max: float  # largest eigenvalue of the penalized operator
     d_k: int  # C(n, k), the normalization of the estimator
 
-    def kernel_dim_weight_k(self) -> int:
-        """Nullity of the operator restricted to the weight-k clique block."""
-        idx = self.basis.weight_k_clique_indices
-        sub = self.matrix[np.ix_(idx, idx)]
-        evals = np.linalg.eigvalsh(sub)
-        tol = ZERO_TOL * max(1.0, float(evals.max(initial=0.0)))
-        return int(np.count_nonzero(np.abs(evals) < tol))
-
 
 def penalized_operator(g: Graph, k: int, gamma_pen: float | str = "gap") -> PenalizedOperator:
     """Build B_G^2 + gamma_pen (1-P) on the ambient weight window.

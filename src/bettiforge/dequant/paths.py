@@ -25,6 +25,11 @@ per anchor by transfer-matrix messages:
 
 Both values are multiplied by the scalar factor exp(-shift t) of the
 identity term (see ``build_schedule``).
+
+Every reader takes the overlaps from one sparse store, ``PathSpace.columns``
+(at most 4 nonzeros per eigenvector per link): the transfer passes, the
+draws and the signs they return, and the per-column dicts that the
+Metropolis moves and path snapshots look single overlaps up in.
 """
 
 from __future__ import annotations
@@ -129,15 +134,17 @@ class PathSample:
 
 
 class PathSpace:
-    """Schedule, overlap tables and thermal bookkeeping for one decomposition.
+    """Schedule, overlap columns and thermal bookkeeping for one decomposition.
 
-    ``links[i][f, e]`` is the overlap of eigenvector e at position i with
-    eigenvector f at position i + 1; the last link closes the loop onto
-    position 0.  Each distinct pair of adjacent terms gets one table, built
-    once and shared by every link (and, transposed, by the reverse pair);
-    ``columns[i]`` holds the ``column_nonzeros`` of link i, likewise built
-    once per table and direction.  The first scheduled term is diagonal, so
-    the anchor's eigenvector index is its basis state.
+    Link i joins position i to position i + 1; the last link closes the loop
+    onto position 0.  ``columns[i]`` holds the ``column_nonzeros`` of link
+    i's overlap table, whose entry [f, e] is the overlap of eigenvector e at
+    position i with eigenvector f at position i + 1.  Each distinct pair of
+    adjacent terms has its ``overlap_table`` built once, turned into the
+    columns of both directions and dropped, so every link of one direction
+    shares one pair of arrays of at most 4 entries per eigenvector.  The
+    first scheduled term is diagonal, so the anchor's eigenvector index is
+    its basis state.
     """
 
     def __init__(
@@ -160,34 +167,47 @@ class PathSpace:
         self.terms = decomp.terms
         if not all(0 <= a < decomp.dim for a in self.anchor_states):
             raise ValueError("anchor states must be basis states of the ambient space")
-        tables: dict[tuple[int, int], np.ndarray] = {}
-        nonzeros: dict[tuple[tuple[int, int], bool], tuple[np.ndarray, np.ndarray]] = {}
-        n = self.length - 1
-        self.links: list[np.ndarray] = []
+        # (p, q) -> column_nonzeros of the table from term p's eigenvectors to term q's
+        self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.columns: list[tuple[np.ndarray, np.ndarray]] = []
+        n = self.length - 1
         for i in range(n):
             p, q = self.schedule[i], self.schedule[(i + 1) % n]
-            key = (min(p, q), max(p, q))
-            if key not in tables:
-                tables[key] = overlap_table(self.terms[key[0]], self.terms[key[1]])
-            link = tables[key] if p <= q else tables[key].T
-            direction = (key, p <= q)
-            if direction not in nonzeros:
-                nonzeros[direction] = column_nonzeros(link)
-            self.links.append(link)
-            self.columns.append(nonzeros[direction])
+            if (p, q) not in self._pairs:
+                table = overlap_table(self.terms[min(p, q)], self.terms[max(p, q)])
+                self._pairs[min(p, q), max(p, q)] = column_nonzeros(table)
+                self._pairs[max(p, q), min(p, q)] = column_nonzeros(table.T)
+            self.columns.append(self._pairs[p, q])
+        self._overlap_maps: list | None = None
 
-    def linked(self, i: int) -> np.ndarray:
-        """Nonzero pattern of link i, C-ordered so products sum in a fixed order."""
-        return np.ascontiguousarray(self.links[i] != 0.0)
+    def _rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero columns of each row of link i, ascending: the reverse direction's columns."""
+        n = self.length - 1
+        return self._pairs[self.schedule[(i + 1) % n], self.schedule[i]]
+
+    def overlap_maps(self) -> list[dict[tuple[int, int], float]]:
+        """Per link, its nonzero overlaps {(e, f): table[f, e]}, read from the columns.
+
+        Built the first time they are asked for, one dict per direction of
+        a term pair, shared like the columns are.
+        """
+        if self._overlap_maps is None:
+            maps = {}
+            for index, value in self._pairs.values():
+                eig, slot = np.nonzero(value)
+                keys = zip(eig.tolist(), index[eig, slot].tolist())
+                maps[id(index)] = dict(zip(keys, value[eig, slot].tolist()))
+            self._overlap_maps = [maps[id(index)] for index, _ in self.columns]
+        return self._overlap_maps
 
     def path_overlaps(self, eig: list[int]) -> tuple[float, float, bool]:
         """(sign, log2 magnitude, valid) of the product of consecutive overlaps."""
+        maps = self.overlap_maps()
         sign = 1.0
         log2 = 0.0
         n = self.length - 1
         for i in range(n):
-            val = float(self.links[i][eig[(i + 1) % n], eig[i]])
+            val = maps[i].get((eig[i], eig[(i + 1) % n]), 0.0)
             if val == 0.0:
                 return 0.0, -math.inf, False
             if val < 0.0:
@@ -195,14 +215,6 @@ class PathSpace:
                 val = -val
             log2 += math.log2(val)
         return sign, log2, True
-
-    def path_signs(self, eig: np.ndarray) -> np.ndarray:
-        """Sign of the overlap product of each row of a (paths, L-1) array; 0 if invalid."""
-        n = self.length - 1
-        sign = np.ones(eig.shape[0])
-        for i in range(n):
-            sign *= np.sign(self.links[i][eig[:, (i + 1) % n], eig[:, i]])
-        return sign
 
     def path_energy(self, eig: list[int]) -> float:
         sched = self.schedule
@@ -218,27 +230,39 @@ class PathSpace:
     # -- partition function ---------------------------------------------------
 
     def log_partition(self) -> float:
-        """Log of Z = sum of thermal weights over valid anchored closed paths."""
+        """Log of Z = sum of thermal weights over valid anchored closed paths.
+
+        Each step adds, for every eigenvector of the next position, the
+        messages of its nonzero overlaps in ascending column order.
+        """
         beta = self.t / self.r_t
         sched = self.schedule
         first = self.terms[sched[0]]
         anchors = np.array(self.anchor_states)
+        cols = np.arange(anchors.size)
         vec = np.zeros((first.n_eigs, anchors.size))
-        vec[anchors, np.arange(anchors.size)] = 1.0
+        vec[anchors, cols] = 1.0
         w1 = np.exp(-2.0 * beta * first.lam[anchors])
         log_scale = 0.0
         for i in range(1, self.length - 1):
-            damp = np.exp(-beta * self.terms[sched[i]].lam)
-            vec = damp[:, None] * (self.linked(i - 1) @ vec)
+            index, value = self._rows(i - 1)
+            step = np.zeros((index.shape[0], anchors.size))
+            for j in range(index.shape[1]):
+                step += (value[:, j] != 0.0)[:, None] * vec[index[:, j]]
+            vec = np.exp(-beta * self.terms[sched[i]].lam)[:, None] * step
             peak = vec.max(initial=0.0)
             if peak <= 0.0:
                 return -math.inf
             vec /= peak
             log_scale += math.log(peak)
-        close = self.linked(self.length - 2)
+        index, value = self._rows(self.length - 2)
+        index, value = index[anchors], value[anchors]
+        closed = np.zeros(anchors.size)
+        for j in range(index.shape[1]):
+            closed += (value[:, j] != 0.0) * vec[index[:, j], cols]
         total = 0.0
-        for col, a in enumerate(self.anchor_states):
-            total += w1[col] * float(close[a, :] @ vec[:, col])
+        for col in range(anchors.size):
+            total += w1[col] * float(closed[col])
         if total <= 0.0:
             return -math.inf
         return math.log(total) + log_scale
@@ -267,7 +291,10 @@ class PathSpace:
         last = self.length - 2
         anchors = np.array(self.anchor_states)
         cols = np.arange(anchors.size)
-        m = weigh(np.ascontiguousarray(self.links[last][anchors, :].T))
+        index, value = self._rows(last)
+        m = np.zeros((self.terms[sched[last]].n_eigs, anchors.size))
+        np.add.at(m, (index[anchors], cols[:, None]), value[anchors])  # padding adds 0.0
+        m = weigh(m)
         coefs = [weigh(value) for _, value in self.columns[:last]]
         log_scale = np.zeros(anchors.size)
         weighted: list = [None] * (last + 1)
@@ -291,30 +318,6 @@ class PathSpace:
         _, _, start, log_scale = self.backward_pass(SIGNED)
         top = float(log_scale.max())
         return math.exp(top - self.scalar_shift * self.t) * float(start @ np.exp(log_scale - top))
-
-    # -- exhaustive enumeration (toy oracle) ----------------------------------
-
-    def enumerate_paths(self, max_paths: int = 1 << 14) -> list[PathSample]:
-        """All valid anchored closed paths (raises if more than max_paths)."""
-        n = self.length - 1
-        out: list[PathSample] = []
-        eig: list[int] = [0] * n
-
-        def rec(pos: int) -> None:
-            if len(out) > max_paths:
-                raise RuntimeError(f"more than {max_paths} paths; not a toy instance")
-            if pos == n:
-                if self.links[n - 1][eig[0], eig[n - 1]] != 0.0:
-                    out.append(self.snapshot(eig))
-                return
-            for f in np.flatnonzero(self.links[pos - 1][:, eig[pos - 1]]):
-                eig[pos] = int(f)
-                rec(pos + 1)
-
-        for a in self.anchor_states:
-            eig[0] = a
-            rec(1)
-        return out
 
 
 # Move mix of the Metropolis sampler: an independence redraw with probability
@@ -351,14 +354,15 @@ class MetropolisPathSampler:
         self.accepted = 0
         self.proposed = 0
         self._beta = self.space.t / self.space.r_t
+        self._maps = self.space.overlap_maps()
         exact.log_z(PATTERN)  # build the messages apart from the first draw
         self.eig: list[int] = exact.draw_path(rng, PATTERN)
 
     def _neighbors_ok(self, pos: int, new_eig: int) -> bool:
-        links, eig = self.space.links, self.eig
+        maps, eig = self._maps, self.eig
         n = self.space.length - 1
         before, after = (pos - 1) % n, (pos + 1) % n
-        return links[before][new_eig, eig[before]] != 0.0 and links[pos][eig[after], new_eig] != 0.0
+        return (eig[before], new_eig) in maps[before] and (new_eig, eig[after]) in maps[pos]
 
     def step(self) -> bool:
         space = self.space
@@ -481,7 +485,7 @@ class ExactPathSampler:
         col = self._column_of[self.draw_anchor(rng)]
         return self.draw(rng, np.array([col]), measure)[0].tolist()
 
-    def draw(self, rng: np.random.Generator, cols, measure: str) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, cols, measure: str, signed: bool = False):
         """One path per anchor column: a (len(cols), L-1) array of eigenvector indices.
 
         Each position takes one uniform per path, searched against the
@@ -490,35 +494,51 @@ class ExactPathSampler:
         consumes the same uniforms and picks the same eigenvectors as that
         scalar draw.  A single path runs the same float operations on Python
         floats, which saves the per-call cost of the array operations.
+
+        With ``signed``, also returns the sign of each path's overlap
+        product: the parity of the negative overlaps in the slots it picked,
+        and of its closing overlap.
         """
         weighted, _, coefs = self.messages(measure)
         space = self.space
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size == 1:
-            return np.array([self._draw_one(rng, int(cols[0]), weighted, coefs)])
-        rows = np.arange(cols.size)
-        eig = np.empty((cols.size, space.length - 1), dtype=np.int64)
-        eig[:, 0] = self._anchors[cols]
-        for i in range(1, space.length - 1):
-            index, _ = space.columns[i - 1]
-            prev = eig[:, i - 1]
-            cands = index[prev]
-            weights = coefs[i - 1][prev] * weighted[i][cands, cols[:, None]]
-            total = weights[:, 0].copy()
-            for j in range(1, weights.shape[1]):
-                total += weights[:, j]
-            if not np.all(total > 0.0):
-                raise RuntimeError("dead end during exact sampling (inconsistent messages)")
-            cdf = np.cumsum(weights / total[:, None], axis=1)
-            cdf /= cdf[:, -1:]
-            pick = np.count_nonzero(cdf <= rng.random(cols.size)[:, None], axis=1)
-            eig[:, i] = cands[rows, pick]
-        return eig
+            eig, negative = self._draw_one(rng, int(cols[0]), weighted, coefs, signed)
+            eig, negative = np.array([eig]), np.array([negative])
+        else:
+            rows = np.arange(cols.size)
+            eig = np.empty((cols.size, space.length - 1), dtype=np.int64)
+            eig[:, 0] = self._anchors[cols]
+            negative = np.zeros(cols.size, dtype=bool)
+            for i in range(1, space.length - 1):
+                index, value = space.columns[i - 1]
+                prev = eig[:, i - 1]
+                cands = index[prev]
+                weights = coefs[i - 1][prev] * weighted[i][cands, cols[:, None]]
+                total = weights[:, 0].copy()
+                for j in range(1, weights.shape[1]):
+                    total += weights[:, j]
+                if not np.all(total > 0.0):
+                    raise RuntimeError("dead end during exact sampling (inconsistent messages)")
+                cdf = np.cumsum(weights / total[:, None], axis=1)
+                cdf /= cdf[:, -1:]
+                pick = np.count_nonzero(cdf <= rng.random(cols.size)[:, None], axis=1)
+                eig[:, i] = cands[rows, pick]
+                negative ^= value[prev, pick] < 0.0
+        if not signed:
+            return eig
+        index, value = space.columns[space.length - 2]
+        closing = np.where(index[eig[:, -1]] == eig[:, :1], value[eig[:, -1]], 0.0).sum(axis=1)
+        return eig, np.where(negative ^ (closing < 0.0), -1.0, 1.0)
 
-    def _draw_one(self, rng: np.random.Generator, col: int, weighted: list, coefs: list) -> list[int]:
+    def _draw_one(
+        self, rng: np.random.Generator, col: int, weighted: list, coefs: list, signed: bool
+    ) -> tuple[list[int], bool]:
         eig = [int(self._anchors[col])]
+        negative = False
         for i in range(1, self.space.length - 1):
-            cands = self.space.columns[i - 1][0][eig[-1]]
+            index, value = self.space.columns[i - 1]
+            cands = index[eig[-1]]
             weights = (coefs[i - 1][eig[-1]] * weighted[i][cands, col]).tolist()
             total = sum(weights)
             if total <= 0.0:
@@ -529,5 +549,8 @@ class ExactPathSampler:
                 acc += w / total
                 cdf.append(acc)
             u = rng.random()
-            eig.append(int(cands[sum(c / acc <= u for c in cdf)]))
-        return eig
+            pick = sum(c / acc <= u for c in cdf)
+            if signed and value[eig[-1], pick] < 0.0:
+                negative = not negative
+            eig.append(int(cands[pick]))
+        return eig, negative

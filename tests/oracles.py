@@ -1,7 +1,10 @@
 """Slow reference implementations that the program is checked against.
 
-Path sampler oracles, and the continuum Kaiser phase-error law with the
-repeated amplitude-estimation draws that the window sizing is checked with.
+Dequantizer oracles: the dense overlap tables of every link, exhaustive path
+enumeration and the checks built on it, the dense transfer pass, the slice
+count and variance bounds.  Then the continuum Kaiser phase-error law with
+the repeated amplitude-estimation draws that the window sizing is checked
+with.
 """
 
 from __future__ import annotations
@@ -13,14 +16,234 @@ import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.special import i0e
 
+from bettiforge.dequant.estimator import (
+    DequantResult,
+    PIMCConfig,
+    estimate_normalized_betti,
+    trotterized_matrix,
+)
+from bettiforge.dequant.operators import (
+    OneSparseDecomposition,
+    PenalizedOperator,
+    one_sparse_decompose,
+    penalized_operator,
+)
 from bettiforge.dequant.paths import (
     PATTERN,
     ExactPathSampler,
     MetropolisPathSampler,
     PathSample,
     PathSpace,
+    overlap_table,
 )
+from bettiforge.graphs import Graph
+from bettiforge.homology import ZERO_TOL
 from bettiforge.qsim.kaiser import _kernel_sq, first_zero_scaled, qae_outcome_distribution
+
+LN2 = math.log(2.0)
+
+
+def kernel_dim_weight_k(op: PenalizedOperator) -> int:
+    """Nullity of the operator restricted to the weight-k clique block."""
+    idx = op.basis.weight_k_clique_indices
+    evals = np.linalg.eigvalsh(op.matrix[np.ix_(idx, idx)])
+    tol = ZERO_TOL * max(1.0, float(evals.max(initial=0.0)))
+    return int(np.count_nonzero(np.abs(evals) < tol))
+
+
+def trotter_slices(
+    t: float,
+    eps_t: float,
+    term_norm_sum: float,
+    commutator_bound: float | None = None,
+    n_terms: int | None = None,
+    gamma_max: float | None = None,
+) -> int:
+    """Slice count r = ceil(t * max(sqrt(4 e t alpha / eps_t), 4/ln2 sum||H||)).
+
+    ``commutator_bound`` is alpha; when omitted it is bounded by the
+    fixed-point closure of alpha <= 8 r D gamma_max^3, which resolves to
+    r = 32 e t^3 D gamma_max^3 / eps_t on the dominant branch.
+    """
+    if eps_t <= 0:
+        raise ValueError("Trotter budget must be positive")
+    if t == 0:
+        return 0
+    if t < 0:
+        raise ValueError("imaginary time must be nonnegative")
+    norm_branch = t * 4.0 / LN2 * term_norm_sum
+    if commutator_bound is not None:
+        alpha_branch = t * math.sqrt(4.0 * math.e * t * commutator_bound / eps_t)
+    else:
+        if n_terms is None or gamma_max is None:
+            raise ValueError("need n_terms and gamma_max to bound the commutator term")
+        alpha_branch = 32.0 * math.e * t**3 * n_terms * gamma_max**3 / eps_t
+    return math.ceil(max(alpha_branch, norm_branch))
+
+
+# ---------------------------------------------------------------------------
+# path sampler
+
+
+def dense_links(space: PathSpace) -> list[np.ndarray]:
+    """Dense overlap table of every link, each built in its own direction.
+
+    ``links[i][f, e]`` is the overlap of eigenvector e at position i with
+    eigenvector f at position i + 1; the last link closes onto position 0.
+    """
+    n = space.length - 1
+    return [overlap_table(space.terms[space.schedule[i]], space.terms[space.schedule[(i + 1) % n]])
+            for i in range(n)]
+
+
+def dense_path_overlaps(links: list[np.ndarray], eig) -> tuple[float, float, bool]:
+    """(sign, log2 magnitude, valid) of the overlap product, read from the dense tables."""
+    sign = 1.0
+    log2 = 0.0
+    n = len(links)
+    for i in range(n):
+        val = float(links[i][eig[(i + 1) % n], eig[i]])
+        if val == 0.0:
+            return 0.0, -math.inf, False
+        if val < 0.0:
+            sign = -sign
+            val = -val
+        log2 += math.log2(val)
+    return sign, log2, True
+
+
+def dense_path_signs(links: list[np.ndarray], eig: np.ndarray) -> np.ndarray:
+    """Sign of the overlap product of each row of a (paths, L-1) array; 0 if invalid."""
+    n = len(links)
+    sign = np.ones(eig.shape[0])
+    for i in range(n):
+        sign *= np.sign(links[i][eig[:, (i + 1) % n], eig[:, i]])
+    return sign
+
+
+def dense_closing_rows(space: PathSpace, links: list[np.ndarray]) -> np.ndarray:
+    """The closing link's anchor rows, transposed: [e, col] is the overlap of e with anchor col."""
+    return np.ascontiguousarray(links[-1][np.array(space.anchor_states), :].T)
+
+
+def dense_log_partition(space: PathSpace, links: list[np.ndarray]) -> float:
+    """Log Z of the pattern measure by dense products of each link's nonzero pattern."""
+    beta = space.t / space.r_t
+    sched = space.schedule
+    first = space.terms[sched[0]]
+    anchors = np.array(space.anchor_states)
+    vec = np.zeros((first.n_eigs, anchors.size))
+    vec[anchors, np.arange(anchors.size)] = 1.0
+    w1 = np.exp(-2.0 * beta * first.lam[anchors])
+    log_scale = 0.0
+    for i in range(1, space.length - 1):
+        damp = np.exp(-beta * space.terms[sched[i]].lam)
+        vec = damp[:, None] * (np.ascontiguousarray(links[i - 1] != 0.0) @ vec)
+        peak = vec.max(initial=0.0)
+        if peak <= 0.0:
+            return -math.inf
+        vec /= peak
+        log_scale += math.log(peak)
+    close = np.ascontiguousarray(links[-1] != 0.0)
+    total = 0.0
+    for col, a in enumerate(space.anchor_states):
+        total += w1[col] * float(close[a, :] @ vec[:, col])
+    if total <= 0.0:
+        return -math.inf
+    return math.log(total) + log_scale
+
+
+def enumerate_paths(space: PathSpace, max_paths: int = 1 << 14) -> list[PathSample]:
+    """All valid anchored closed paths, from the dense tables (raises if more than max_paths)."""
+    links = dense_links(space)
+    n = space.length - 1
+    out: list[PathSample] = []
+    eig: list[int] = [0] * n
+
+    def rec(pos: int) -> None:
+        if len(out) > max_paths:
+            raise RuntimeError(f"more than {max_paths} paths; not a toy instance")
+        if pos == n:
+            if links[n - 1][eig[0], eig[n - 1]] != 0.0:
+                sign, log2, valid = dense_path_overlaps(links, eig)
+                out.append(PathSample(tuple(eig), eig[0], space.path_energy(eig), sign, log2, valid))
+            return
+        for f in np.flatnonzero(links[pos - 1][:, eig[pos - 1]]):
+            eig[pos] = int(f)
+            rec(pos + 1)
+
+    for a in space.anchor_states:
+        eig[0] = a
+        rec(1)
+    return out
+
+
+def exhaustive_check(
+    op: PenalizedOperator, decomp: OneSparseDecomposition, t: float, r_t: int, max_paths: int = 1 << 14
+) -> dict:
+    """Exact path-sum identities on a toy instance (exponentially many paths).
+
+    Returns the exhaustive partition function, the path-sum estimate of the
+    restricted trace, and the matrix-product value it must equal.
+    """
+    anchors = op.basis.weight_k_clique_indices
+    space = PathSpace(decomp, t, r_t, anchors)
+    paths = enumerate_paths(space, max_paths=max_paths)
+    beta = t / r_t
+    z = 0.0
+    trace_pathsum = 0.0
+    for p in paths:
+        z += math.exp(-beta * p.energy)
+        trace_pathsum += p.weight * math.exp(-0.5 * beta * p.energy)
+    trace_pathsum *= math.exp(-space.scalar_shift * t)
+    mat = trotterized_matrix(decomp, t, r_t)
+    trace_matrix = float(np.trace(mat[np.ix_(anchors, anchors)]))
+    return {
+        "n_paths": len(paths),
+        "log_partition_exhaustive": math.log(z) if z > 0 else -math.inf,
+        "log_partition_transfer": space.log_partition(),
+        "trace_pathsum": trace_pathsum,
+        "trace_matrix": trace_matrix,
+        "expectation_pathsum": trace_pathsum / op.d_k,
+        "expectation_matrix": trace_matrix / op.d_k,
+    }
+
+
+def analytic_variance_log2_bound(
+    decomp: OneSparseDecomposition, t: float, r_t: int, d_k: int, d_sched: int
+) -> float:
+    """log2 of the worst-case variance bound 2^(2rD) e^(2 D t c_max) / d_k."""
+    c_max = max((term.coeff for term in decomp.terms), default=0.0)
+    return 2.0 * r_t * d_sched + 2.0 * d_sched * t * c_max / LN2 - math.log2(d_k)
+
+
+def variance_report(g: Graph, k: int, cfg: PIMCConfig, result: DequantResult | None = None) -> dict:
+    """Empirical sample variance against the analytic worst-case bound.
+
+    The bound is astronomically loose by construction, so both sides are
+    reported as log2 values; the Markov gap itself is never computed, the
+    integrated autocorrelation time stands in as its reciprocal proxy.
+    """
+    if result is None:
+        result = estimate_normalized_betti(g, k, cfg)
+    emp_var = result.stderr**2 * result.n_samples
+    bound_log2 = analytic_variance_log2_bound(
+        one_sparse_decompose(penalized_operator(g, k).matrix),
+        cfg.t,
+        result.r_t,
+        result.d_k,
+        result.D_scheduled,
+    )
+    emp_log2 = math.log2(emp_var) if emp_var > 0 else -math.inf
+    return {
+        "empirical_variance_log2": emp_log2,
+        "analytic_bound_log2": bound_log2,
+        "slack_log2": bound_log2 - emp_log2,
+        "autocorr_time": result.autocorr_time,
+        "acceptance_rate": result.acceptance_rate,
+        "estimate": result.estimate,
+        "stderr": result.stderr,
+    }
 
 
 def stationary_log_prob(path: PathSample, t: float, r_t: int) -> float:
@@ -58,12 +281,13 @@ def scalar_pattern_draw(exact: ExactPathSampler, rng: np.random.Generator) -> li
     the sampler's damped pattern messages.
     """
     space = exact.space
+    links = dense_links(space)
     weighted = exact.messages(PATTERN)[0]
     anchor = exact.draw_anchor(rng)
     col = space.anchor_states.index(anchor)
     eig = [anchor] + [0] * (space.length - 2)
     for i in range(1, space.length - 1):
-        cands = np.flatnonzero(space.links[i - 1][:, eig[i - 1]])
+        cands = np.flatnonzero(links[i - 1][:, eig[i - 1]])
         weights = weighted[i][cands, col]
         total = float(sum(weights))
         if total <= 0.0:

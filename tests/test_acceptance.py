@@ -30,7 +30,14 @@ from bettiforge.qsim import dicke, filters, kaiser, walkenc
 from bettiforge.dequant import estimator as deq
 from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
 from bettiforge.dequant.paths import ExactPathSampler, PathSpace
-from oracles import amplitude_estimate_trials, asymptotic_tail_bound
+from oracles import (
+    amplitude_estimate_trials,
+    asymptotic_tail_bound,
+    enumerate_paths,
+    exhaustive_check,
+    kernel_dim_weight_k,
+    variance_report,
+)
 
 
 class Outcome(list):
@@ -255,7 +262,7 @@ def test_criterion_08_dequantizer():
         g = gen_kpartite(2, 2)
         op = penalized_operator(g, 2)
         decomp = one_sparse_decompose(op.matrix)
-        chk = deq.exhaustive_check(op, decomp, t=1.0, r_t=1)
+        chk = exhaustive_check(op, decomp, t=1.0, r_t=1)
         if chk["n_paths"] > 1 << 12:
             failures.append("toy too large")
         if not math.isclose(chk["trace_pathsum"], chk["trace_matrix"], rel_tol=1e-10):
@@ -263,7 +270,7 @@ def test_criterion_08_dequantizer():
         # (c) detailed balance of the Metropolis redraw move (pattern measure)
         # on 100 random pairs
         space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
-        paths = space.enumerate_paths()
+        paths = enumerate_paths(space)
         exact = ExactPathSampler(space)
         rng = np.random.default_rng(1)
         for _ in range(100):
@@ -279,7 +286,7 @@ def test_criterion_08_dequantizer():
                 break
         # (d) empirical variance within the analytic worst-case bound
         cfg = deq.PIMCConfig(t=2.0, r_t=1, n_samp=4000, seed=1, chains=2)
-        rep = deq.variance_report(g, 2, cfg)
+        rep = variance_report(g, 2, cfg)
         if rep["empirical_variance_log2"] > rep["analytic_bound_log2"]:
             failures.append("variance bound violated")
 
@@ -360,7 +367,7 @@ def test_criterion_10_oracle_coherence():
             beta_rank = homology.betti_exact(g, k)
             summary = homology.spectrum(g, k)
             op = penalized_operator(g, k)
-            kernel = op.kernel_dim_weight_k()
+            kernel = kernel_dim_weight_k(op)
             if not beta_rank == summary.nullity == kernel:
                 failures.append(f"seed={seed}: {beta_rank}/{summary.nullity}/{kernel}")
             done += 1

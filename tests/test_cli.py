@@ -279,6 +279,7 @@ class TestExitCodes:
                 "epsilon must be positive",
                 id="filter-epsilon-nan",
             ),
+            pytest.param(["simulate", "dicke", "--n", "64"], "simulate dicke needs --k", id="dicke-no-k"),
         ],
     )
     def test_bad_input_is_2_and_named(self, capsys, argv, named):
@@ -479,3 +480,34 @@ def test_fuzz_betti_graph_json(tmp_path_factory, text, k):
     path = tmp_path_factory.mktemp("fuzz") / "g.json"
     path.write_text(text)
     assert _exit_code(["betti", "--graph", str(path), "--k", str(k)]) in (0, 2, 3)
+
+
+def _dequant_graph(n: int):
+    # a subset of the valid edges, sometimes with one more pair that may be
+    # a loop, out of range or a repeat
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    valid = st.lists(st.sampled_from(pairs), unique_by=tuple) if pairs else st.just([])
+    bad = st.lists(st.integers(-1, n), min_size=2, max_size=2).map(lambda e: [e])
+    extra = st.one_of(st.just([]), st.just([]), st.just([]), bad)
+    return st.tuples(valid, extra).map(lambda edges: json.dumps({"n": n, "edges": edges[0] + edges[1]}))
+
+
+DEQUANT_GRAPH = st.integers(0, 6).flatmap(_dequant_graph)
+DEQUANT_TIMES = st.one_of(
+    st.sampled_from([1.0, 3.0, 0.5, 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(0.0, 5.0) | st.floats(-5.0, 5.0),
+)
+
+
+# each union lists a valid range first, so that a good share of the draws
+# gets past the argument checks and runs a sampler
+@settings(derandomize=True, deadline=None, max_examples=350, database=None)
+@given(text=DEQUANT_GRAPH, k=st.integers(1, 3) | st.integers(-1, 7), t=DEQUANT_TIMES,
+       slices=st.integers(1, 2) | st.integers(0, 2), samples=st.integers(2, 200) | st.integers(0, 200),
+       chains=st.integers(1, 3) | st.integers(0, 3), sampler=st.sampled_from(["exact", "mh"]))
+def test_fuzz_dequantize(tmp_path_factory, text, k, t, slices, samples, chains, sampler):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(text)
+    argv = ["dequantize", "--graph", str(path),
+            *_flags(k=k, t=t, slices=slices, samples=samples, chains=chains, sampler=sampler)]
+    assert _exit_code(argv) in (0, 2, 3)

@@ -11,10 +11,7 @@ from bettiforge.dequant.estimator import (
     PIMCConfig,
     estimate_from_operator,
     estimate_normalized_betti,
-    exhaustive_check,
-    trotter_slices,
     trotterized_matrix,
-    variance_report,
 )
 from bettiforge.dequant.operators import (
     one_sparse_decompose,
@@ -29,7 +26,21 @@ from bettiforge.dequant.paths import (
 )
 from bettiforge.graphs import Graph, enumerate_cliques, gen_erdos_renyi
 
-from oracles import mh_chain, scalar_pattern_draw, stationary_log_prob
+from oracles import (
+    dense_closing_rows,
+    dense_links,
+    dense_log_partition,
+    dense_path_overlaps,
+    dense_path_signs,
+    enumerate_paths,
+    exhaustive_check,
+    kernel_dim_weight_k,
+    mh_chain,
+    scalar_pattern_draw,
+    stationary_log_prob,
+    trotter_slices,
+    variance_report,
+)
 
 CYCLE4 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
@@ -44,7 +55,7 @@ def k22():
 class TestPenalizedOperator:
     def test_kernel_dimension_k22(self, k22):
         g, op, _ = k22
-        assert op.kernel_dim_weight_k() == betti_exact(g, 2) == 1
+        assert kernel_dim_weight_k(op) == betti_exact(g, 2) == 1
 
     def test_positive_semidefinite_and_gapped(self, k22):
         _, op, _ = k22
@@ -64,7 +75,7 @@ class TestPenalizedOperator:
         loose = penalized_operator(g, 2, gamma_pen="max")
         tight = penalized_operator(g, 2, gamma_pen="gap")
         assert loose.gamma_pen >= tight.gamma_pen
-        assert loose.kernel_dim_weight_k() == tight.kernel_dim_weight_k()
+        assert kernel_dim_weight_k(loose) == kernel_dim_weight_k(tight)
 
     def test_d_k(self, k22):
         _, op, _ = k22
@@ -78,7 +89,7 @@ class TestPenalizedOperator:
         for seed in range(6):
             g = gen_erdos_renyi(5 + seed % 3, 0.45, seed)
             op = penalized_operator(g, 1)
-            assert op.kernel_dim_weight_k() == betti_exact(g, 1)
+            assert kernel_dim_weight_k(op) == betti_exact(g, 1)
 
     def test_size_limit(self):
         from bettiforge.errors import DeskScaleError
@@ -195,7 +206,7 @@ class TestPathMachinery:
         # E[E_q] under the thermal law: sum Pr * E_q == trace / d_k, exactly
         _, op, decomp = k22
         space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
-        paths = space.enumerate_paths()
+        paths = enumerate_paths(space)
         beta = 1.0
         z = sum(math.exp(-beta * p.energy) for p in paths)
         log_z = math.log(z)
@@ -231,7 +242,7 @@ class TestPathMachinery:
         _, op, decomp = k22
         space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
         first = decomp.terms[space.schedule[0]]
-        for p in space.enumerate_paths():
+        for p in enumerate_paths(space):
             # the loop closes on the anchor eigenvector by construction, and
             # the closing overlap is nonzero for every enumerated path
             e0 = p.eig_indices[0]
@@ -241,7 +252,7 @@ class TestPathMachinery:
     def test_stationary_log_prob(self, k22):
         _, op, decomp = k22
         space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
-        p = space.enumerate_paths()[0]
+        p = enumerate_paths(space)[0]
         assert stationary_log_prob(p, 1.0, 1) == pytest.approx(-p.energy)
         bad = p.__class__(p.eig_indices, p.anchor_state, p.energy, 0.0, -math.inf, False)
         assert stationary_log_prob(bad, 1.0, 1) == -math.inf
@@ -297,7 +308,7 @@ class TestPartitionConsistency:
     def _three_ways(decomp, t, r_t, anchors, max_paths=1 << 14):
         space = PathSpace(decomp, t, r_t, anchors)
         beta = t / r_t
-        paths = space.enumerate_paths(max_paths)
+        paths = enumerate_paths(space, max_paths)
         z = sum(math.exp(-beta * p.energy) for p in paths)
         log_z_enum = math.log(z) if z > 0 else -math.inf
         exact = ExactPathSampler(space)
@@ -366,7 +377,7 @@ class TestMetropolis:
         # p_a p_ab == p_b p_ba for sign flips across 100 random valid pairs
         _, op, decomp = k22
         space = PathSpace(decomp, 1.2, 1, op.basis.weight_k_clique_indices)
-        paths = space.enumerate_paths()
+        paths = enumerate_paths(space)
         by_key = {p.eig_indices: p for p in paths}
         rng = np.random.default_rng(0)
         beta = 1.2
@@ -396,7 +407,7 @@ class TestMetropolis:
         _, op, decomp = k22
         space = PathSpace(decomp, 1.2, 1, op.basis.weight_k_clique_indices)
         sampler = ExactPathSampler(space)
-        paths = space.enumerate_paths()
+        paths = enumerate_paths(space)
         rng = np.random.default_rng(2)
         beta = 1.2
         for _ in range(100):
@@ -412,7 +423,7 @@ class TestMetropolis:
     def test_stationary_distribution_tv(self, k22):
         _, op, decomp = k22
         space = PathSpace(decomp, 0.6, 1, op.basis.weight_k_clique_indices)
-        paths = space.enumerate_paths()
+        paths = enumerate_paths(space)
         beta = 0.6
         weights = {p.eig_indices: math.exp(-beta * p.energy) for p in paths}
         z = sum(weights.values())
@@ -550,7 +561,7 @@ class TestDrawRoutine:
         rows, counts = np.unique(eig, axis=0, return_counts=True)
         observed = {tuple(row.tolist()): int(c) for row, c in zip(rows, counts)}
         z_abs = np.exp(exact.log_z(MAGNITUDE))
-        paths = space.enumerate_paths()
+        paths = enumerate_paths(space)
         chi2 = 0.0
         for p in paths:
             col = space.anchor_states.index(p.anchor_state)
@@ -570,6 +581,91 @@ class TestDrawRoutine:
                 + float(ExactPathSampler(space).log_z(MAGNITUDE).max())
             )
             assert res.diagnostics["samples_max_abs"] <= math.exp(log_bound) * (1.0 + 1e-12)
+
+
+def _sparse_cases():
+    """(graph, k): k = 1, K4, K5, the 4-cycle, K(2,2..4) and 24 seeded G(n, p) with n <= 7."""
+    cases = [
+        (Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 1),
+        (Graph.from_edges(3, [(0, 1), (1, 2)]), 1),
+        (CYCLE4, 1),
+        (gen_kpartite(1, 4), 2),
+        (gen_kpartite(1, 4), 3),
+        (gen_kpartite(1, 5), 2),
+        (gen_kpartite(1, 5), 3),
+        (gen_kpartite(2, 2), 1),
+        (gen_kpartite(2, 2), 2),
+        (gen_kpartite(2, 3), 2),
+        (gen_kpartite(2, 3), 3),
+        (gen_kpartite(2, 4), 3),
+    ]
+    rng = np.random.default_rng(12)
+    seeded = 0
+    while seeded < 24:
+        n, k = int(rng.integers(4, 8)), int(rng.integers(1, 4))
+        g = gen_erdos_renyi(n, float(rng.uniform(0.3, 0.9)), int(rng.integers(1000)))
+        if enumerate_cliques(g, k):
+            cases.append((g, k))
+            seeded += 1
+    return cases
+
+
+class TestSparseOverlaps:
+    """The path layer reads only the overlap columns; each reader matches the dense tables bit for bit."""
+
+    @pytest.mark.parametrize("t,r_t", [(1.0, 1), (2.5, 2)])
+    def test_readers_match_dense_tables(self, t, r_t):
+        for seed, (g, k) in enumerate(_sparse_cases()):
+            _, space = _space(g, k, t, r_t)
+            links = dense_links(space)
+            assert space.log_partition() == dense_log_partition(space, links)
+            exact = ExactPathSampler(space)
+            last = space.length - 2
+            closing = dense_closing_rows(space, links)
+            for measure, weigh, rate in ((PATTERN, lambda v: (v != 0.0).astype(float), t / r_t),
+                                         (MAGNITUDE, np.abs, 0.5 * t / r_t)):
+                damp = np.exp(-rate * space.terms[space.schedule[last]].lam)
+                assert np.array_equal(exact.messages(measure)[0][last], damp[:, None] * weigh(closing))
+            live = np.flatnonzero(np.isfinite(exact.log_z(MAGNITUDE)))
+            if live.size == 0:
+                continue
+            rng = np.random.default_rng(seed)
+            cols = rng.choice(live, size=32)
+            eig, sign = exact.draw(rng, cols, MAGNITUDE, signed=True)
+            assert np.array_equal(sign, dense_path_signs(links, eig)) and np.all(sign != 0.0)
+            one, one_sign = exact.draw(rng, cols[:1], MAGNITUDE, signed=True)
+            assert np.array_equal(one_sign, dense_path_signs(links, one))
+            paths = eig.tolist() + exact.draw(rng, cols, PATTERN).tolist()
+            # one position moved to a random eigenvector: mostly invalid paths
+            for path in paths[: len(paths) // 2]:
+                pos = int(rng.integers(space.length - 1))
+                path[pos] = int(rng.integers(space.terms[space.schedule[pos]].n_eigs))
+            for path in paths:
+                assert space.path_overlaps(path) == dense_path_overlaps(links, path)
+
+    def test_space_holds_at_most_four_entries_per_eigenvector(self):
+        # every array a PathSpace keeps, its lookup dicts included, stays
+        # within 4 entries per eigenvector per link: no dense table survives
+        for g, k in ((gen_kpartite(2, 2), 2), (gen_kpartite(2, 3), 3), (CYCLE4, 1)):
+            _, space = _space(g, k, 1.0, 2)
+            MetropolisPathSampler(ExactPathSampler(space), np.random.default_rng(0)).step()
+            bound = 4 * max(term.n_eigs for term in space.terms)
+            seen, stack = set(), [vars(space)]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, np.ndarray):
+                    assert obj.size <= bound, f"array of shape {obj.shape} held by a PathSpace"
+                elif isinstance(obj, dict):
+                    if obj and all(isinstance(v, float) for v in obj.values()):
+                        assert len(obj) <= bound, f"overlap dict of {len(obj)} entries held by a PathSpace"
+                    stack.extend(obj.values())
+                elif isinstance(obj, (list, tuple)):
+                    stack.extend(obj)
+                elif hasattr(obj, "__dict__"):
+                    stack.append(vars(obj))
 
 
 class TestExactReferences:
