@@ -188,10 +188,13 @@ def estimate_from_operator(
         log_values = math.log(anchors.size) - math.log(op.d_k) - space.scalar_shift * cfg.t
         anchor_values = np.exp(log_values + log_z)
         exact_mean = space.restricted_trace() / op.d_k
-        # Z_signed / Z^abs: the mean anchor value is Z^abs exp(-shift t) / d_k
+        # Z_signed / Z^abs: the mean anchor value is Z^abs exp(-shift t) / d_k.
+        # Both are rounded sums of the same terms, so the ratio can land just
+        # past |1|, which it cannot reach in exact arithmetic
+        sign = exact_mean / float(anchor_values.mean())
         diagnostics = {
             "exact_trotter_mean": exact_mean,
-            "average_sign": exact_mean / float(anchor_values.mean()),
+            "average_sign": min(1.0, max(-1.0, sign)),
         }
     else:
         log_z = space.log_partition()

@@ -103,7 +103,9 @@ def penalized_operator(g: Graph, k: int, gamma_pen: float | str = "gap") -> Pena
     """Build B_G^2 + gamma_pen (1-P) on the ambient weight window.
 
     ``gamma_pen`` may be an explicit positive number, "gap" (the oracle value
-    gamma_min), or "max" (the safe, looser choice gamma_max of B_G^2).
+    gamma_min), or "max" (the safe, looser choice gamma_max of B_G^2).  When
+    B_G^2 has no nonzero mode both fall back to 1: then every clique state is
+    in the kernel, and any positive penalty keeps the weight-k kernel.
     """
     basis = ambient_basis(g, k)
     if basis.weight_k_clique_indices.size == 0:
@@ -117,14 +119,16 @@ def penalized_operator(g: Graph, k: int, gamma_pen: float | str = "gap") -> Pena
     nonzero = evals[evals > tol]
     gamma_min = float(nonzero.min()) if nonzero.size else 0.0
     gamma_max_b2 = float(evals.max(initial=0.0))
-    if gamma_pen == "gap":
+    if gamma_pen in ("gap", "max") and not nonzero.size:
+        pen = 1.0
+    elif gamma_pen == "gap":
         pen = gamma_min
     elif gamma_pen == "max":
         pen = gamma_max_b2
     else:
         pen = float(gamma_pen)
     if pen <= 0:
-        raise ValueError("penalty weight must be positive (operator has no nonzero mode?)")
+        raise ValueError("penalty weight must be positive")
     h = h + pen * np.diag(1.0 - proj)
     gamma_max = float(np.linalg.eigvalsh(h).max(initial=0.0))
     return PenalizedOperator(basis, h, pen, gamma_min, gamma_max, math.comb(g.n, k))
@@ -156,25 +160,6 @@ class OneSparseTerm:
     @property
     def n_eigs(self) -> int:
         return int(self.lam.size)
-
-    def dense(self, dim: int) -> np.ndarray:
-        """Reassemble c * H as a dense matrix (test/oracle path)."""
-        mat = np.zeros((dim, dim))
-        seen_pairs = set()
-        for e in range(self.n_eigs):
-            u, v = int(self.sup1[e]), int(self.sup2[e])
-            if v < 0:
-                mat[u, u] += self.lam[e]
-            else:
-                key = (min(u, v), max(u, v))
-                if key in seen_pairs:
-                    continue
-                seen_pairs.add(key)
-                # eigenvalue of the (+) combination carries the entry sign
-                entry = self.lam[e] if self.amp2[e] > 0 else -self.lam[e]
-                mat[u, v] += entry
-                mat[v, u] += entry
-        return mat
 
 
 def _diag_term(coeff: float, values: np.ndarray, kind: str) -> OneSparseTerm:
@@ -235,12 +220,6 @@ class OneSparseDecomposition:
     @property
     def coeff_sum(self) -> float:
         return float(sum(t.coeff for t in self.terms))
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for t in self.terms:
-            out += t.dense(self.dim)
-        return out
 
 
 def one_sparse_decompose(mat: np.ndarray) -> OneSparseDecomposition:

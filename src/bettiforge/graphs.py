@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -21,16 +20,6 @@ from .errors import DeskScaleError
 # Bit-mask encodings cap the exact/simulation paths; the resource estimator
 # works from plain counts and has no such limit.
 MAX_VERTICES = 64
-
-
-def bit_indices(mask: int) -> list[int]:
-    """Vertices of a bit mask in ascending order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -271,19 +260,6 @@ def build_clique_complex(g: Graph, k_max: int) -> CliqueComplex:
                 cliques[t] = ()
             break
     return CliqueComplex(g.n, k_max, cliques)
-
-
-def brute_force_cliques(g: Graph, s: int) -> list[int]:
-    """Subset-filter oracle for enumerate_cliques (n <= 12 scale)."""
-    masks = []
-    for combo in combinations(range(g.n), s):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if is_clique(g, mask):
-            masks.append(mask)
-    masks.sort()
-    return masks
 
 
 # ---------------------------------------------------------------------------

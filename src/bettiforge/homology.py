@@ -5,14 +5,18 @@ weight k of the basis states, i.e. the CLIQUE SIZE, and quantities like
 ``betti_exact(g, k)`` return the Betti number of simplex dimension k-1.  So
 ``betti_exact(g, 2)`` is beta_1, computed on the vertex/edge/triangle bases.
 
-Every boundary map has one representation, its face table (``face_table``),
-from which the dense matrices of Laplacians and Dirac operators are scattered.
+Every boundary map has one representation, its face table (``face_table``).
+Its transpose, the coboundary, is one stable sort of that table
+(``exactrank.coboundary``).  The Laplacian is scattered from the face tables
+as sign products, and the Dirac operator scatters its blocks from them,
+so only the torsion fallback of the rank builds a dense boundary matrix.
 
 Betti numbers come from exact ranks, not from floating point: sparse column
-reduction of the face table over F_p for two primes, with dense Bareiss
-elimination when they disagree (see ``betti_exact`` and ``exactrank``).
-Spectra come from a dense symmetric eigensolver and are cross-checked against
-the exact ranks in the test suite.
+reduction of the coboundaries over F_p for two primes, with the columns that
+would reduce to zero cleared, and dense Bareiss elimination of a map when
+the primes disagree on it (see ``betti_exact`` and ``exactrank``).  Spectra
+come from a dense symmetric eigensolver and are cross-checked against the
+exact ranks in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeskScaleError
-from .exactrank import RANK_PRIMES, integer_rank, modular_rank
+from .exactrank import RANK_PRIMES, cleared_ranks, coboundary, integer_rank
 from .graphs import CliqueComplex, Graph, build_clique_complex
 
 # eigenvalue |lambda| < ZERO_TOL * max(1, gamma_max) counts as zero; the
@@ -106,18 +110,28 @@ def face_table(cx: CliqueComplex, k: int) -> np.ndarray:
     return faces
 
 
+def _parity_sign(pos: np.ndarray) -> np.ndarray:
+    return np.where(pos & 1, -1, 1)
+
+
+def _scatter(block: np.ndarray, faces: np.ndarray) -> None:
+    """Write the boundary map with face table ``faces`` into the zero ``block``."""
+    block[faces, np.arange(faces.shape[0])[:, None]] = _parity_sign(np.arange(faces.shape[1]))
+
+
 def boundary_matrix(cx: CliqueComplex, k: int) -> BoundaryMatrix:
     """Dense matrix of the boundary map from size-(k+1) cliques onto size-k cliques.
 
     Column x (a size-(k+1) clique) carries entry (-1)^i in the row of the
     subset obtained by clearing the i-th one of x (bit positions in ascending
-    order, i counted from 0); the rows come from ``face_table``.
+    order, i counted from 0); the rows come from ``face_table``.  Only the
+    torsion fallback of ``betti_exact`` and the tests build it.
     """
     faces = face_table(cx, k)
     rows = cx.basis(k)
     cols = cx.basis(k + 1)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    mat[faces, np.arange(len(cols))[:, None]] = np.where(np.arange(k + 1) & 1, -1, 1)
+    _scatter(mat, faces)
     return BoundaryMatrix(k, rows, cols, mat)
 
 
@@ -126,45 +140,54 @@ def laplacian(cx: CliqueComplex, k: int) -> np.ndarray:
 
     Equals d_{k-1}^T d_{k-1} + d_k d_k^T where d_k is boundary_matrix(cx, k);
     the down-term vanishes for k = 1 (regular homology, no empty simplex).
-    The products run in float64, which BLAS multiplies and which holds these
-    small integer entries exactly; NumPy multiplies int64 matrices without it.
+    Both terms are scattered from the face tables: the up term gets the
+    (k+1)^2 sign products of each size-(k+1) clique's faces, the down term
+    the sign products of every ordered pair of k-cliques that share a face
+    (each clique paired with itself included), read off the coboundary of
+    d_{k-1}.
     """
-    up = boundary_matrix(cx, k).matrix.astype(np.float64)
-    lap = up @ up.T
-    del up  # free each float copy before the next large array is made
+    dim = cx.count(k)
+    lap = np.zeros(dim * dim, dtype=np.int64)
+    if cx.count(k + 1):
+        faces = face_table(cx, k)
+        pos = np.arange(k + 1)
+        sign = np.tile(_parity_sign(pos[:, None] + pos[None, :]).ravel(), faces.shape[0])
+        np.add.at(lap, (faces[:, :, None] * dim + faces[:, None, :]).ravel(), sign)
     if k >= 2:
-        down = boundary_matrix(cx, k - 1).matrix.astype(np.float64)
-        lap += down.T @ down
-        del down
-    return lap.astype(np.int64)
+        cob = coboundary(face_table(cx, k - 1), cx.count(k - 1))
+        # every ordered pair (s, t) of entries in one column of the coboundary:
+        # entry s repeats once per entry of its column, and t runs over it
+        deg = np.diff(cob.indptr)
+        per_entry = np.repeat(deg, deg)
+        left = np.repeat(np.arange(cob.rows.size), per_entry)
+        run = np.cumsum(per_entry) - per_entry  # where the run of each s starts
+        right = np.repeat(np.repeat(cob.indptr[:-1], deg) - run, per_entry) + np.arange(left.size)
+        np.add.at(lap, cob.rows[left] * dim + cob.rows[right], _parity_sign(cob.pos[left] + cob.pos[right]))
+    return lap.reshape(dim, dim)
 
 
 def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
     """Block Dirac operator over Cl_{k-1} + Cl_k + Cl_{k+1}.
 
-    Off-diagonal blocks are the boundary maps; squaring block-diagonalizes
-    into Laplacian-type blocks, with the k-1 dimensional Laplacian in the
-    middle.
+    Off-diagonal blocks are the boundary maps, scattered from the face
+    tables; squaring block-diagonalizes into Laplacian-type blocks, with the
+    k-1 dimensional Laplacian in the middle.
     """
     sizes = (cx.count(k - 1) if k >= 2 else 0, cx.count(k), cx.count(k + 1))
     total = sum(sizes)
     mat = np.zeros((total, total), dtype=np.int64)
     a, b, c = sizes
     if k >= 2 and a and b:
-        down = boundary_matrix(cx, k - 1).matrix  # Cl_k -> Cl_{k-1}
-        mat[0:a, a : a + b] = down
-        mat[a : a + b, 0:a] = down.T
+        _scatter(mat[0:a, a : a + b], face_table(cx, k - 1))  # Cl_k -> Cl_{k-1}
+        mat[a : a + b, 0:a] = mat[0:a, a : a + b].T
     if b and c:
-        up = boundary_matrix(cx, k).matrix  # Cl_{k+1} -> Cl_k
-        mat[a : a + b, a + b :] = up
-        mat[a + b :, a : a + b] = up.T
+        _scatter(mat[a : a + b, a + b :], face_table(cx, k))  # Cl_{k+1} -> Cl_k
+        mat[a + b :, a : a + b] = mat[a : a + b, a + b :].T
     return DiracOperator(k, sizes, mat)
 
 
-def _boundary_rank(cx: CliqueComplex, k: int) -> int:
-    """Rank over Q of the boundary map from size-(k+1) onto size-k cliques."""
-    faces = face_table(cx, k)
-    ranks = {modular_rank(faces, p) for p in RANK_PRIMES}
+def _exact_rank(cx: CliqueComplex, k: int, ranks: set[int]) -> int:
+    """Rank over Q of d_k, given its ranks over the primes of ``RANK_PRIMES``."""
     if len(ranks) == 1:
         return ranks.pop()
     # one prime divides a torsion coefficient, so only the integer rank is exact
@@ -187,15 +210,20 @@ def betti_exact(g: Graph, k: int, cx: CliqueComplex | None = None) -> int:
     beta = |Cl_k| - rank(d_{k-1}) - rank(d_k), each rank the common rank over
     F_p for both primes of ``RANK_PRIMES``, or the Bareiss rank over Q when
     the two disagree.  The result is wrong only if both primes divide a
-    torsion coefficient of the homology.  No dense matrix is built unless the
+    torsion coefficient of the homology.  Both maps are ranked through their
+    coboundaries, the pivots of d_{k-1}^T clearing columns of d_k^T
+    (``exactrank.cleared_ranks``).  No dense matrix is built unless the
     primes disagree, so only that fallback is under the dense cap.  ``cx``,
     the complex of g through size k+1, saves rebuilding it.
     """
     if k < 1:
         raise ValueError("k must be >= 1 (Hamming weight of the basis states)")
     cx = _complex(g, k, cx)
-    rank_down = _boundary_rank(cx, k - 1) if k >= 2 else 0
-    return cx.count(k) - rank_down - _boundary_rank(cx, k)
+    down = coboundary(face_table(cx, k - 1), cx.count(k - 1)) if k >= 2 else None
+    up = coboundary(face_table(cx, k), cx.count(k))
+    ranks = [cleared_ranks(down, up, p) for p in RANK_PRIMES]
+    rank_down = _exact_rank(cx, k - 1, {r for r, _ in ranks}) if k >= 2 else 0
+    return cx.count(k) - rank_down - _exact_rank(cx, k, {r for _, r in ranks})
 
 
 def _zero_tol(eigenvalues: np.ndarray) -> float:
@@ -225,47 +253,3 @@ def spectrum(g: Graph, k: int, cx: CliqueComplex | None = None) -> SpectralSumma
     top = float(evals[-1])
     kappa = top / gap if gap > 0 else math.nan
     return SpectralSummary(evals, nullity, gap, top, kappa)
-
-
-def betti_delta_approx(g: Graph, k: int, delta: float) -> int:
-    """Count of Laplacian eigenvalues <= delta (Rayleigh-quotient relaxation).
-
-    Monotone nondecreasing in delta; at delta = 0 it reproduces the exact
-    Betti number (zero modes are counted with the spectral zero tolerance).
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    summary = spectrum(g, k)
-    tol = _zero_tol(summary.eigenvalues)
-    return int(np.count_nonzero(summary.eigenvalues <= delta + tol))
-
-
-def reduced_from_regular(betti: list[int]) -> list[int]:
-    """Convert a regular Betti sequence (beta_0, beta_1, ...) to reduced form.
-
-    The only change is degree 0: reduced beta_0 = beta_0 - 1.  This is the
-    single place the conversion lives.
-    """
-    if not betti:
-        return []
-    out = list(betti)
-    out[0] = out[0] - 1
-    return out
-
-
-def kunneth_convolve(reduced_x: list[int], reduced_y: list[int]) -> list[int]:
-    """Reduced Betti numbers of a join from those of the factors.
-
-    out[k] = sum over i+j = k-1 of x[i]*y[j]; inputs and output are reduced
-    Betti sequences indexed by simplex dimension starting at 0.
-    """
-    if not reduced_x or not reduced_y:
-        return []
-    out = [0] * (len(reduced_x) + len(reduced_y))
-    for i, xi in enumerate(reduced_x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(reduced_y):
-            out[i + j + 1] += xi * yj
-    return out
-

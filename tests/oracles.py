@@ -1,6 +1,9 @@
 """Slow reference implementations that the program is checked against.
 
-Dequantizer oracles: the dense overlap tables of every link, exhaustive path
+Homology oracles: clique lists by subset filtering, the face-row modular rank
+of a boundary map, the Laplacian eigenvalue count below a threshold and the
+Kunneth formula for joins.  Dequantizer oracles: the dense matrices of the
+one-sparse terms, the dense overlap tables of every link, exhaustive path
 enumeration and the checks built on it, the dense transfer pass, the slice
 count and variance bounds.  Then the continuum Kaiser phase-error law with
 the repeated amplitude-estimation draws that the window sizing is checked
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -24,6 +28,7 @@ from bettiforge.dequant.estimator import (
 )
 from bettiforge.dequant.operators import (
     OneSparseDecomposition,
+    OneSparseTerm,
     PenalizedOperator,
     one_sparse_decompose,
     penalized_operator,
@@ -36,11 +41,142 @@ from bettiforge.dequant.paths import (
     PathSpace,
     overlap_table,
 )
-from bettiforge.graphs import Graph
-from bettiforge.homology import ZERO_TOL
+from bettiforge.graphs import Graph, is_clique
+from bettiforge.homology import ZERO_TOL, spectrum
 from bettiforge.qsim.kaiser import _kernel_sq, first_zero_scaled, qae_outcome_distribution
 
 LN2 = math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# homology
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Vertices of a bit mask in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def brute_force_cliques(g: Graph, s: int) -> list[int]:
+    """Subset-filter oracle for enumerate_cliques (n <= 12 scale)."""
+    masks = []
+    for combo in combinations(range(g.n), s):
+        mask = 0
+        for v in combo:
+            mask |= 1 << v
+        if is_clique(g, mask):
+            masks.append(mask)
+    masks.sort()
+    return masks
+
+
+def modular_rank(faces: np.ndarray, p: int) -> int:
+    """Rank over F_p of a boundary map, reducing its face-table columns.
+
+    Column j has entry (-1)^i in row ``faces[j, i]``, and its rows are
+    distinct.  Each column is reduced against the columns already reduced,
+    always on its lowest (largest) nonzero row; a column left nonzero holds a
+    new pivot, so the rank is the number of pivots.  No clearing: every
+    column of the boundary map itself is walked down to a pivot or to zero.
+    """
+    pivots: dict[int, dict[int, int]] = {}  # pivot row -> column scaled to 1 there
+    minus_one = p - 1
+    for face in faces.tolist():
+        col = {row: minus_one if i & 1 else 1 for i, row in enumerate(face)}
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                scale = pow(col[low], -1, p)
+                pivots[low] = {row: value * scale % p for row, value in col.items()}
+                break
+            factor = col[low]
+            for row, value in other.items():
+                entry = (col.get(row, 0) - factor * value) % p
+                if entry:
+                    col[row] = entry
+                else:
+                    del col[row]
+    return len(pivots)
+
+
+def betti_delta_approx(g: Graph, k: int, delta: float) -> int:
+    """Count of Laplacian eigenvalues <= delta (Rayleigh-quotient relaxation).
+
+    Monotone nondecreasing in delta; at delta = 0 it reproduces the exact
+    Betti number (zero modes are counted with the spectral zero tolerance).
+    """
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    evals = spectrum(g, k).eigenvalues
+    tol = ZERO_TOL * max(1.0, float(evals[-1]))
+    return int(np.count_nonzero(evals <= delta + tol))
+
+
+def reduced_from_regular(betti: list[int]) -> list[int]:
+    """Convert a regular Betti sequence (beta_0, beta_1, ...) to reduced form.
+
+    The only change is degree 0: reduced beta_0 = beta_0 - 1.
+    """
+    if not betti:
+        return []
+    out = list(betti)
+    out[0] = out[0] - 1
+    return out
+
+
+def kunneth_convolve(reduced_x: list[int], reduced_y: list[int]) -> list[int]:
+    """Reduced Betti numbers of a join from those of the factors.
+
+    out[k] = sum over i+j = k-1 of x[i]*y[j]; inputs and output are reduced
+    Betti sequences indexed by simplex dimension starting at 0.
+    """
+    if not reduced_x or not reduced_y:
+        return []
+    out = [0] * (len(reduced_x) + len(reduced_y))
+    for i, xi in enumerate(reduced_x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(reduced_y):
+            out[i + j + 1] += xi * yj
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dequantizer
+
+
+def dense_term(term: OneSparseTerm, dim: int) -> np.ndarray:
+    """Reassemble c * H of one one-sparse term as a dense matrix."""
+    mat = np.zeros((dim, dim))
+    seen_pairs = set()
+    for e in range(term.n_eigs):
+        u, v = int(term.sup1[e]), int(term.sup2[e])
+        if v < 0:
+            mat[u, u] += term.lam[e]
+        else:
+            key = (min(u, v), max(u, v))
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            # eigenvalue of the (+) combination carries the entry sign
+            entry = term.lam[e] if term.amp2[e] > 0 else -term.lam[e]
+            mat[u, v] += entry
+            mat[v, u] += entry
+    return mat
+
+
+def dense_decomposition(decomp: OneSparseDecomposition) -> np.ndarray:
+    """Sum of the dense matrices of all terms of a decomposition."""
+    out = np.zeros((decomp.dim, decomp.dim))
+    for t in decomp.terms:
+        out += dense_term(t, decomp.dim)
+    return out
 
 
 def kernel_dim_weight_k(op: PenalizedOperator) -> int:

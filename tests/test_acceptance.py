@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from bettiforge.graphs import (
-    bit_indices,
     build_clique_complex,
     enumerate_cliques,
     gen_erdos_renyi,
@@ -33,6 +32,7 @@ from bettiforge.dequant.paths import ExactPathSampler, PathSpace
 from oracles import (
     amplitude_estimate_trials,
     asymptotic_tail_bound,
+    bit_indices,
     enumerate_paths,
     exhaustive_check,
     kernel_dim_weight_k,

@@ -159,6 +159,45 @@ class TestSubcommands:
         assert abs(data["estimate"] - 1 / 6) <= 3 * data["stderr"]
         assert data["config"]["seed"] == 11
 
+    @pytest.mark.parametrize("argv", [
+        ["betti", "--gen", "er:14,0.6", "--seed", "1", "--k", "3"],
+        ["betti", "--gen", "er:12,0.6", "--seed", "2", "--k", "1"],
+        ["simulate", "pipeline", "--gen", "er:8,0.5", "--seed", "1", "--k", "2"],
+    ])
+    def test_builds_no_boundary_matrix(self, capsys, monkeypatch, argv):
+        # ranks, Laplacian and Dirac operator all come from the face tables
+        from bettiforge import homology
+
+        def refuse(*args):
+            raise AssertionError("dense boundary matrix built")
+
+        monkeypatch.setattr(homology, "boundary_matrix", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)
+
+    def test_dequantize_average_sign_bounded(self, capsys, tmp_path):
+        # the ratio of two rounded sums of the same terms read 1.0000000000000004 here
+        path = tmp_path / "edge.json"
+        path.write_text('{"n": 3, "edges": [[0, 1]]}')
+        code, out, err = run_cli(
+            capsys, "dequantize", "--graph", str(path), "--k", "2", "--t", "1", "--slices", "1", "--samples", "200",
+        )
+        assert code == 0, err
+        assert json.loads(out)["average_sign"] == 1.0
+
+    def test_dequantize_without_nonzero_mode(self, capsys, tmp_path):
+        # B_G^2 = 0 on the edgeless graph: the penalty falls back to 1 and
+        # every vertex is a zero mode, so beta / C(4, 1) = 1
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 4, "edges": []}')
+        code, out, err = run_cli(
+            capsys, "dequantize", "--graph", str(path), "--k", "1", "--t", "1", "--slices", "1", "--samples", "200",
+        )
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["estimate"] == 1.0 and data["exact_trotter_mean"] == 1.0
+
     def test_dequantize_single_reflection(self, capsys, tmp_path):
         # the 4-cycle at k = 1 decomposes with one reflection term, so the
         # loop closes through a matching term

@@ -28,10 +28,12 @@ from bettiforge.graphs import Graph, enumerate_cliques, gen_erdos_renyi
 
 from oracles import (
     dense_closing_rows,
+    dense_decomposition,
     dense_links,
     dense_log_partition,
     dense_path_overlaps,
     dense_path_signs,
+    dense_term,
     enumerate_paths,
     exhaustive_check,
     kernel_dim_weight_k,
@@ -102,18 +104,18 @@ class TestPenalizedOperator:
 class TestOneSparseDecomposition:
     def test_recomposition_exact(self, k22):
         _, op, decomp = k22
-        assert np.abs(decomp.dense() - op.matrix).max() < 1e-12
+        assert np.abs(dense_decomposition(decomp) - op.matrix).max() < 1e-12
 
     def test_row_sparsity_one(self, k22):
         _, _, decomp = k22
         for term in decomp.terms:
-            dense = term.dense(decomp.dim)
+            dense = dense_term(term, decomp.dim)
             assert np.all((np.abs(dense) > 0).sum(axis=0) <= 1)
 
     def test_involution_on_support(self, k22):
         _, _, decomp = k22
         for term in decomp.terms:
-            h = term.dense(decomp.dim) / term.coeff
+            h = dense_term(term, decomp.dim) / term.coeff
             support = np.abs(h).sum(axis=0) > 0
             sq = h @ h
             assert np.abs(sq[np.ix_(support, support)] - np.eye(int(support.sum()))).max() < 1e-12
@@ -121,7 +123,7 @@ class TestOneSparseDecomposition:
     def test_eigencatalog_is_orthonormal_eigenbasis(self, k22):
         _, _, decomp = k22
         for term in decomp.terms:
-            dense = term.dense(decomp.dim)
+            dense = dense_term(term, decomp.dim)
             for e in range(term.n_eigs):
                 vec = np.zeros(decomp.dim)
                 vec[term.sup1[e]] = term.amp1[e]

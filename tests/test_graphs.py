@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bettiforge.errors import DeskScaleError
 from bettiforge.graphs import (
     Graph,
-    brute_force_cliques,
     build_clique_complex,
     enumerate_cliques,
     gen_erdos_renyi,
@@ -19,6 +18,7 @@ from bettiforge.graphs import (
     is_clique,
     rips_graph,
 )
+from oracles import bit_indices, brute_force_cliques
 
 
 @st.composite
@@ -197,8 +197,6 @@ class TestCliques:
     @given(small_graphs(), st.integers(min_value=0))
     def test_is_clique_matches_pair_loop(self, g, raw):
         mask = raw % (1 << g.n)
-        from bettiforge.graphs import bit_indices
-
         verts = bit_indices(mask)
         expect = all(g.has_edge(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :])
         assert is_clique(g, mask) == expect
@@ -210,8 +208,6 @@ class TestCliques:
         for s in range(2, 5):
             lower = set(cx.basis(s - 1))
             for mask in cx.basis(s):
-                from bettiforge.graphs import bit_indices
-
                 for v in bit_indices(mask):
                     assert mask & ~(1 << v) in lower
 

@@ -5,7 +5,7 @@ import pytest
 
 from bettiforge import homology
 from bettiforge.errors import DeskScaleError
-from bettiforge.exactrank import RANK_PRIMES, integer_rank, modular_rank
+from bettiforge.exactrank import RANK_PRIMES, cleared_ranks, coboundary, integer_rank, reduce_columns
 from bettiforge.graphs import (
     Graph,
     build_clique_complex,
@@ -16,16 +16,14 @@ from bettiforge.graphs import (
 )
 from bettiforge.homology import (
     MAX_DENSE_DIM,
-    betti_delta_approx,
     betti_exact,
     boundary_matrix,
     dirac,
     face_table,
-    kunneth_convolve,
     laplacian,
-    reduced_from_regular,
     spectrum,
 )
+from oracles import betti_delta_approx, bit_indices, kunneth_convolve, modular_rank, reduced_from_regular
 
 
 class TestExactRank:
@@ -50,8 +48,6 @@ class TestExactRank:
 
 def _loop_boundary(cx, k):
     """Boundary matrix by the defining double loop over columns and faces."""
-    from bettiforge.graphs import bit_indices
-
     rows, cols = cx.basis(k), cx.basis(k + 1)
     row_index = {mask: i for i, mask in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
@@ -79,6 +75,29 @@ def _property_cases():
     for g, k, name in ((Graph(6, ()), 2, "empty6,k2"), (cycle, 3, "C5,k3"), (gen_erdos_renyi(10, 0.15, 1), 3, "er10,0.15,k3")):
         cases.append(pytest.param(g, k, id=name))
     return cases
+
+
+def _edge_cases():
+    """k = 1, complete graphs K3-K9, graphs without k-cliques, K(m,k) at its
+    top level (no (k+1)-cliques) and k = 4."""
+    cases = []
+    for n in range(3, 10):
+        for k in (1, 2, 4):
+            cases.append(pytest.param(gen_kpartite(1, n), k, id=f"K{n},k{k}"))
+    for m, k in ((2, 2), (3, 3), (2, 5), (4, 4)):
+        cases.append(pytest.param(gen_kpartite(m, k), k, id=f"K({m},{k}),top"))
+    path = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    for g, k, name in ((Graph(4, ()), 1, "empty4,k1"), (Graph(6, ()), 3, "empty6,k3"), (path, 3, "P6,k3"),
+                       (path, 1, "P6,k1"), (gen_erdos_renyi(12, 0.6, 2), 1, "er12,0.6,k1"),
+                       (gen_erdos_renyi(11, 0.7, 4), 4, "er11,0.7,k4")):
+        cases.append(pytest.param(g, k, id=name))
+    return cases
+
+
+def _coboundaries(cx, k):
+    """Coboundaries of d_{k-1} (None for k = 1) and d_k."""
+    down = coboundary(face_table(cx, k - 1), cx.count(k - 1)) if k >= 2 else None
+    return down, coboundary(face_table(cx, k), cx.count(k))
 
 
 def _rp2_subdivision() -> Graph:
@@ -114,6 +133,40 @@ class TestModularRank:
         evals = np.linalg.eigvalsh(laplacian(cx, k).astype(float))
         tol = 1e-8 * max(1.0, evals.max())
         assert int((evals < tol).sum()) == beta
+
+    @pytest.mark.parametrize("g,k", _property_cases() + _edge_cases())
+    def test_cleared_ranks_match_bareiss_and_face_rows(self, g, k):
+        cx = build_clique_complex(g, k)
+        down, up = _coboundaries(cx, k)
+        want_up = integer_rank(boundary_matrix(cx, k).matrix)
+        want_down = integer_rank(boundary_matrix(cx, k - 1).matrix) if k >= 2 else 0
+        for p in RANK_PRIMES:
+            assert cleared_ranks(down, up, p) == (want_down, want_up)
+            assert modular_rank(face_table(cx, k), p) == want_up
+            if k >= 2:
+                assert modular_rank(face_table(cx, k - 1), p) == want_down
+
+    @pytest.mark.parametrize("g,k", [c for c in _property_cases() + _edge_cases() if c.values[1] >= 2])
+    def test_cleared_columns_reduce_to_zero(self, g, k):
+        cx = build_clique_complex(g, k)
+        down, up = _coboundaries(cx, k)
+        for p in RANK_PRIMES:
+            cleared = reduce_columns(down, p)
+            full = reduce_columns(up, p)
+            # a column that yields no pivot in the full reduction reached zero
+            assert cleared.keys().isdisjoint(full.values())
+            assert reduce_columns(up, p, skip=cleared) == full
+
+    def test_coboundary_is_transpose(self):
+        cx = build_clique_complex(gen_erdos_renyi(10, 0.6, 3), 3)
+        for k in (1, 2, 3):
+            cob = coboundary(face_table(cx, k), cx.count(k))
+            mat = np.zeros((cx.count(k + 1), cx.count(k)), dtype=np.int64)
+            for c in range(cx.count(k)):
+                part = slice(cob.indptr[c], cob.indptr[c + 1])
+                assert np.all(np.diff(cob.rows[part]) > 0)
+                mat[cob.rows[part], c] = np.where(cob.pos[part] & 1, -1, 1)
+            assert np.array_equal(mat, boundary_matrix(cx, k).matrix.T)
 
     def test_torsion_falls_back_to_bareiss(self, monkeypatch):
         g = _rp2_subdivision()
@@ -217,9 +270,8 @@ class TestLaplacianDirac:
         mid = dop.middle_slice()
         assert np.array_equal(square[mid, mid], laplacian(cx, 2))
 
-    @pytest.mark.parametrize("n,p,k,seed", [(10, 0.7, 1, 0), (12, 0.6, 2, 1), (14, 0.55, 3, 2), (16, 0.6, 3, 3)])
-    def test_laplacian_matches_int64_product(self, n, p, k, seed):
-        cx = build_clique_complex(gen_erdos_renyi(n, p, seed), k)
+    @staticmethod
+    def _check_int64_product(cx, k):
         up = boundary_matrix(cx, k).matrix
         want = up @ up.T
         if k >= 2:
@@ -228,6 +280,14 @@ class TestLaplacianDirac:
         lap = laplacian(cx, k)
         assert lap.dtype == np.int64
         assert np.array_equal(lap, want)
+
+    @pytest.mark.parametrize("n,p,k,seed", [(10, 0.7, 1, 0), (12, 0.6, 2, 1), (14, 0.55, 3, 2), (16, 0.6, 3, 3)])
+    def test_laplacian_matches_int64_product(self, n, p, k, seed):
+        self._check_int64_product(build_clique_complex(gen_erdos_renyi(n, p, seed), k), k)
+
+    @pytest.mark.parametrize("g,k", _edge_cases())
+    def test_laplacian_matches_int64_product_on_edge_cases(self, g, k):
+        self._check_int64_product(build_clique_complex(g, k), k)
 
     def test_dirac_square_block_diagonal(self):
         g = gen_kpartite(2, 3)
