@@ -240,12 +240,13 @@ def cmd_simulate(args) -> int:
         }
     elif args.what == "filter":
         from .qsim import filters
-        from . import resources
+        from . import homology, resources
 
         g = _load_graph(args)
         eps = args.epsilon
-        ell = args.ell or resources.chebyshev_degree(eps, filters.dirac_gap(g, args.k), float(g.n))
-        res = filters.apply_filter_to_state(g, args.k, ell, eps)
+        summary = homology.spectrum(g, args.k)
+        ell = args.ell or resources.chebyshev_degree(eps, filters.dirac_gap(summary), float(g.n))
+        res = filters.apply_filter_to_state(summary, float(g.n), ell, eps)
         payload = {
             "amplitude_sq": res.amplitude_sq,
             "ell": ell,

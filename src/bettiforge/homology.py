@@ -10,6 +10,8 @@ Its transpose, the coboundary, is one stable sort of that table
 (``exactrank.coboundary``).  The Laplacian is scattered from the face tables
 as sign products, and the Dirac operator scatters its blocks from them,
 so only the torsion fallback of the rank builds a dense boundary matrix.
+The dense Dirac operator serves only the walk simulation (``qsim.walkenc``):
+its spectrum is +-sqrt of the Laplacian spectrum, which ``spectrum`` owns.
 
 Betti numbers come from exact ranks, not from floating point: sparse column
 reduction of the coboundaries over F_p for two primes, with the columns that
@@ -61,19 +63,6 @@ class DiracOperator:
     k: int
     block_sizes: tuple[int, int, int]  # |Cl_{k-1}|, |Cl_k|, |Cl_{k+1}|
     matrix: np.ndarray  # int64, square of size sum(block_sizes)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
-    def offsets(self) -> tuple[int, int, int]:
-        a, b, _ = self.block_sizes
-        return (0, a, a + b)
-
-    def middle_slice(self) -> slice:
-        a, b, _ = self.block_sizes
-        return slice(a, a + b)
 
 
 @dataclass(frozen=True)
@@ -186,6 +175,12 @@ def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
     return DiracOperator(k, sizes, mat)
 
 
+def check_weight(k: int) -> None:
+    """Reject a Hamming weight below 1: the chain groups start at single vertices."""
+    if k < 1:
+        raise ValueError("k must be >= 1 (Hamming weight of the basis states)")
+
+
 def _exact_rank(cx: CliqueComplex, k: int, ranks: set[int]) -> int:
     """Rank over Q of d_k, given its ranks over the primes of ``RANK_PRIMES``."""
     if len(ranks) == 1:
@@ -216,8 +211,7 @@ def betti_exact(g: Graph, k: int, cx: CliqueComplex | None = None) -> int:
     primes disagree, so only that fallback is under the dense cap.  ``cx``,
     the complex of g through size k+1, saves rebuilding it.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1 (Hamming weight of the basis states)")
+    check_weight(k)
     cx = _complex(g, k, cx)
     down = coboundary(face_table(cx, k - 1), cx.count(k - 1)) if k >= 2 else None
     up = coboundary(face_table(cx, k), cx.count(k))
@@ -236,15 +230,18 @@ def spectrum(g: Graph, k: int, cx: CliqueComplex | None = None) -> SpectralSumma
 
     ``gap`` is the smallest eigenvalue above the zero tolerance (0.0 when the
     whole spectrum is zero), ``kappa`` = top/gap (NaN when gap is 0).  ``cx``
-    is as for ``betti_exact``.
+    is as for ``betti_exact``.  The restricted Dirac operator's gap is
+    sqrt(gap) and its spectrum is +-sqrt of this one (see ``qsim.filters``),
+    so the filter and the pipeline read their spectral numbers from here.
     """
+    check_weight(k)
     cx = _complex(g, k, cx)
     dim = cx.count(k)
     if dim == 0:
         raise ValueError(f"graph has no {k}-cliques; spectrum undefined")
     _check_desk_scale(dim, f"spectrum(k={k})")
-    lap = laplacian(cx, k)
-    evals = np.linalg.eigvalsh(lap.astype(np.float64))
+    # the int64 Laplacian is dropped as soon as its float copy exists
+    evals = np.linalg.eigvalsh(laplacian(cx, k).astype(np.float64))
     evals.sort()
     tol = _zero_tol(evals)
     nullity = int(np.count_nonzero(evals < tol))

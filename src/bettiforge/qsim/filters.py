@@ -9,10 +9,16 @@ value exactly 1, and bounded by eps once |beta cos phi| <= 1.  Applying it to
 the uniform mixture over the weight-k cliques and measuring the squared
 amplitude yields beta_{k-1}/|Cl_k| up to an additive error of at most eps^2.
 
-Filtering is applied spectrally: we diagonalize the restricted Dirac operator
-and multiply each eigencomponent by w(arcsin(E/lambda)).  The walk operator
-itself is validated separately in walkenc; this module checks the filter
-math, not gate-level ancilla bookkeeping.
+Filtering is applied spectrally, from the Laplacian spectrum that
+``homology.spectrum`` returns.  The square of the restricted Dirac operator
+is blockdiag(d_{k-1} d_{k-1}^T, L_k, d_k^T d_k), and the nonzero spectra of
+the outer blocks lie inside that of L_k.  So the Dirac gap is the square
+root of the Laplacian gap, and the Dirac eigenvectors that overlap the
+clique states come in pairs +-sqrt(lambda) carrying the weight of one L_k
+eigenvector.  w is even in phi, so each L_k eigenvalue lambda contributes
+w(arcsin(sqrt(lambda)/n))^2 and no eigenvector is needed.  The walk
+operator itself is validated separately in walkenc; this module checks the
+filter math, not gate-level ancilla bookkeeping.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs import Graph, build_clique_complex
-from ..homology import dirac
+from ..homology import SpectralSummary
 
 
 def chebyshev_t(ell: int, x) -> np.ndarray:
@@ -49,58 +54,38 @@ def chebyshev_filter_response(ell: int, epsilon: float, phi) -> np.ndarray:
     return epsilon * chebyshev_t(ell, beta * np.cos(np.asarray(phi, dtype=float)))
 
 
-def filter_halfwidth(ell: int, epsilon: float) -> float:
-    """Peak half-width: the phi solving beta cos(phi) = 1."""
-    beta = math.cosh(math.acosh(1.0 / epsilon) / ell)
-    return math.acos(1.0 / beta)
-
-
 @dataclass(frozen=True)
 class FilterApplication:
     ell: int
     epsilon: float
     lam: float
-    eigenvalues: np.ndarray  # restricted Dirac spectrum
-    responses: np.ndarray  # w(arcsin(E/lambda)) per eigenvalue
-    middle_weights: np.ndarray  # squared weight of each eigenvector on Cl_k
-    clique_count: int
+    eigenvalues: np.ndarray  # L_k spectrum: the squared restricted Dirac eigenvalues
+    responses: np.ndarray  # w(arcsin(sqrt(eigenvalue)/lambda)) per eigenvalue
     amplitude_sq: float
 
 
-def apply_filter_to_state(g: Graph, k: int, ell: int, epsilon: float) -> FilterApplication:
+def apply_filter_to_state(summary: SpectralSummary, lam: float, ell: int, epsilon: float) -> FilterApplication:
     """Squared amplitude after filtering the uniform clique mixture.
 
-    Returns sum_mu w(phi_mu)^2 * |Pi_k mu|^2 / |Cl_k| over the eigenvectors mu
-    of the restricted Dirac operator, with phi_mu = arcsin(E_mu / n).  The
+    Returns sum_lambda w(arcsin(sqrt(lambda) / lam))^2 / |Cl_k| over the
+    L_k spectrum of ``summary``, with ``lam`` the walk normalization n.  The
     zero modes pass with response exactly 1; everything past the gap is
     suppressed to eps, so the result is beta/|Cl_k| within eps^2.
     """
-    cx = build_clique_complex(g, k)
-    cl_k = cx.count(k)
-    if cl_k == 0:
-        raise ValueError(f"graph has no {k}-cliques")
-    dop = dirac(cx, k)
-    evals, evecs = np.linalg.eigh(dop.matrix.astype(np.float64))
-    lam = float(g.n)
-    phi = np.arcsin(np.clip(evals / lam, -1.0, 1.0))
+    evals = summary.eigenvalues
+    # eigvalsh may return a zero mode as a tiny negative number
+    phi = np.arcsin(np.minimum(np.sqrt(np.maximum(evals, 0.0)) / lam, 1.0))
     responses = chebyshev_filter_response(ell, epsilon, phi)
-    mid = dop.middle_slice()
-    middle_weights = (evecs[mid, :] ** 2).sum(axis=0)
-    amplitude_sq = float((responses**2) @ middle_weights / cl_k)
-    return FilterApplication(ell, epsilon, lam, evals, responses, middle_weights, cl_k, amplitude_sq)
+    amplitude_sq = float((responses**2).sum() / evals.size)
+    return FilterApplication(ell, epsilon, lam, evals, responses, amplitude_sq)
 
 
-def dirac_gap(g: Graph, k: int) -> float:
+def dirac_gap(summary: SpectralSummary) -> float:
     """Smallest nonzero |eigenvalue| of the restricted Dirac operator.
 
     This is the square root of the Laplacian gap and is the quantity the
     filter width must actually resolve on the walk phases.
     """
-    cx = build_clique_complex(g, k)
-    dop = dirac(cx, k)
-    evals = np.abs(np.linalg.eigvalsh(dop.matrix.astype(np.float64)))
-    tol = 1e-8 * max(1.0, float(evals.max(initial=0.0)))
-    nonzero = evals[evals > tol]
-    if nonzero.size == 0:
+    if summary.gap == 0.0:
         raise ValueError("operator has no nonzero modes")
-    return float(nonzero.min())
+    return math.sqrt(summary.gap)

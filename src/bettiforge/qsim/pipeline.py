@@ -10,7 +10,10 @@ algebra.
 The error budget, stage precisions and walk normalization come from one
 ``resources.ResourceParams``, as in the cost model.  The true Betti number
 (floored at 1) and the Dirac gap only size the budgets; the reported estimate
-comes from the simulated measurements alone.
+comes from the simulated measurements alone.  One clique complex serves the
+Laplacian spectrum and the exact Betti number, and that one spectrum gives
+the Dirac gap and the filtered amplitude.  No stage holds a 2^n object, so
+the spectrum's dense cap is the pipeline's only size limit.
 """
 
 from __future__ import annotations
@@ -18,14 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import DeskScaleError
-from ..graphs import Graph, enumerate_cliques
-from ..homology import betti_exact
+from ..graphs import Graph, build_clique_complex
+from ..homology import betti_exact, check_weight, spectrum
 from ..resources import ResourceParams, chebyshev_degree
 from .filters import apply_filter_to_state, dirac_gap
 from .kaiser import amplitude_estimate_sim
-
-MAX_PIPELINE_QUBITS = 8
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,19 @@ def end_to_end_normalized_betti(
     g: Graph, k: int, r: float, delta: float, seed: int
 ) -> PipelineResult:
     """Simulate the full pipeline and return the normalized Betti estimate."""
-    if g.n > MAX_PIPELINE_QUBITS:
-        raise DeskScaleError(f"pipeline simulation limited to n <= {MAX_PIPELINE_QUBITS}")
-    cl = enumerate_cliques(g, k)
-    if not cl:
+    check_weight(k)
+    cx = build_clique_complex(g, k)
+    cl_count = cx.count(k)
+    if not cl_count:
         raise ValueError(f"graph has no {k}-cliques")
-    cl_count = len(cl)
     d_k = math.comb(g.n, k)
-    beta = betti_exact(g, k)
+    # the spectrum comes first: a complex past its dense cap stops before the rank
+    summary = spectrum(g, k, cx)
+    beta = betti_exact(g, k, cx)
     # a vanishing Betti number cannot set a relative scale
     params = ResourceParams(
         n=g.n, k=k, edge_count=len(g.edges), clique_count=cl_count, betti=max(beta, 1),
-        lambda_min=dirac_gap(g, k), r=r, delta=delta,
+        lambda_min=dirac_gap(summary), r=r, delta=delta,
     )
     eps1, eps2, eps3 = params.precisions()
 
@@ -79,7 +80,7 @@ def end_to_end_normalized_betti(
 
     # stage 3: Chebyshev filtering sized from the true spectral data
     ell = max(chebyshev_degree(eps3, params.lambda_min, params.lam), 2)
-    filt = apply_filter_to_state(g, k, ell, eps3)
+    filt = apply_filter_to_state(summary, params.lam, ell, eps3)
 
     # stage 4: Kaiser-window estimation of the surviving amplitude
     a_total = abs(amp_true) * math.sqrt(filt.amplitude_sq)

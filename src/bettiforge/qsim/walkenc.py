@@ -43,15 +43,6 @@ def hopping_term(n: int, j: int) -> np.ndarray:
     return mat
 
 
-def full_dirac(n: int) -> np.ndarray:
-    """Unrestricted hopping Hamiltonian sum_j (Z-string X_j) on 2^n states."""
-    _check_qubits(n)
-    out = np.zeros((1 << n, 1 << n))
-    for j in range(n):
-        out += hopping_term(n, j)
-    return out
-
-
 def clique_weight_projector(g: Graph, k: int) -> np.ndarray:
     """Diagonal 0/1 projector onto clique states of weight k-1, k, k+1."""
     flags = np.zeros(1 << g.n)
@@ -106,14 +97,6 @@ def build_block_encoding(g: Graph, k: int) -> BlockEncoding:
     prep_full = np.kron(prep, np.eye(dim))
     v = prep_full.T @ select @ prep_full
     return BlockEncoding(n, k, float(n), n, v, clique_weight_projector(g, k))
-
-
-def projected_block(enc: BlockEncoding) -> np.ndarray:
-    """(<0| x P) V (|0> x P) on the system space: equals P B P / lambda."""
-    dim = enc.system_dim
-    block = enc.matrix[0:dim, 0:dim]
-    p = enc.projector
-    return p[:, None] * block * p[None, :]
 
 
 def build_walk(enc: BlockEncoding) -> np.ndarray:

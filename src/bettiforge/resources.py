@@ -23,7 +23,7 @@ the overlap share is trimmed to 0.9 r to fund it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .qsim import kaiser
 
@@ -159,19 +159,6 @@ def dicke_prep_cost(n: int, c: int = 8) -> int:
         raise ValueError("need n >= 2 and c >= 1")
     n_seed = _ceil_log2(c * n)
     return math.ceil((n_seed + 1) * (n / 2.0 * (n_seed + 2) + _ceil_log2(n)))
-
-
-def dicke_alt_cost(n: int, k: int) -> tuple[int, float]:
-    """Ancilla-lean alternative preparation: (Toffoli count, success probability).
-
-    Cost (k+2) n + k (4 ceil(log2 n) - 1) + ceil(log2 k); success probability
-    k! C(n,k) / n^k (the birthday-collision factor).
-    """
-    if k > n:
-        raise ValueError("weight k cannot exceed n")
-    cost = (k + 2) * n + k * (4 * _ceil_log2(n) - 1) + _ceil_log2(max(k, 1))
-    success = math.factorial(k) * math.comb(n, k) / n**k
-    return cost, success
 
 
 def clique_detect_cost(edge_count: int, k: int, reflect: bool = False) -> int:
@@ -321,19 +308,6 @@ def total_toffoli(params: ResourceParams, refined_kaiser: bool = False) -> Resou
         total_toffoli=total,
         breakdown=breakdown,
     )
-
-
-def total_toffoli_abs(
-    params: ResourceParams, alpha_abs: float, refined_kaiser: bool = False
-) -> ResourceEstimate:
-    """Total for an absolute accuracy target alpha_abs in the Betti number.
-
-    Substitutes r = alpha_abs / beta (so alpha_abs = r * beta reproduces
-    total_toffoli exactly); the budget shares follow r.
-    """
-    if not alpha_abs > 0:
-        raise ValueError("absolute accuracy must be positive")
-    return total_toffoli(replace(params, r=alpha_abs / params.betti), refined_kaiser=refined_kaiser)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 Homology oracles: clique lists by subset filtering, the face-row modular rank
 of a boundary map, the Laplacian eigenvalue count below a threshold and the
-Kunneth formula for joins.  Dequantizer oracles: the dense matrices of the
+Kunneth formula for joins.  Cost-model oracles: the ancilla-lean Dicke
+preparation and the total for an absolute Betti accuracy.  Simulator
+oracles: the unrestricted hopping Hamiltonian, the projected block of the
+block encoding, the filter half-width, and the filtered amplitude and Dirac
+gap from the eigendecomposition of the dense restricted Dirac operator.
+Dequantizer oracles: the dense matrices of the
 one-sparse terms, the dense overlap tables of every link, exhaustive path
 enumeration and the checks built on it, the dense transfer pass, the slice
 count and variance bounds.  Then the continuum Kaiser phase-error law with
@@ -13,7 +18,7 @@ with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -41,9 +46,12 @@ from bettiforge.dequant.paths import (
     PathSpace,
     overlap_table,
 )
-from bettiforge.graphs import Graph, is_clique
-from bettiforge.homology import ZERO_TOL, spectrum
+from bettiforge.graphs import Graph, build_clique_complex, is_clique
+from bettiforge.homology import ZERO_TOL, DiracOperator, dirac, spectrum
+from bettiforge.qsim.filters import chebyshev_filter_response
 from bettiforge.qsim.kaiser import _kernel_sq, first_zero_scaled, qae_outcome_distribution
+from bettiforge.qsim.walkenc import BlockEncoding, _check_qubits, hopping_term
+from bettiforge.resources import ResourceEstimate, ResourceParams, _ceil_log2, total_toffoli
 
 LN2 = math.log(2.0)
 
@@ -145,6 +153,98 @@ def kunneth_convolve(reduced_x: list[int], reduced_y: list[int]) -> list[int]:
         for j, yj in enumerate(reduced_y):
             out[i + j + 1] += xi * yj
     return out
+
+
+# ---------------------------------------------------------------------------
+# cost model
+
+
+def dicke_alt_cost(n: int, k: int) -> tuple[int, float]:
+    """Ancilla-lean alternative preparation: (Toffoli count, success probability).
+
+    Cost (k+2) n + k (4 ceil(log2 n) - 1) + ceil(log2 k); success probability
+    k! C(n,k) / n^k (the birthday-collision factor).
+    """
+    if k > n:
+        raise ValueError("weight k cannot exceed n")
+    cost = (k + 2) * n + k * (4 * _ceil_log2(n) - 1) + _ceil_log2(max(k, 1))
+    success = math.factorial(k) * math.comb(n, k) / n**k
+    return cost, success
+
+
+def total_toffoli_abs(
+    params: ResourceParams, alpha_abs: float, refined_kaiser: bool = False
+) -> ResourceEstimate:
+    """Total for an absolute accuracy target alpha_abs in the Betti number.
+
+    Substitutes r = alpha_abs / beta (so alpha_abs = r * beta reproduces
+    total_toffoli exactly); the budget shares follow r.
+    """
+    if not alpha_abs > 0:
+        raise ValueError("absolute accuracy must be positive")
+    return total_toffoli(replace(params, r=alpha_abs / params.betti), refined_kaiser=refined_kaiser)
+
+
+# ---------------------------------------------------------------------------
+# block encoding and filter
+
+
+def full_dirac(n: int) -> np.ndarray:
+    """Unrestricted hopping Hamiltonian sum_j (Z-string X_j) on 2^n states."""
+    _check_qubits(n)
+    out = np.zeros((1 << n, 1 << n))
+    for j in range(n):
+        out += hopping_term(n, j)
+    return out
+
+
+def projected_block(enc: BlockEncoding) -> np.ndarray:
+    """(<0| x P) V (|0> x P) on the system space: equals P B P / lambda."""
+    dim = enc.system_dim
+    block = enc.matrix[0:dim, 0:dim]
+    p = enc.projector
+    return p[:, None] * block * p[None, :]
+
+
+def filter_halfwidth(ell: int, epsilon: float) -> float:
+    """Peak half-width: the phi solving beta cos(phi) = 1."""
+    beta = math.cosh(math.acosh(1.0 / epsilon) / ell)
+    return math.acos(1.0 / beta)
+
+
+def middle_slice(dop: DiracOperator) -> slice:
+    """Rows and columns of the Cl_k block of the Dirac operator."""
+    a, b, _ = dop.block_sizes
+    return slice(a, a + b)
+
+
+def dense_filter_amplitude(g: Graph, k: int, ell: int, epsilon: float) -> float:
+    """Filtered amplitude from the eigenvectors of the dense Dirac operator.
+
+    sum_mu w(arcsin(E_mu / n))^2 |Pi_k mu|^2 / |Cl_k| over the eigenvectors
+    mu of the restricted Dirac operator, Pi_k the projector onto Cl_k.
+    """
+    cx = build_clique_complex(g, k)
+    cl_k = cx.count(k)
+    if cl_k == 0:
+        raise ValueError(f"graph has no {k}-cliques")
+    dop = dirac(cx, k)
+    evals, evecs = np.linalg.eigh(dop.matrix.astype(np.float64))
+    phi = np.arcsin(np.clip(evals / g.n, -1.0, 1.0))
+    responses = chebyshev_filter_response(ell, epsilon, phi)
+    middle_weights = (evecs[middle_slice(dop), :] ** 2).sum(axis=0)
+    return float((responses**2) @ middle_weights / cl_k)
+
+
+def dense_dirac_gap(g: Graph, k: int) -> float:
+    """Smallest nonzero |eigenvalue| of the dense restricted Dirac operator."""
+    dop = dirac(build_clique_complex(g, k), k)
+    evals = np.abs(np.linalg.eigvalsh(dop.matrix.astype(np.float64)))
+    tol = 1e-8 * max(1.0, float(evals.max(initial=0.0)))
+    nonzero = evals[evals > tol]
+    if nonzero.size == 0:
+        raise ValueError("operator has no nonzero modes")
+    return float(nonzero.min())
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from oracles import (
     enumerate_paths,
     exhaustive_check,
     kernel_dim_weight_k,
+    projected_block,
     variance_report,
 )
 
@@ -172,7 +173,7 @@ def test_criterion_05_qubitization():
                 continue
             k = 2
             enc = walkenc.build_block_encoding(g, k)
-            pb = walkenc.projected_block(enc)
+            pb = projected_block(enc)
             cx = build_clique_complex(g, k)
             states = []
             for size in (k - 1, k, k + 1):
@@ -207,8 +208,9 @@ def test_criterion_06_filtering():
     with criterion(6, "Chebyshev filtering on K(2,2)", 10.0) as failures:
         g = gen_kpartite(2, 2)
         eps = 1e-3
-        ell = resources.chebyshev_degree(eps, filters.dirac_gap(g, 2), float(g.n))
-        res = filters.apply_filter_to_state(g, 2, ell, eps)
+        summary = homology.spectrum(g, 2)
+        ell = resources.chebyshev_degree(eps, filters.dirac_gap(summary), float(g.n))
+        res = filters.apply_filter_to_state(summary, float(g.n), ell, eps)
         if abs(res.amplitude_sq - 0.25) > 1e-6:
             failures.append(f"amplitude_sq {res.amplitude_sq}")
         tol = 1e-8 * np.abs(res.eigenvalues).max()

@@ -1,4 +1,6 @@
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -264,9 +266,11 @@ class TestExitCodes:
         assert code == 3 and "error" in err
 
     def test_spectrum_cap_is_3(self, capsys):
-        # the exact rank has no dense cap, the spectrum still does
-        code, out, err = run_cli(capsys, "betti", "--gen", "kpartite:1,16", "--k", "8")
-        assert code == 3 and "spectrum(k=8) needs dimension 12870" in err and out == ""
+        # the exact rank has no dense cap, the spectrum still does; it is the
+        # only size limit of the filter and the pipeline too
+        for command in (["betti"], ["simulate", "filter"], ["simulate", "pipeline"]):
+            code, out, err = run_cli(capsys, *command, "--gen", "kpartite:1,16", "--k", "8")
+            assert code == 3 and "spectrum(k=8) needs dimension 12870" in err and out == "", command
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_rips_threshold_is_2(self, capsys, threshold):
@@ -430,6 +434,62 @@ def test_runs_without_scipy(capsys, argv):
     assert code == 0 and (proc.stdout, proc.stderr) == (out, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "filter", "--gen", "er:8,0.6", "--seed", "1", "--k", "2"],
+    ["simulate", "filter", "--gen", "kpartite:2,3", "--k", "3", "--epsilon", "0.1"],
+    ["simulate", "pipeline", "--gen", "er:8,0.5", "--seed", "1", "--k", "2"],
+    ["simulate", "pipeline", "--gen", "kpartite:2,3", "--k", "3", "--seed", "5"],
+])
+def test_filter_and_pipeline_read_one_laplacian_spectrum(capsys, monkeypatch, argv):
+    # the Dirac spectrum is read off the L_k spectrum: no Dirac operator, no
+    # eigenvectors, one clique complex and one eigvalsh
+    from bettiforge import graphs, homology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Dirac operator or eigenvectors computed")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bettiforge") and getattr(module, "dirac", None) is homology.dirac:
+            monkeypatch.setattr(module, "dirac", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    sizes, solves = [], []
+    enumerate_cliques, eigvalsh = graphs.enumerate_cliques, np.linalg.eigvalsh
+    monkeypatch.setattr(graphs, "enumerate_cliques", lambda g, s: sizes.append(s) or enumerate_cliques(g, s))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out), err
+    k = int(argv[argv.index("--k") + 1])
+    assert sizes == list(range(1, k + 2))[: len(sizes)] and k in sizes
+    assert len(solves) == 1
+
+
+def test_pipeline_runs_past_eight_vertices(capsys):
+    # the pipeline holds no 2^n object; only the spectrum's dense cap limits it
+    from bettiforge import graphs, homology
+
+    code, out, err = run_cli(capsys, "simulate", "pipeline", "--gen", "er:12,0.6", "--seed", "2", "--k", "2")
+    assert code == 0, err
+    data = json.loads(out)
+    g = graphs.gen_erdos_renyi(12, 0.6, 2)
+    target = homology.betti_exact(g, 2) / len(graphs.enumerate_cliques(g, 2))
+    assert data["target"] == pytest.approx(target, rel=1e-12)
+    assert abs(data["estimate"] - target) <= data["config"]["r"] * target
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's tracer wraps these functions by name; a missing one
+    # would only be listed as absent, and its metrics would read 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module_name}.{attr}"
+
+
 def test_betti_builds_one_clique_complex(capsys, monkeypatch):
     # one complex through size k+1 serves the rank, the spectrum and cl_k
     from bettiforge import graphs
@@ -550,3 +610,43 @@ def test_fuzz_dequantize(tmp_path_factory, text, k, t, slices, samples, chains, 
     argv = ["dequantize", "--graph", str(path),
             *_flags(k=k, t=t, slices=slices, samples=samples, chains=chains, sampler=sampler)]
     assert _exit_code(argv) in (0, 2, 3)
+
+
+def _cli_exit_code(argv) -> int:
+    # argparse exits 2 on a value its type cannot read (an integer option
+    # given "nan"), so an exit raised there is the status too
+    try:
+        return _exit_code(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _simulate_graph(n: int):
+    # each pair an edge with even odds, so that most graphs have k-cliques
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    keep = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    return keep.map(lambda flags: json.dumps({"n": n, "edges": [e for e, f in zip(pairs, flags) if f]}))
+
+
+SIMULATE_GRAPH = st.integers(0, 8).flatmap(_simulate_graph)
+SIMULATE_FLOATS = st.one_of(
+    st.floats(0.01, 0.3),
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+SIMULATE_ELLS = st.one_of(st.none(), st.integers(1, 40), st.integers(-3, 0), st.sampled_from(["nan", "inf", "-inf"]))
+
+
+# each union lists a valid range first, as in the dequantize fuzz
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(what=st.sampled_from(["walk", "filter", "pipeline"]), text=SIMULATE_GRAPH,
+       k=st.integers(1, 3) | st.integers(-1, 9), epsilon=SIMULATE_FLOATS, r=SIMULATE_FLOATS,
+       delta=SIMULATE_FLOATS, ell=SIMULATE_ELLS)
+def test_fuzz_simulate_graph(tmp_path_factory, what, text, k, epsilon, r, delta, ell):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(text)
+    options = dict(k=k, epsilon=epsilon, r=r, delta=delta)
+    if ell is not None:
+        options["ell"] = ell
+    argv = ["simulate", what, "--graph", str(path), *_flags(**options)]
+    assert _cli_exit_code(argv) in (0, 2, 3)

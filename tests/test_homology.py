@@ -23,7 +23,14 @@ from bettiforge.homology import (
     laplacian,
     spectrum,
 )
-from oracles import betti_delta_approx, bit_indices, kunneth_convolve, modular_rank, reduced_from_regular
+from oracles import (
+    betti_delta_approx,
+    bit_indices,
+    kunneth_convolve,
+    middle_slice,
+    modular_rank,
+    reduced_from_regular,
+)
 
 
 class TestExactRank:
@@ -267,7 +274,7 @@ class TestLaplacianDirac:
             pytest.skip("no edges drawn")
         dop = dirac(cx, 2)
         square = dop.matrix @ dop.matrix
-        mid = dop.middle_slice()
+        mid = middle_slice(dop)
         assert np.array_equal(square[mid, mid], laplacian(cx, 2))
 
     @staticmethod
@@ -322,7 +329,7 @@ class TestLaplacianDirac:
         g = gen_kpartite(2, 2)
         dop = dirac(build_clique_complex(g, 2), 2)
         square = dop.matrix @ dop.matrix
-        mid = dop.middle_slice()
+        mid = middle_slice(dop)
         evals = np.linalg.eigvalsh(square[mid, mid].astype(float))
         assert int((np.abs(evals) < 1e-8).sum()) == betti_exact(g, 2)
 

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 from bettiforge.graphs import Graph, build_clique_complex, gen_erdos_renyi, gen_kpartite
-from bettiforge.homology import dirac
+from bettiforge.homology import dirac, spectrum
 from bettiforge.qsim import dicke, filters, kaiser, pipeline, walkenc
 from bettiforge.resources import ResourceParams, chebyshev_degree
-from oracles import amplitude_estimate_trials, asymptotic_tail_bound, kaiser_phase_distribution
+from oracles import (
+    amplitude_estimate_trials,
+    asymptotic_tail_bound,
+    dense_dirac_gap,
+    dense_filter_amplitude,
+    filter_halfwidth,
+    full_dirac,
+    kaiser_phase_distribution,
+    projected_block,
+)
 
 
 class TestDickeThreshold:
@@ -91,7 +100,7 @@ class TestBlockEncoding:
         enc = walkenc.build_block_encoding(g, 2)
         dim = enc.system_dim
         block = enc.matrix[:dim, :dim]
-        assert np.abs(block - walkenc.full_dirac(4) / 4.0).max() < 1e-12
+        assert np.abs(block - full_dirac(4) / 4.0).max() < 1e-12
 
     def test_unitary_and_hermitian(self):
         g = gen_erdos_renyi(5, 0.5, 7)
@@ -109,7 +118,7 @@ class TestBlockEncoding:
         if cx.count(k) == 0:
             pytest.skip("no edges")
         enc = walkenc.build_block_encoding(g, k)
-        pb = walkenc.projected_block(enc)
+        pb = projected_block(enc)
         dop = dirac(cx, k)
         states = []
         for size in (k - 1, k, k + 1):
@@ -173,7 +182,7 @@ class TestChebyshevFilter:
 
     def test_width_equation(self):
         ell, eps = 14, 1e-3
-        phi_gap = filters.filter_halfwidth(ell, eps)
+        phi_gap = filter_halfwidth(ell, eps)
         beta = math.cosh(math.acosh(1 / eps) / ell)
         assert beta * math.cos(phi_gap) == pytest.approx(1.0)
         val = filters.chebyshev_filter_response(ell, eps, phi_gap)
@@ -181,7 +190,7 @@ class TestChebyshevFilter:
 
     def test_suppressed_outside_gap(self):
         ell, eps = 16, 1e-3
-        phi_gap = filters.filter_halfwidth(ell, eps)
+        phi_gap = filter_halfwidth(ell, eps)
         phis = np.linspace(phi_gap, math.pi - phi_gap, 300)
         assert np.abs(filters.chebyshev_filter_response(ell, eps, phis)).max() <= eps + 1e-12
 
@@ -207,18 +216,20 @@ class TestApplyFilter:
         from bettiforge.resources import chebyshev_degree
 
         g = gen_kpartite(2, 2)
-        gap = filters.dirac_gap(g, 2)
+        summary = spectrum(g, 2)
+        gap = filters.dirac_gap(summary)
         assert gap == pytest.approx(math.sqrt(2.0), abs=1e-9)
         ell = chebyshev_degree(1e-3, gap, 4.0)
-        res = filters.apply_filter_to_state(g, 2, ell, 1e-3)
+        res = filters.apply_filter_to_state(summary, 4.0, ell, 1e-3)
         assert abs(res.amplitude_sq - 0.25) <= 1e-6
 
     def test_componentwise_suppression(self):
         from bettiforge.resources import chebyshev_degree
 
         g = gen_kpartite(2, 2)
-        ell = chebyshev_degree(1e-3, filters.dirac_gap(g, 2), 4.0)
-        res = filters.apply_filter_to_state(g, 2, ell, 1e-3)
+        summary = spectrum(g, 2)
+        ell = chebyshev_degree(1e-3, filters.dirac_gap(summary), 4.0)
+        res = filters.apply_filter_to_state(summary, 4.0, ell, 1e-3)
         tol = 1e-8 * np.abs(res.eigenvalues).max()
         nonzero = np.abs(res.eigenvalues) > tol
         assert np.abs(res.responses[nonzero]).max() <= 1e-3
@@ -228,9 +239,66 @@ class TestApplyFilter:
 
         g = gen_kpartite(1, 3)  # triangle: beta_1 = 0
         eps = 1e-3
-        ell = chebyshev_degree(eps, filters.dirac_gap(g, 2), 3.0)
-        res = filters.apply_filter_to_state(g, 2, ell, eps)
+        summary = spectrum(g, 2)
+        ell = chebyshev_degree(eps, filters.dirac_gap(summary), 3.0)
+        res = filters.apply_filter_to_state(summary, 3.0, ell, eps)
         assert res.amplitude_sq <= eps * eps
+
+
+def _spectral_cases():
+    cases = []
+    for n in range(4, 9):
+        for seed in range(3):
+            for k in (1, 2, 3):
+                cases.append(pytest.param(gen_erdos_renyi(n, 0.6, seed), k, id=f"er{n}-s{seed}-k{k}"))
+    for n in range(3, 8):
+        for k in (1, 2, 3):
+            cases.append(pytest.param(gen_kpartite(1, n), k, id=f"K{n}-k{k}"))
+    for m, k in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
+        cases.append(pytest.param(gen_kpartite(m, k), k, id=f"K({m},{k})"))
+    cases.append(pytest.param(gen_kpartite(2, 2), 3, id="no-triangles"))
+    cases.append(pytest.param(Graph(5, ((0, 1), (1, 2), (2, 3))), 3, id="path-no-triangles"))
+    for k in (1, 2):
+        cases.append(pytest.param(Graph(5, ()), k, id=f"edgeless-k{k}"))
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSpectralFilterMatchesDenseDirac:
+    """The L_k spectrum path against eigendecompositions of the dense Dirac operator."""
+
+    @pytest.mark.parametrize("g,k", _spectral_cases())
+    def test_gap_degree_and_amplitude(self, g, k):
+        if build_clique_complex(g, k).count(k) == 0:
+            with pytest.raises(ValueError, match=f"no {k}-cliques"):
+                spectrum(g, k)
+            with pytest.raises(ValueError, match=f"no {k}-cliques"):
+                dense_filter_amplitude(g, k, 2, 0.1)
+            return
+        summary = spectrum(g, k)
+        lam = float(g.n)
+        want_gap = _outcome(dense_dirac_gap, g, k)
+        gap = _outcome(filters.dirac_gap, summary)
+        if isinstance(want_gap, str):
+            assert gap == want_gap == "ValueError: operator has no nonzero modes"
+        else:
+            assert abs(gap - want_gap) <= 1e-12 * want_gap
+        for eps in (0.3, 0.05, 1e-3):
+            ells = [7]
+            if not isinstance(want_gap, str):
+                degree = _outcome(chebyshev_degree, eps, gap, lam)
+                assert degree == _outcome(chebyshev_degree, eps, want_gap, lam)
+                if isinstance(degree, int) and degree > 0:
+                    ells.append(degree)
+            for ell in ells:
+                got = filters.apply_filter_to_state(summary, lam, ell, eps).amplitude_sq
+                assert abs(got - dense_filter_amplitude(g, k, ell, eps)) <= 1e-12
 
 
 class TestKaiserWindow:
@@ -376,7 +444,7 @@ class TestPipeline:
     def test_filter_degree_from_resource_params(self, m, k):
         g = gen_kpartite(m, k)
         out = pipeline.end_to_end_normalized_betti(g, k, r=0.1, delta=0.05, seed=5)
-        gap = filters.dirac_gap(g, k)
+        gap = filters.dirac_gap(spectrum(g, k))
         params = ResourceParams(
             n=g.n, k=k, edge_count=len(g.edges), clique_count=m**k, betti=(m - 1) ** k,
             lambda_min=gap, r=0.1, delta=0.05,

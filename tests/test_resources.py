@@ -14,15 +14,15 @@ from bettiforge.resources import (
     block_encoding_cost,
     chebyshev_degree,
     clique_detect_cost,
-    dicke_alt_cost,
     dicke_prep_cost,
     kpartite_params,
     leading_order_toffoli,
     sweep,
     sweep_to_csv,
     total_toffoli,
-    total_toffoli_abs,
 )
+
+from oracles import dicke_alt_cost, total_toffoli_abs
 
 
 def params_k33(**over):
