@@ -255,42 +255,3 @@ def estimate_from_operator(
             **diagnostics,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# dense reference
-
-
-def trotterized_matrix(decomp: OneSparseDecomposition, t: float, r_t: int) -> np.ndarray:
-    """Dense product of the scheduled term exponentials times the scalar shift."""
-    from .paths import build_schedule
-
-    schedule, shift = build_schedule(decomp, r_t)
-    dim = decomp.dim
-    tau = t / (2.0 * r_t)
-    cache: dict[int, np.ndarray] = {}
-
-    def term_exp(idx: int) -> np.ndarray:
-        if idx not in cache:
-            term = decomp.terms[idx]
-            if term.kind in ("reflection", "identity"):
-                cache[idx] = np.diag(np.exp(-tau * term.lam))
-            else:
-                mat = np.eye(dim)
-                ch, sh = math.cosh(term.coeff * tau), math.sinh(term.coeff * tau)
-                seen = set()
-                for e in range(term.n_eigs):
-                    u, v = int(term.sup1[e]), int(term.sup2[e])
-                    if v < 0 or (u, v) in seen:
-                        continue
-                    seen.add((u, v))
-                    sgn = math.copysign(1.0, term.lam[e] * term.amp2[e])
-                    mat[u, u] = mat[v, v] = ch
-                    mat[u, v] = mat[v, u] = -sgn * sh
-                cache[idx] = mat
-        return cache[idx]
-
-    out = np.eye(dim)
-    for idx in schedule:
-        out = term_exp(idx) @ out
-    return math.exp(-shift * t) * out

@@ -1,8 +1,9 @@
 """Penalized squared Dirac operator and its one-sparse unitary decomposition.
 
 The ambient space is spanned by ALL bit strings of Hamming weight k-1, k, k+1
-(cliques or not).  On it we build the hopping Dirac operator B, restrict it
-to the clique/weight projector P as B_G = P B P, and penalize the complement:
+(cliques or not, never the empty set).  The clique/weight projector P keeps
+the basis of ``homology.dirac``, the restricted Dirac operator B_G = P B P,
+and the complement is penalized:
 
     H = B_G^2 + gamma_pen (1 - P).
 
@@ -35,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DeskScaleError
-from ..graphs import Graph, is_clique
-from ..homology import ZERO_TOL
+from ..graphs import CliqueComplex, Graph, build_clique_complex
+from ..homology import ZERO_TOL, dirac, dirac_basis
 
 MAX_DEQUANT_QUBITS = 8
 DECOMPOSE_TOL = 1e-12  # symmetry, identity-term and off-diagonal cutoff of one_sparse_decompose
@@ -51,6 +52,8 @@ class AmbientBasis:
     states: tuple[int, ...]
     clique_flags: np.ndarray  # bool per state
     weight_k_clique_indices: np.ndarray  # indices into states
+    dirac_indices: np.ndarray  # index into states of each row of dirac(cx, k)
+    cx: CliqueComplex = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -58,35 +61,21 @@ class AmbientBasis:
 
 
 def ambient_basis(g: Graph, k: int) -> AmbientBasis:
+    """The weight window's bit strings, annotated from one clique complex of g."""
     if g.n > MAX_DEQUANT_QUBITS:
         raise DeskScaleError(f"dequantizer supports n <= {MAX_DEQUANT_QUBITS}, got {g.n}")
     if not 1 <= k <= g.n:
         raise ValueError(f"weight k={k} outside 1..{g.n}")
-    # the weight-0 state is excluded at k = 1: keeping it would add the
-    # empty-simplex boundary and turn degree-0 homology into reduced homology
-    states = [x for x in range(1 << g.n) if max(k - 1, 1) <= x.bit_count() <= k + 1]
-    states.sort()
-    flags = np.array([is_clique(g, x) for x in states])
-    wk = np.array(
-        [i for i, x in enumerate(states) if x.bit_count() == k and flags[i]], dtype=np.int64
-    )
-    return AmbientBasis(g.n, k, tuple(states), flags, wk)
-
-
-def _ambient_dirac(basis: AmbientBasis) -> np.ndarray:
-    """Hopping sum restricted to the ambient weight window."""
-    index = {x: i for i, x in enumerate(basis.states)}
-    dim = basis.dim
-    mat = np.zeros((dim, dim))
-    for i, x in enumerate(basis.states):
-        for j in range(basis.n):
-            y = x ^ (1 << j)
-            other = index.get(y)
-            if other is None:
-                continue
-            sign = -1.0 if (x & ((1 << j) - 1)).bit_count() & 1 else 1.0
-            mat[other, i] += sign
-    return mat
+    cx = build_clique_complex(g, k)
+    # no weight-0 state at k = 1, as in the Dirac basis: the empty-simplex
+    # boundary would turn degree-0 homology into reduced homology
+    weight = np.bitwise_count(np.arange(1 << g.n))
+    states = np.flatnonzero((max(k - 1, 1) <= weight) & (weight <= k + 1))
+    rows = np.searchsorted(states, dirac_basis(cx, k))
+    flags = np.zeros(states.size, dtype=bool)
+    flags[rows] = True
+    wk = np.flatnonzero(flags & (weight[states] == k))
+    return AmbientBasis(g.n, k, tuple(states.tolist()), flags, wk, rows, cx)
 
 
 @dataclass(frozen=True)
@@ -100,7 +89,7 @@ class PenalizedOperator:
 
 
 def penalized_operator(g: Graph, k: int, gamma_pen: float | str = "gap") -> PenalizedOperator:
-    """Build B_G^2 + gamma_pen (1-P) on the ambient weight window.
+    """Build B_G^2 + gamma_pen (1-P) on the ambient weight window; B_G is ``homology.dirac``.
 
     ``gamma_pen`` may be an explicit positive number, "gap" (the oracle value
     gamma_min), or "max" (the safe, looser choice gamma_max of B_G^2).  When
@@ -110,10 +99,9 @@ def penalized_operator(g: Graph, k: int, gamma_pen: float | str = "gap") -> Pena
     basis = ambient_basis(g, k)
     if basis.weight_k_clique_indices.size == 0:
         raise ValueError(f"graph has no {k}-cliques")
-    b_full = _ambient_dirac(basis)
-    proj = basis.clique_flags.astype(float)
-    b_rest = proj[:, None] * b_full * proj[None, :]
-    h = b_rest @ b_rest
+    b = dirac(basis.cx, k).matrix
+    h = np.zeros((basis.dim, basis.dim))
+    h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
     evals = np.linalg.eigvalsh(h)
     tol = ZERO_TOL * max(1.0, float(evals.max(initial=0.0)))
     nonzero = evals[evals > tol]
@@ -129,7 +117,7 @@ def penalized_operator(g: Graph, k: int, gamma_pen: float | str = "gap") -> Pena
         pen = float(gamma_pen)
     if pen <= 0:
         raise ValueError("penalty weight must be positive")
-    h = h + pen * np.diag(1.0 - proj)
+    h = h + pen * np.diag(1.0 - basis.clique_flags)
     gamma_max = float(np.linalg.eigvalsh(h).max(initial=0.0))
     return PenalizedOperator(basis, h, pen, gamma_min, gamma_max, math.comb(g.n, k))
 

@@ -22,6 +22,12 @@ from .errors import DeskScaleError
 MAX_VERTICES = 64
 
 
+def _check_vertices(n: int) -> None:
+    """Refuse a vertex count past the cap before anything of size n^2 is built."""
+    if n > MAX_VERTICES:
+        raise DeskScaleError(f"graph has n={n} vertices; bit-mask paths support at most {MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
@@ -36,10 +42,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if self.n > MAX_VERTICES:
-            raise DeskScaleError(
-                f"graph has n={self.n} vertices; bit-mask paths support at most {MAX_VERTICES}"
-            )
+        _check_vertices(self.n)
         canon = tuple(sorted(tuple(e) for e in self.edges))
         seen = set()
         for i, j in canon:
@@ -137,6 +140,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
+    _check_vertices(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng = np.random.default_rng(seed)
     draws = rng.random(len(pairs))
@@ -155,6 +159,7 @@ def gen_rips_points(n: int, k: int) -> PointCloud:
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 points and k >= 1 sectors")
+    _check_vertices(n)
     if n % (2 * k) != 0:
         raise ValueError(f"2k = {2 * k} must divide n = {n}")
     m = n // (2 * k)
@@ -180,8 +185,7 @@ def rips_graph(points: PointCloud, threshold: float) -> Graph:
         raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     pts = points.points
     n = len(pts)
-    if n > MAX_VERTICES:
-        raise DeskScaleError(f"point cloud has {n} points; limit is {MAX_VERTICES}")
+    _check_vertices(n)
     t2 = threshold * threshold
     edges = []
     for i in range(n):

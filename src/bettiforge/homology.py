@@ -10,7 +10,8 @@ Its transpose, the coboundary, is one stable sort of that table
 (``exactrank.coboundary``).  The Laplacian is scattered from the face tables
 as sign products, and the Dirac operator scatters its blocks from them,
 so only the torsion fallback of the rank builds a dense boundary matrix.
-The dense Dirac operator serves only the walk simulation (``qsim.walkenc``):
+The dense Dirac operator and its basis (``dirac_basis``) serve the walk
+(``qsim.walkenc``) and the dequantizer's operator (``dequant.operators``);
 its spectrum is +-sqrt of the Laplacian spectrum, which ``spectrum`` owns.
 
 Betti numbers come from exact ranks, not from floating point: sparse column
@@ -168,11 +169,15 @@ def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
     a, b, c = sizes
     if k >= 2 and a and b:
         _scatter(mat[0:a, a : a + b], face_table(cx, k - 1))  # Cl_k -> Cl_{k-1}
-        mat[a : a + b, 0:a] = mat[0:a, a : a + b].T
     if b and c:
         _scatter(mat[a : a + b, a + b :], face_table(cx, k))  # Cl_{k+1} -> Cl_k
-        mat[a + b :, a : a + b] = mat[a : a + b, a + b :].T
+    mat += mat.T  # the lower blocks are the transposes; the diagonal is zero
     return DiracOperator(k, sizes, mat)
+
+
+def dirac_basis(cx: CliqueComplex, k: int) -> np.ndarray:
+    """The rows of ``dirac(cx, k)`` as int64 clique masks: Cl_{k-1} (none at k = 1), Cl_k, Cl_{k+1}."""
+    return np.array([x for size in (k - 1, k, k + 1) if size >= 1 for x in cx.basis(size)], dtype=np.int64)
 
 
 def check_weight(k: int) -> None:

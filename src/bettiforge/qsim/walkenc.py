@@ -1,17 +1,15 @@
-"""Explicit block encoding of the restricted Dirac operator and its walk.
+"""Matrix-free block encoding of the restricted Dirac operator and its walk.
 
-The encoded Hamiltonian is the hopping sum over n sites, B = sum_j S_j with
-S_j = (Z on all sites below j) x (X on site j), acting on the full 2^n space.
-An n-dimensional ancilla prepared in the uniform superposition selects the
-term, so the top-left ancilla block of V = (prep^T x I) SELECT (prep x I) is
-B/n, and the normalization is lambda = n.  Projecting the system onto clique
-states of Hamming weight k-1, k, k+1 turns that block into the restricted
-Dirac operator over n.
-
-The walk operator W = R V with R = i(2|0><0| x P - I) puts the projector in
-the reflection; each restricted eigenvalue E yields walk eigenvalues
-+-exp(+-i arcsin(E/lambda)) on a two-dimensional invariant plane spanned by
-|0,k> and V|0,k>.
+The encoded Hamiltonian is the hopping sum B = sum_j S_j over n sites, with
+S_j = (Z on all sites below j) x (X on site j) on the 2^n states.  An
+n-dimensional ancilla prepared in the uniform superposition selects the
+term, so the ancilla-0 block of V = (prep^T x I) SELECT (prep x I) is B/n
+and lambda = n.  V is only ever applied: prep over the ancilla axis, each
+S_j as a signed permutation of the states, then prep^T.  The projector P is
+the basis of ``homology.dirac``, so the projected block is the restricted
+Dirac operator over n.  The walk W = R V with R = i(2|0><0| x P - I) turns
+each restricted eigenvalue E into walk eigenvalues +-exp(+-i arcsin(E/lambda))
+on the plane spanned by |0,k> and V|0,k>.
 """
 
 from __future__ import annotations
@@ -21,36 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DeskScaleError
-from ..graphs import Graph, build_clique_complex, is_clique
-from ..homology import dirac
+from ..graphs import CliqueComplex, Graph, build_clique_complex
+from ..homology import check_weight, dirac, dirac_basis
 
-MAX_SIM_QUBITS = 8
+MAX_SIM_QUBITS = 12
+
+# a walk eigenvalue within this distance of the real axis is taken as real,
+# so that -1 always reports the phase +pi
+REAL_AXIS_TOL = 1e-12
 
 
 def _check_qubits(n: int) -> None:
     if n > MAX_SIM_QUBITS:
         raise DeskScaleError(f"simulator supports n <= {MAX_SIM_QUBITS} qubits, got {n}")
-
-
-def hopping_term(n: int, j: int) -> np.ndarray:
-    """Matrix of (Z_0 .. Z_{j-1}) X_j on the 2^n computational basis."""
-    dim = 1 << n
-    mat = np.zeros((dim, dim))
-    low = (1 << j) - 1
-    for x in range(dim):
-        sign = -1.0 if (x & low).bit_count() & 1 else 1.0
-        mat[x ^ (1 << j), x] = sign
-    return mat
-
-
-def clique_weight_projector(g: Graph, k: int) -> np.ndarray:
-    """Diagonal 0/1 projector onto clique states of weight k-1, k, k+1."""
-    flags = np.zeros(1 << g.n)
-    for x in range(1 << g.n):
-        w = x.bit_count()
-        if k - 1 <= w <= k + 1 and is_clique(g, x):
-            flags[x] = 1.0
-    return flags
 
 
 def _uniform_prep(n: int) -> np.ndarray:
@@ -69,75 +50,72 @@ def _uniform_prep(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockEncoding:
+    """LCU unitary V on ancilla x system, rows indexed ancilla * 2^n + state."""
+
     n: int
     k: int
     lam: float  # normalization, equal to n
-    ancilla_dim: int
-    matrix: np.ndarray  # real symmetric unitary, (n * 2^n) square
-    projector: np.ndarray  # diagonal of P on the system
+    states: np.ndarray  # the projector P: the restricted Dirac basis, in dirac() order
+    prep: np.ndarray  # n x n orthogonal, column 0 the uniform vector
 
     @property
     def system_dim(self) -> int:
         return 1 << self.n
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """V @ x for x of shape (n * 2^n, m)."""
+        n, dim = self.n, self.system_dim
+        y = (self.prep @ x.reshape(n, -1)).reshape(n, dim, -1)
+        sites = np.arange(dim)
+        for j in range(n):
+            # S_j maps state s to s ^ 2^j with sign (-1)^(ones of s below j);
+            # the count is uint8, so take it to float before 1 - 2 * parity
+            parity = (np.bitwise_count(sites & ((1 << j) - 1)) & 1).astype(np.float64)
+            y[j] = (1.0 - 2.0 * parity)[:, None] * y[j][sites ^ (1 << j)]
+        return (self.prep.T @ y.reshape(n, -1)).reshape(x.shape)
 
-def build_block_encoding(g: Graph, k: int) -> BlockEncoding:
-    """Explicit LCU unitary whose projected ancilla-0 block is B_G / n."""
-    n = g.n
-    _check_qubits(n)
-    if n < 1:
+    def embed(self, vectors: np.ndarray) -> np.ndarray:
+        """Columns over the restricted Dirac basis, placed in the |0> x P block."""
+        full = np.zeros((self.n * self.system_dim, vectors.shape[1]), dtype=vectors.dtype)
+        full[self.states] = vectors
+        return full
+
+    def reflection(self) -> np.ndarray:
+        """Diagonal of 2 |0><0| x P - I; the walk operator is W = i R V."""
+        refl = -np.ones(self.n * self.system_dim)
+        refl[self.states] = 1.0
+        return refl
+
+
+def build_block_encoding(g: Graph, k: int, cx: CliqueComplex | None = None) -> BlockEncoding:
+    """Matrix-free LCU unitary whose projected ancilla-0 block is B_G / n; ``cx`` is g's complex, if built."""
+    _check_qubits(g.n)
+    if g.n < 1:
         raise ValueError("need at least one vertex")
-    if k < 1:
-        raise ValueError(f"clique size k must be >= 1, got {k}")
-    dim = 1 << n
-    prep = _uniform_prep(n)
-    select = np.zeros((n * dim, n * dim))
-    for j in range(n):
-        select[j * dim : (j + 1) * dim, j * dim : (j + 1) * dim] = hopping_term(n, j)
-    prep_full = np.kron(prep, np.eye(dim))
-    v = prep_full.T @ select @ prep_full
-    return BlockEncoding(n, k, float(n), n, v, clique_weight_projector(g, k))
-
-
-def build_walk(enc: BlockEncoding) -> np.ndarray:
-    """Qubiterate W = R V with R = i (2 |0><0| x P - I)."""
-    dim = enc.system_dim
-    refl = -np.ones(enc.ancilla_dim * dim)
-    refl[0:dim] += 2.0 * enc.projector
-    return (1j * refl)[:, None] * enc.matrix
-
-
-def embed_restricted_eigenvectors(g: Graph, k: int, enc: BlockEncoding):
-    """Eigen-decompose the restricted Dirac operator and embed into |0> x 2^n."""
-    cx = build_clique_complex(g, k)
-    dop = dirac(cx, k)
-    evals, evecs = np.linalg.eigh(dop.matrix.astype(np.float64))
-    basis_states: list[int] = []
-    for size in (k - 1, k, k + 1):
-        if size >= 1:
-            basis_states.extend(cx.basis(size))
-    full = np.zeros((enc.ancilla_dim * enc.system_dim, evals.size))
-    for col in range(evals.size):
-        for amp, state in zip(evecs[:, col], basis_states):
-            full[state, col] = amp
-    return evals, full
+    check_weight(k)
+    basis = dirac_basis(cx if cx is not None else build_clique_complex(g, k), k)
+    return BlockEncoding(g.n, k, float(g.n), basis, _uniform_prep(g.n))
 
 
 @dataclass(frozen=True)
 class WalkSpectrum:
     hamiltonian_eigs: np.ndarray  # eigenvalues E_k of the restricted operator
-    walk_eigenphases: np.ndarray  # sorted phases on the walk-invariant subspace
+    walk_eigenphases: np.ndarray  # sorted phases in (-pi, pi] on the walk-invariant subspace
     lam: float
 
 
 def walk_spectrum(g: Graph, k: int) -> WalkSpectrum:
     """Eigenphases of W on the invariant subspace spanned by |0,k>, V|0,k>."""
-    enc = build_block_encoding(g, k)
-    walk = build_walk(enc)
-    evals, embedded = embed_restricted_eigenvectors(g, k, enc)
-    cols = np.hstack([embedded, enc.matrix @ embedded])
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    _check_qubits(g.n)
+    check_weight(k)
+    cx = build_clique_complex(g, k)
+    if cx.count(k) == 0:
+        raise ValueError(f"graph has no {k}-cliques")
+    enc = build_block_encoding(g, k, cx)
+    evals, evecs = np.linalg.eigh(dirac(cx, k).matrix.astype(np.float64))
+    embedded = enc.embed(evecs)
+    u, s, _ = np.linalg.svd(np.hstack([embedded, enc.apply(embedded)]), full_matrices=False)
     q = u[:, s > 1e-10]
-    w_sub = q.T @ walk @ q
-    phases = np.angle(np.linalg.eigvals(w_sub))
+    z = np.linalg.eigvals(1j * (q.T @ (enc.reflection()[:, None] * enc.apply(q))))
+    phases = np.angle(np.where(np.abs(z.imag) <= REAL_AXIS_TOL, z.real, z))
     return WalkSpectrum(evals, np.sort(phases), enc.lam)

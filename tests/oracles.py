@@ -4,13 +4,14 @@ Homology oracles: clique lists by subset filtering, the face-row modular rank
 of a boundary map, the Laplacian eigenvalue count below a threshold and the
 Kunneth formula for joins.  Cost-model oracles: the ancilla-lean Dicke
 preparation and the total for an absolute Betti accuracy.  Simulator
-oracles: the unrestricted hopping Hamiltonian, the projected block of the
-block encoding, the filter half-width, and the filtered amplitude and Dirac
-gap from the eigendecomposition of the dense restricted Dirac operator.
-Dequantizer oracles: the dense matrices of the
-one-sparse terms, the dense overlap tables of every link, exhaustive path
-enumeration and the checks built on it, the dense transfer pass, the slice
-count and variance bounds.  Then the continuum Kaiser phase-error law with
+oracles: the unrestricted hopping Hamiltonian, the dense block encoding V
+(Kronecker PREP around a block-diagonal SELECT), its projected block, the
+dense walk and its eigenphases, the filter half-width, and the filtered
+amplitude and Dirac gap from the eigendecomposition of the dense restricted
+Dirac operator.  Dequantizer oracles: the dense matrices of the one-sparse
+terms, the dense Trotter product, the dense overlap tables of every link,
+exhaustive path enumeration and the checks built on it, the dense transfer
+pass, the slice count and variance bounds.  Then the continuum Kaiser phase-error law with
 the repeated amplitude-estimation draws that the window sizing is checked
 with.
 """
@@ -19,18 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.special import i0e
 
-from bettiforge.dequant.estimator import (
-    DequantResult,
-    PIMCConfig,
-    estimate_normalized_betti,
-    trotterized_matrix,
-)
+from bettiforge.dequant.estimator import DequantResult, PIMCConfig, estimate_normalized_betti
 from bettiforge.dequant.operators import (
     OneSparseDecomposition,
     OneSparseTerm,
@@ -44,13 +41,14 @@ from bettiforge.dequant.paths import (
     MetropolisPathSampler,
     PathSample,
     PathSpace,
+    build_schedule,
     overlap_table,
 )
 from bettiforge.graphs import Graph, build_clique_complex, is_clique
 from bettiforge.homology import ZERO_TOL, DiracOperator, dirac, spectrum
 from bettiforge.qsim.filters import chebyshev_filter_response
 from bettiforge.qsim.kaiser import _kernel_sq, first_zero_scaled, qae_outcome_distribution
-from bettiforge.qsim.walkenc import BlockEncoding, _check_qubits, hopping_term
+from bettiforge.qsim.walkenc import REAL_AXIS_TOL, _check_qubits, _uniform_prep
 from bettiforge.resources import ResourceEstimate, ResourceParams, _ceil_log2, total_toffoli
 
 LN2 = math.log(2.0)
@@ -189,6 +187,17 @@ def total_toffoli_abs(
 # block encoding and filter
 
 
+def hopping_term(n: int, j: int) -> np.ndarray:
+    """Matrix of (Z_0 .. Z_{j-1}) X_j on the 2^n computational basis."""
+    dim = 1 << n
+    mat = np.zeros((dim, dim))
+    low = (1 << j) - 1
+    for x in range(dim):
+        sign = -1.0 if (x & low).bit_count() & 1 else 1.0
+        mat[x ^ (1 << j), x] = sign
+    return mat
+
+
 def full_dirac(n: int) -> np.ndarray:
     """Unrestricted hopping Hamiltonian sum_j (Z-string X_j) on 2^n states."""
     _check_qubits(n)
@@ -198,12 +207,69 @@ def full_dirac(n: int) -> np.ndarray:
     return out
 
 
-def projected_block(enc: BlockEncoding) -> np.ndarray:
+@lru_cache(maxsize=None)
+def dense_encoding(n: int) -> np.ndarray:
+    """Dense V = (prep^T x I) SELECT (prep x I): block-diagonal SELECT, Kronecker PREP.
+
+    V does not depend on the graph, only on n; the cache keeps one per n.
+    """
+    dim = 1 << n
+    prep = _uniform_prep(n)
+    select = np.zeros((n * dim, n * dim))
+    for j in range(n):
+        select[j * dim : (j + 1) * dim, j * dim : (j + 1) * dim] = hopping_term(n, j)
+    prep_full = np.kron(prep, np.eye(dim))
+    v = prep_full.T @ select @ prep_full
+    v.flags.writeable = False
+    return v
+
+
+def dense_projector(g: Graph, k: int) -> np.ndarray:
+    """Diagonal 0/1 projector onto clique states of weight max(k-1, 1)..k+1, one subset test each."""
+    flags = np.zeros(1 << g.n)
+    for x in range(1 << g.n):
+        if max(k - 1, 1) <= x.bit_count() <= k + 1 and is_clique(g, x):
+            flags[x] = 1.0
+    return flags
+
+
+def projected_block(g: Graph, k: int) -> np.ndarray:
     """(<0| x P) V (|0> x P) on the system space: equals P B P / lambda."""
-    dim = enc.system_dim
-    block = enc.matrix[0:dim, 0:dim]
-    p = enc.projector
+    dim = 1 << g.n
+    block = dense_encoding(g.n)[0:dim, 0:dim]
+    p = dense_projector(g, k)
     return p[:, None] * block * p[None, :]
+
+
+def dense_walk(g: Graph, k: int) -> np.ndarray:
+    """Dense complex qubiterate W = R V with R = i (2 |0><0| x P - I)."""
+    dim = 1 << g.n
+    refl = -np.ones(g.n * dim)
+    refl[0:dim] += 2.0 * dense_projector(g, k)
+    return (1j * refl)[:, None] * dense_encoding(g.n)
+
+
+def dense_walk_spectrum(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Restricted Dirac eigenvalues and sorted walk phases from the dense V and W.
+
+    W is compressed onto the span of the embedded eigenvectors and their
+    images under V; eigenvalues within ``REAL_AXIS_TOL`` of the real axis are
+    put on it before their phase is taken.
+    """
+    dim = 1 << g.n
+    v = dense_encoding(g.n)
+    cx = build_clique_complex(g, k)
+    evals, evecs = np.linalg.eigh(dirac(cx, k).matrix.astype(np.float64))
+    states = [x for size in (k - 1, k, k + 1) if size >= 1 for x in cx.basis(size)]
+    embedded = np.zeros((g.n * dim, evals.size))
+    for col in range(evals.size):
+        for amp, state in zip(evecs[:, col], states):
+            embedded[state, col] = amp
+    u, s, _ = np.linalg.svd(np.hstack([embedded, v @ embedded]), full_matrices=False)
+    q = u[:, s > 1e-10]
+    z = np.linalg.eigvals(q.T @ (dense_walk(g, k) @ q))
+    z = np.where(np.abs(z.imag) <= REAL_AXIS_TOL, z.real, z)
+    return evals, np.sort(np.angle(z))
 
 
 def filter_halfwidth(ell: int, epsilon: float) -> float:
@@ -277,6 +343,39 @@ def dense_decomposition(decomp: OneSparseDecomposition) -> np.ndarray:
     for t in decomp.terms:
         out += dense_term(t, decomp.dim)
     return out
+
+
+def trotterized_matrix(decomp: OneSparseDecomposition, t: float, r_t: int) -> np.ndarray:
+    """Dense product of the scheduled term exponentials times the scalar shift."""
+    schedule, shift = build_schedule(decomp, r_t)
+    dim = decomp.dim
+    tau = t / (2.0 * r_t)
+    cache: dict[int, np.ndarray] = {}
+
+    def term_exp(idx: int) -> np.ndarray:
+        if idx not in cache:
+            term = decomp.terms[idx]
+            if term.kind in ("reflection", "identity"):
+                cache[idx] = np.diag(np.exp(-tau * term.lam))
+            else:
+                mat = np.eye(dim)
+                ch, sh = math.cosh(term.coeff * tau), math.sinh(term.coeff * tau)
+                seen = set()
+                for e in range(term.n_eigs):
+                    u, v = int(term.sup1[e]), int(term.sup2[e])
+                    if v < 0 or (u, v) in seen:
+                        continue
+                    seen.add((u, v))
+                    sgn = math.copysign(1.0, term.lam[e] * term.amp2[e])
+                    mat[u, u] = mat[v, v] = ch
+                    mat[u, v] = mat[v, u] = -sgn * sh
+                cache[idx] = mat
+        return cache[idx]
+
+    out = np.eye(dim)
+    for idx in schedule:
+        out = term_exp(idx) @ out
+    return math.exp(-shift * t) * out
 
 
 def kernel_dim_weight_k(op: PenalizedOperator) -> int:

@@ -37,6 +37,7 @@ from oracles import (
     exhaustive_check,
     kernel_dim_weight_k,
     projected_block,
+    trotterized_matrix,
     variance_report,
 )
 
@@ -172,33 +173,37 @@ def test_criterion_05_qubitization():
             if len(enumerate_cliques(g, 2)) == 0:
                 continue
             k = 2
-            enc = walkenc.build_block_encoding(g, k)
-            pb = projected_block(enc)
             cx = build_clique_complex(g, k)
             states = []
             for size in (k - 1, k, k + 1):
                 states.extend(cx.basis(size))
-            sub = pb[np.ix_(states, states)]
             dop = homology.dirac(cx, k)
-            if np.abs(sub - dop.matrix / g.n).max() > 1e-12:
-                failures.append(f"block mismatch seed={seed}")
+            # the matrix-free encoding's projected block, and the dense oracle's
+            enc = walkenc.build_block_encoding(g, k)
+            basis = enc.embed(np.eye(len(states)))
+            sub = projected_block(g, k)[np.ix_(states, states)]
+            for block in (basis.T @ enc.apply(basis), sub):
+                if np.abs(block - dop.matrix / g.n).max() > 1e-12:
+                    failures.append(f"block mismatch seed={seed}")
             spec = walkenc.walk_spectrum(g, k)
             want = np.sort(np.repeat(np.abs(spec.hamiltonian_eigs), 2))
             got = np.sort(np.abs(np.sin(spec.walk_eigenphases)) * spec.lam)
             if want.size != got.size or np.abs(want - got).max() > 1e-8:
                 failures.append(f"eigenphase mismatch seed={seed}")
-            # direct matrix action of the walk on the orthogonal partner states
-            walk = walkenc.build_walk(enc)
-            evals, emb = walkenc.embed_restricted_eigenvectors(g, k, enc)
+            # direct action of the matrix-free walk on the orthogonal partner states
+            evals, evecs = np.linalg.eigh(dop.matrix.astype(np.float64))
+            emb = enc.embed(evecs)
+            v_emb = enc.apply(emb)
             for i, energy in enumerate(evals):
                 v0k = emb[:, i]
                 ratio = energy / enc.lam
-                resid = enc.matrix @ v0k - ratio * v0k
+                resid = v_emb[:, i] - ratio * v0k
                 if np.linalg.norm(resid) < 1e-12:
                     continue
                 chi = resid / (1j * math.sqrt(1.0 - ratio * ratio))
                 rhs = 1j * ratio * chi + math.sqrt(1.0 - ratio * ratio) * v0k
-                if np.abs(walk @ chi - rhs).max() > 1e-8:
+                walk_chi = 1j * enc.reflection() * enc.apply(chi[:, None])[:, 0]
+                if np.abs(walk_chi - rhs).max() > 1e-8:
                     failures.append(f"walk action seed={seed}")
                     break
             done += 1
@@ -252,7 +257,7 @@ def test_criterion_08_dequantizer():
             assert Fraction(beta, math.comb(g.n, k)) == target
             op = penalized_operator(g, k)
             idx = op.basis.weight_k_clique_indices
-            trotter = deq.trotterized_matrix(one_sparse_decompose(op.matrix), cfg.t, cfg.r_t)
+            trotter = trotterized_matrix(one_sparse_decompose(op.matrix), cfg.t, cfg.r_t)
             mean = float(np.trace(trotter[np.ix_(idx, idx)])) / op.d_k
             if not float(target) <= mean <= 1.01 * float(target):
                 failures.append(f"K({m},{k}): Trotterized mean {mean:.6f} not in [1, 1.01] x {float(target):.6f}")

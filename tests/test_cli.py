@@ -203,9 +203,9 @@ class TestSubcommands:
     def test_dequantize_single_reflection(self, capsys, tmp_path):
         # the 4-cycle at k = 1 decomposes with one reflection term, so the
         # loop closes through a matching term
-        from bettiforge.dequant.estimator import trotterized_matrix
         from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
         from bettiforge.graphs import Graph
+        from oracles import trotterized_matrix
 
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         path = tmp_path / "c4.json"
@@ -297,6 +297,12 @@ class TestExitCodes:
             pytest.param([*DEQUANT_K22, "--t", "nan"], "time t must be finite", id="t-nan"),
             pytest.param(
                 ["simulate", "walk", "--gen", "er:6,0.7", "--seed", "1", "--k", "0"], "k must be >= 1", id="walk-k0"
+            ),
+            pytest.param(["simulate", "walk", "--gen", "er:6,0.7", "--k=-2"], "k must be >= 1", id="walk-k-neg"),
+            pytest.param(
+                ["simulate", "walk", "--gen", "er:5,0.6", "--seed", "1", "--k", "7"],
+                "graph has no 7-cliques",
+                id="walk-no-k-cliques",
             ),
             pytest.param(
                 ["estimate", "--n", "9", "--k", "3", "--edges", "27", "--cliques", "27", "--betti", "8",
@@ -463,6 +469,38 @@ def test_filter_and_pipeline_read_one_laplacian_spectrum(capsys, monkeypatch, ar
     assert len(solves) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "walk", "--gen", "er:8,0.6", "--seed", "1", "--k", "2"],
+    ["simulate", "walk", "--gen", "kpartite:1,2", "--k", "1"],
+    [*DEQUANT_K22, "--t", "1", "--samples", "200"],
+    [*DEQUANT_K22, "--t", "1", "--samples", "200", "--sampler", "mh", "--burn-in", "10"],
+])
+def test_walk_and_dequantizer_read_one_clique_complex(capsys, monkeypatch, argv):
+    # the restricted Dirac operator comes from one clique complex: no subset
+    # test per bit string, and one Dirac operator.  The modules are imported
+    # first, so that none binds a patched function at import
+    from bettiforge import graphs, homology
+    from bettiforge.dequant import estimator, operators  # noqa: F401
+    from bettiforge.qsim import walkenc  # noqa: F401
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-state clique test on a production path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bettiforge") and getattr(module, "is_clique", None) is graphs.is_clique:
+            monkeypatch.setattr(module, "is_clique", refuse)
+    complexes, operators = [], []
+    build, dirac = graphs.build_clique_complex, homology.dirac
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bettiforge") and getattr(module, "build_clique_complex", None) is build:
+            monkeypatch.setattr(module, "build_clique_complex", lambda g, k: complexes.append(k) or build(g, k))
+        if name.startswith("bettiforge") and getattr(module, "dirac", None) is dirac:
+            monkeypatch.setattr(module, "dirac", lambda cx, k: operators.append(k) or dirac(cx, k))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out), err
+    assert len(complexes) == 1 and len(operators) == 1
+
+
 def test_pipeline_runs_past_eight_vertices(capsys):
     # the pipeline holds no 2^n object; only the spectrum's dense cap limits it
     from bettiforge import graphs, homology
@@ -559,6 +597,16 @@ def test_fuzz_simulate_dicke(n, k, c, trials, seed):
     assert _exit_code(argv) in (0, 2, 3)
 
 
+def test_walk_at_k1_lists_each_energy_twice(capsys):
+    # K2 at k = 1 has Dirac eigenvalues 0 and +-sqrt(2); a projector that
+    # kept the empty set printed four sqrt(2) and two 1.45765 entries
+    code, out, err = run_cli(capsys, "simulate", "walk", "--gen", "kpartite:1,2", "--k", "1")
+    assert code == 0, err
+    got = json.loads(out)["abs_sin_scaled"]
+    assert len(got) == 6
+    assert np.abs(np.array(got) - np.array([0.0, 0.0] + [math.sqrt(2.0)] * 4)).max() < 1e-8
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -649,4 +697,52 @@ def test_fuzz_simulate_graph(tmp_path_factory, what, text, k, epsilon, r, delta,
     if ell is not None:
         options["ell"] = ell
     argv = ["simulate", what, "--graph", str(path), *_flags(**options)]
+    assert _cli_exit_code(argv) in (0, 2, 3)
+
+
+# a field of a --gen spec: three times in four a small number, else a token
+# that is not one, a non-finite float, an empty field or a count far past the caps
+def _mostly(valid, junk):
+    return st.one_of(valid, valid, valid, junk)
+
+
+SPEC_SMALL = _mostly(st.integers(1, 3).map(str),
+                     st.sampled_from(["0", "-1", "", "x", "nan", "inf", "1.5", "1e3", "100000000"]))
+SPEC_N = _mostly(st.integers(2, 10).map(str),
+                 st.sampled_from(["1", "0", "-1", "", "x", "nan", "-inf", "2.0", "100000000"]))
+SPEC_P = _mostly(st.floats(0.0, 1.0).map(repr), st.sampled_from(["nan", "inf", "-inf", "-0.1", "1.5", "p", ""]))
+SPEC_THRESHOLD = _mostly(st.floats(0.0, 3.0).map(repr), st.sampled_from(["nan", "inf", "-inf", "-1", "t", ""]))
+
+
+def _gen_spec(family: str, *fields):
+    # the family's fields in order, now and then cut short or given one more,
+    # so that malformed arities come up too
+    full = len(fields)
+    arity = st.sampled_from([full, full, full, full, 0, full - 1, full + 1])
+    return st.tuples(st.tuples(*fields), SPEC_SMALL, arity).map(
+        lambda t: f"{family}:" + ",".join([*t[0], t[1]][: t[2]])
+    )
+
+
+GEN_FAMILIES = st.one_of(
+    _gen_spec("kpartite", SPEC_SMALL, SPEC_SMALL),
+    _gen_spec("er", SPEC_N, SPEC_P),
+    _gen_spec("rips", SPEC_N, SPEC_SMALL, SPEC_THRESHOLD),
+)
+GEN_SPEC = _mostly(GEN_FAMILIES,
+                  st.sampled_from(["", ":", "er", "kpartite:", "ER:5,0.5", "grid:3,3"]) | st.text(max_size=12))
+GEN_COMMANDS = {"generate": ["generate"], "betti": ["betti"], "walk": ["simulate", "walk"]}
+
+
+# sizes stay at desk scale (at most 16 vertices, k <= 5), so that every
+# draw that gets past the checks runs quickly
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(command=st.sampled_from(sorted(GEN_COMMANDS)), spec=GEN_SPEC, k=st.integers(1, 3) | st.integers(-1, 5),
+       seed=st.none() | st.integers(0, 5) | st.integers(-2, 5))
+def test_fuzz_generator_spec(command, spec, k, seed):
+    argv = [*GEN_COMMANDS[command], f"--gen={spec}"]
+    if command != "generate":
+        argv.append(f"--k={k}")
+    if seed is not None:
+        argv.append(f"--seed={seed}")
     assert _cli_exit_code(argv) in (0, 2, 3)

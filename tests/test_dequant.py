@@ -7,12 +7,7 @@ from scipy.special import logsumexp
 
 from bettiforge.graphs import gen_kpartite
 from bettiforge.homology import betti_exact
-from bettiforge.dequant.estimator import (
-    PIMCConfig,
-    estimate_from_operator,
-    estimate_normalized_betti,
-    trotterized_matrix,
-)
+from bettiforge.dequant.estimator import PIMCConfig, estimate_from_operator, estimate_normalized_betti
 from bettiforge.dequant.operators import (
     one_sparse_decompose,
     penalized_operator,
@@ -41,6 +36,7 @@ from oracles import (
     scalar_pattern_draw,
     stationary_log_prob,
     trotter_slices,
+    trotterized_matrix,
     variance_report,
 )
 

@@ -13,7 +13,10 @@ from oracles import (
     amplitude_estimate_trials,
     asymptotic_tail_bound,
     dense_dirac_gap,
+    dense_encoding,
     dense_filter_amplitude,
+    dense_walk,
+    dense_walk_spectrum,
     filter_halfwidth,
     full_dirac,
     kaiser_phase_distribution,
@@ -94,18 +97,42 @@ class TestDickeThreshold:
             dicke.dicke_success_prob(4, 2, 4, 0, seed=0)
 
 
+def _walk_cases(n: int):
+    """G(n, 0.6) for seeds 0-7 and k = 1-3, each graph that has k-cliques."""
+    for seed in range(8):
+        g = gen_erdos_renyi(n, 0.6, seed)
+        for k in range(1, 4):
+            if build_clique_complex(g, k).count(k):
+                yield g, k
+
+
+def _check_walk_against_oracle(g, k):
+    enc = walkenc.build_block_encoding(g, k)
+    x = np.random.default_rng(g.n).standard_normal((g.n << g.n, 3))
+    assert np.abs(enc.apply(x) - dense_encoding(g.n) @ x).max() < 1e-14
+    spec = walkenc.walk_spectrum(g, k)
+    evals, phases = dense_walk_spectrum(g, k)
+    assert spec.hamiltonian_eigs.tobytes() == evals.tobytes()
+    assert spec.walk_eigenphases.size == phases.size
+    assert np.abs(spec.walk_eigenphases - phases).max() < 1e-12
+    want = np.sort(np.repeat(np.abs(spec.hamiltonian_eigs), 2))
+    got = np.sort(np.abs(np.sin(spec.walk_eigenphases)) * spec.lam)
+    assert got.size == want.size
+    assert np.abs(want - got).max() < 1e-8
+
+
 class TestBlockEncoding:
     def test_complete_graph_unrestricted_block(self):
         g = gen_kpartite(1, 4)
         enc = walkenc.build_block_encoding(g, 2)
         dim = enc.system_dim
-        block = enc.matrix[:dim, :dim]
+        block = enc.apply(np.eye(g.n * dim))[:dim, :dim]
         assert np.abs(block - full_dirac(4) / 4.0).max() < 1e-12
 
     def test_unitary_and_hermitian(self):
         g = gen_erdos_renyi(5, 0.5, 7)
         enc = walkenc.build_block_encoding(g, 2)
-        v = enc.matrix
+        v = enc.apply(np.eye(g.n << g.n))
         assert np.abs(v @ v.T - np.eye(v.shape[0])).max() < 1e-12
         assert np.abs(v - v.T).max() < 1e-12
 
@@ -117,17 +144,22 @@ class TestBlockEncoding:
         cx = build_clique_complex(g, k)
         if cx.count(k) == 0:
             pytest.skip("no edges")
-        enc = walkenc.build_block_encoding(g, k)
-        pb = projected_block(enc)
         dop = dirac(cx, k)
         states = []
         for size in (k - 1, k, k + 1):
             states.extend(cx.basis(size))
+        # the dense oracle: P V P on the system, zero outside the clique states
+        pb = projected_block(g, k)
         sub = pb[np.ix_(states, states)]
         assert np.abs(sub - dop.matrix / g.n).max() < 1e-12
         outside = np.ones(pb.shape[0], dtype=bool)
         outside[list(states)] = False
         assert np.abs(pb[outside, :]).max(initial=0.0) < 1e-15
+        # the matrix-free encoding: its projector is the Dirac basis
+        enc = walkenc.build_block_encoding(g, k)
+        assert enc.states.tolist() == states
+        basis = enc.embed(np.eye(len(states)))
+        assert np.abs(basis.T @ enc.apply(basis) - dop.matrix / g.n).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_walk_eigenphases(self, seed):
@@ -135,11 +167,31 @@ class TestBlockEncoding:
         g = gen_erdos_renyi(n, 0.6, 100 + seed)
         if not g.edges:
             pytest.skip("empty graph")
-        spec = walkenc.walk_spectrum(g, 2)
-        want = np.sort(np.repeat(np.abs(spec.hamiltonian_eigs), 2))
-        got = np.sort(np.abs(np.sin(spec.walk_eigenphases)) * spec.lam)
-        assert got.size == want.size
-        assert np.abs(want - got).max() < 1e-8
+        for k in (1, 2):
+            _check_walk_against_oracle(g, k)
+
+    @pytest.mark.parametrize("g", [gen_kpartite(1, m) for m in range(2, 7)] + [gen_kpartite(2, 2)],
+                             ids=["K2", "K3", "K4", "K5", "K6", "K(2,2)"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_walk_eigenphases_complete_and_bipartite(self, g, k):
+        if build_clique_complex(g, k).count(k) == 0:
+            with pytest.raises(ValueError, match=f"graph has no {k}-cliques"):
+                walkenc.walk_spectrum(g, k)
+            return
+        _check_walk_against_oracle(g, k)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_walk_matches_dense_oracle_on_random_graphs(self, n):
+        for g, k in _walk_cases(n):
+            _check_walk_against_oracle(g, k)
+
+    def test_phase_of_minus_one_is_plus_pi(self):
+        # a zero mode gives walk eigenvalues +1 and -1; -1 must not come out
+        # as -pi on one side of the branch cut and +pi on the other
+        for g, k in [(gen_kpartite(2, 2), 2), (gen_kpartite(1, 2), 1)]:
+            phases = walkenc.walk_spectrum(g, k).walk_eigenphases
+            assert np.all(phases > -math.pi + 1e-6)
+            assert np.any(phases == math.pi)
 
     def test_zero_mode_gives_plus_minus_one(self):
         g = gen_kpartite(2, 2)  # beta_1 = 1: a zero mode exists
@@ -151,24 +203,27 @@ class TestBlockEncoding:
     def test_walk_action_on_orthogonal_partner(self):
         g = gen_erdos_renyi(5, 0.7, 11)
         enc = walkenc.build_block_encoding(g, 2)
-        walk = walkenc.build_walk(enc)
-        evals, emb = walkenc.embed_restricted_eigenvectors(g, 2, enc)
+        evals, evecs = np.linalg.eigh(dirac(build_clique_complex(g, 2), 2).matrix.astype(float))
+        emb = enc.embed(evecs)
+        walk = dense_walk(g, 2)
         for i, energy in enumerate(evals):
             v0k = emb[:, i]
             ratio = energy / enc.lam
-            resid = enc.matrix @ v0k - ratio * v0k
+            resid = enc.apply(v0k[:, None])[:, 0] - ratio * v0k
             if np.linalg.norm(resid) < 1e-12:
                 continue
             chi_kperp = resid / (1j * math.sqrt(1.0 - ratio * ratio))
             lhs = walk @ chi_kperp
             rhs = 1j * ratio * chi_kperp + math.sqrt(1.0 - ratio * ratio) * v0k
             assert np.abs(lhs - rhs).max() < 1e-10
+            # the matrix-free walk acts the same way
+            assert np.abs(1j * enc.reflection() * enc.apply(chi_kperp[:, None])[:, 0] - lhs).max() < 1e-12
 
     def test_size_limit(self):
         from bettiforge.errors import DeskScaleError
 
         with pytest.raises(DeskScaleError):
-            walkenc.build_block_encoding(Graph(9, ()), 2)
+            walkenc.build_block_encoding(Graph(13, ()), 2)
 
 
 class TestChebyshevFilter:
