@@ -126,8 +126,7 @@ def gen_kpartite(m: int, k: int) -> Graph:
     if m < 1 or k < 1:
         raise ValueError("cluster size and cluster count must both be >= 1")
     n = m * k
-    if n > MAX_VERTICES:
-        raise DeskScaleError(f"K({m},{k}) needs n={n} vertices; limit is {MAX_VERTICES}")
+    _check_vertices(n)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if i // m != j // m]
     return Graph(n, tuple(edges))
 

@@ -165,6 +165,7 @@ def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
     """
     sizes = (cx.count(k - 1) if k >= 2 else 0, cx.count(k), cx.count(k + 1))
     total = sum(sizes)
+    _check_desk_scale(total, f"dirac(k={k})")
     mat = np.zeros((total, total), dtype=np.int64)
     a, b, c = sizes
     if k >= 2 and a and b:

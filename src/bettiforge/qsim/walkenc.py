@@ -9,12 +9,12 @@ S_j as a signed permutation of the states, then prep^T.  The projector P is
 the basis of ``homology.dirac``, so the projected block is the restricted
 Dirac operator over n.  The walk W = R V with R = i(2|0><0| x P - I) turns
 each restricted eigenvalue E into walk eigenvalues +-exp(+-i arcsin(E/lambda))
-on the plane spanned by |0,k> and V|0,k>.
+on the plane spanned by |0,k> and V|0,k>; distinct eigenvectors give orthogonal planes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,8 @@ MAX_SIM_QUBITS = 12
 # a walk eigenvalue within this distance of the real axis is taken as real,
 # so that -1 always reports the phase +pi
 REAL_AXIS_TOL = 1e-12
+
+WALK_BATCH_ENTRIES = 1 << 20  # embedded entries per batch of walk eigenvectors: 8 MB
 
 
 def _check_qubits(n: int) -> None:
@@ -57,6 +59,7 @@ class BlockEncoding:
     lam: float  # normalization, equal to n
     states: np.ndarray  # the projector P: the restricted Dirac basis, in dirac() order
     prep: np.ndarray  # n x n orthogonal, column 0 the uniform vector
+    cx: CliqueComplex = field(repr=False)  # the complex the projector was read off
 
     @property
     def system_dim(self) -> int:
@@ -87,14 +90,14 @@ class BlockEncoding:
         return refl
 
 
-def build_block_encoding(g: Graph, k: int, cx: CliqueComplex | None = None) -> BlockEncoding:
-    """Matrix-free LCU unitary whose projected ancilla-0 block is B_G / n; ``cx`` is g's complex, if built."""
+def build_block_encoding(g: Graph, k: int) -> BlockEncoding:
+    """Matrix-free LCU unitary whose projected ancilla-0 block is B_G / n."""
     _check_qubits(g.n)
     if g.n < 1:
         raise ValueError("need at least one vertex")
     check_weight(k)
-    basis = dirac_basis(cx if cx is not None else build_clique_complex(g, k), k)
-    return BlockEncoding(g.n, k, float(g.n), basis, _uniform_prep(g.n))
+    cx = build_clique_complex(g, k)
+    return BlockEncoding(g.n, k, float(g.n), dirac_basis(cx, k), _uniform_prep(g.n), cx)
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,29 @@ class WalkSpectrum:
 
 def walk_spectrum(g: Graph, k: int) -> WalkSpectrum:
     """Eigenphases of W on the invariant subspace spanned by |0,k>, V|0,k>."""
-    _check_qubits(g.n)
-    check_weight(k)
-    cx = build_clique_complex(g, k)
-    if cx.count(k) == 0:
+    enc = build_block_encoding(g, k)
+    if enc.cx.count(k) == 0:
         raise ValueError(f"graph has no {k}-cliques")
-    enc = build_block_encoding(g, k, cx)
-    evals, evecs = np.linalg.eigh(dirac(cx, k).matrix.astype(np.float64))
-    embedded = enc.embed(evecs)
-    u, s, _ = np.linalg.svd(np.hstack([embedded, enc.apply(embedded)]), full_matrices=False)
-    q = u[:, s > 1e-10]
-    z = np.linalg.eigvals(1j * (q.T @ (enc.reflection()[:, None] * enc.apply(q))))
+    evals, evecs = np.linalg.eigh(dirac(enc.cx, k).matrix.astype(np.float64))
+    step = max(1, WALK_BATCH_ENTRIES // (enc.n * enc.system_dim))
+    blocks = [_plane_blocks(enc, evecs[:, i : i + step]) for i in range(0, evals.size, step)]
+    z = np.linalg.eigvals(np.concatenate(blocks)).ravel()
     phases = np.angle(np.where(np.abs(z.imag) <= REAL_AXIS_TOL, z.real, z))
     return WalkSpectrum(evals, np.sort(phases), enc.lam)
+
+
+def _plane_blocks(enc: BlockEncoding, vectors: np.ndarray) -> np.ndarray:
+    """W = i R V compressed onto span{|0,v>, V|0,v>}: one 2 x 2 block per column v.
+
+    |E| / lambda <= 1 / sqrt(n) (B^2 = n) and E = 0 at n = 1, so V|0,v> never
+    lies along |0,v>.
+    """
+    refl = enc.reflection()[:, None]
+    a = enc.embed(vectors)
+    ra = enc.apply(a)
+    b = ra - np.einsum("rm,rm->m", a, ra) * a
+    b /= np.linalg.norm(b, axis=0)
+    ra *= refl
+    rb = refl * enc.apply(b)
+    dots = [[np.einsum("rm,rm->m", x, rx) for rx in (ra, rb)] for x in (a, b)]
+    return 1j * np.moveaxis(np.array(dots), -1, 0)

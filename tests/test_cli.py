@@ -272,6 +272,10 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, *command, "--gen", "kpartite:1,16", "--k", "8")
             assert code == 3 and "spectrum(k=8) needs dimension 12870" in err and out == "", command
 
+    def test_walk_past_twelve_vertices_is_3(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "walk", "--gen", "kpartite:1,13", "--k", "6")
+        assert code == 3 and "simulator supports n <= 12 qubits, got 13" in err and out == ""
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     def test_non_finite_rips_threshold_is_2(self, capsys, threshold):
         code, out, err = run_cli(capsys, "betti", "--gen", f"rips:4,1,{threshold}", "--k", "1")

@@ -78,7 +78,7 @@ class TestKPartite:
                     assert not g.has_edge(3 * c + i, 3 * c + j)
 
     def test_overflow_rejected(self):
-        with pytest.raises(DeskScaleError):
+        with pytest.raises(DeskScaleError, match="graph has n=81 vertices"):
             gen_kpartite(9, 9)
 
 

@@ -219,6 +219,20 @@ class TestBlockEncoding:
             # the matrix-free walk acts the same way
             assert np.abs(1j * enc.reflection() * enc.apply(chi_kperp[:, None])[:, 0] - lhs).max() < 1e-12
 
+    def test_walk_memory_is_bounded_by_the_batch(self):
+        # the planes are compressed a batch of eigenvectors at a time, so no
+        # array spans the n * 2^n space times the whole Dirac basis
+        import tracemalloc
+
+        for g, k in [(gen_kpartite(1, 9), 4), (gen_erdos_renyi(12, 0.6, 1), 2)]:
+            tracemalloc.start()
+            try:
+                walkenc.walk_spectrum(g, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 20, (g.n, k, peak)
+
     def test_size_limit(self):
         from bettiforge.errors import DeskScaleError
 
