@@ -16,6 +16,7 @@ bitwise reproducible, and the outputs must not depend on the host.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -449,7 +450,9 @@ def cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: a parse leaves no state in it."""
     parser = argparse.ArgumentParser(prog="bettiforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -538,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _pin_threads()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     from .errors import DeskScaleError
 
     try:

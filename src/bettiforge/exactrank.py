@@ -3,22 +3,30 @@
 Ranks of boundary matrices must be exact, not numerical: Betti numbers are
 differences of ranks and an off-by-one from float round-off would be silent.
 
-``cleared_ranks`` ranks two consecutive boundary maps d_{k-1}, d_k over F_p
-through their transposes, the coboundaries (``coboundary``).  Each is reduced
-column by column on its lowest nonzero row, as in persistent cohomology
-(de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+``cleared_ranks`` ranks two consecutive boundary maps d_{k-1}, d_k modulo an
+integer through their transposes, the coboundaries (``coboundary``).  Each is
+reduced column by column on its lowest nonzero row, as in persistent
+cohomology (de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
 (co)homology"; Bauer, "Ripser").  Each pivot row of the reduced d_{k-1}^T
 names a column of d_k^T that would reduce to zero, so that column is skipped
 (clearing).  Reducing d_k itself would walk its |Cl_{k+1}| columns, the
 largest chain group here, most of them down to zero; d_k^T has |Cl_k|
-columns, and clearing leaves only beta + rank(d_k) of them.
+columns, and clearing leaves only beta + rank(d_k) of them.  A column whose
+lowest row is still free becomes a pivot as it stands, unreduced (Ripser's
+emergent pairs), and a pivot is never rescaled: the inverse of its lead is
+kept instead.
 
 The rank mod p is at most the rank over Q, and the two are equal unless p
 divides an invariant factor of the matrix, that is a torsion coefficient of
 the homology beside it.  Callers rank with both ``RANK_PRIMES`` and take the
 common value; when the two disagree on a map one of them met torsion and the
 exact Bareiss rank of that map decides.  The common value is wrong only if
-both primes divide the torsion.
+both primes divide the torsion.  One reduction modulo p1*p2 serves both
+primes, since Z/(p1 p2) is F_p1 x F_p2 (the multi-modular method of Dumas,
+Saunders & Villard, J. Symb. Comput. 32, 2001): while every lead is a unit
+it is both fields' reductions at once.  A lead that is not a unit means the
+primes part ways; then each prime is reduced on its own, with the same
+function.
 
 ``integer_rank`` is fraction-free (Bareiss) Gaussian elimination on a dense
 matrix.  It keeps all intermediate entries as integer minors, so the
@@ -30,6 +38,7 @@ the tests compare the modular ranks against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +46,7 @@ import numpy as np
 # |piv*x| + |y*z| stays below 2**63 when every entry magnitude is below this
 _INT64_SAFE = 2**30
 
-# two primes below 2**31, so every product of two residues is a small Python int
+# two primes below 2**31; one reduction modulo their product ranks over both
 RANK_PRIMES = (2147483647, 2147483629)
 
 
@@ -69,35 +78,58 @@ def coboundary(faces: np.ndarray, n_faces: int) -> Coboundary:
     return Coboundary(indptr, rows, pos)
 
 
-def reduce_columns(cob: Coboundary, p: int, skip=()) -> dict[int, int]:
-    """Reduce the columns of a coboundary over F_p; returns {pivot row: column}.
+def reduce_columns(cob: Coboundary, modulus: int, skip=()) -> dict[int, int] | None:
+    """Reduce the columns of a coboundary mod ``modulus``; returns {pivot row: column}.
 
     Columns are reduced in ascending order against the columns already
     reduced, always on their lowest (largest) nonzero row; a column left
     nonzero holds a new pivot, so the rank is the number of pivots.  Columns
     in ``skip`` are not reduced at all.
+
+    For a prime p this is the reduction over F_p.  For a product N of
+    distinct primes, Z/N is the product of their fields (CRT), so while every
+    lead met is a unit mod N the one pass is each prime's reduction at once:
+    a unit lead is nonzero mod every prime, so each prime sees the same
+    lowest row, and the pivots equal each prime's.  A lead that is not a unit
+    mod N (never for a prime) means some prime would have seen a lower row;
+    the reduction stops there and returns None.
+
+    A pivot column is kept as it stands, with the inverse of its lead.  A
+    column whose lowest row has no pivot yet becomes one straight from the
+    coboundary, unreduced: its lead is -1 or 1, its own inverse.
     """
-    pivots: dict[int, dict[int, int]] = {}  # pivot row -> column scaled to 1 there
-    owner: dict[int, int] = {}
     rows = cob.rows.tolist()
-    values = np.where(cob.pos & 1, p - 1, 1).tolist()
+    # entries stay the integers +-1 until a reduction touches them, so no
+    # residue of the modulus is ever held in int64, however large it is
+    values = np.where(cob.pos & 1, -1, 1).tolist()
     ptr = cob.indptr.tolist()
+    pivots: dict[int, tuple[list[int], list[int], int]] = {}  # pivot row -> rows, values, 1/lead
+    owner: dict[int, int] = {}
     for c in range(len(ptr) - 1):
-        if c in skip:
+        start, stop = ptr[c], ptr[c + 1]
+        if start == stop or c in skip:
             continue
-        col = dict(zip(rows[ptr[c] : ptr[c + 1]], values[ptr[c] : ptr[c + 1]]))
+        low = rows[stop - 1]
+        if low not in pivots:
+            pivots[low] = (rows[start:stop], values[start:stop], values[stop - 1])
+            owner[low] = c
+            continue
+        col = dict(zip(rows[start:stop], values[start:stop]))
         while col:
             low = max(col)
-            other = pivots.get(low)
-            if other is None:
-                scale = pow(col[low], -1, p)
-                pivots[low] = {row: value * scale % p for row, value in col.items()}
+            lead = col[low]
+            if math.gcd(lead, modulus) != 1:
+                return None
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (list(col), list(col.values()), pow(lead, -1, modulus))
                 owner[low] = c
                 break
-            factor = col[low]
-            for row, value in other.items():
-                # p is prime, so an entry cancels only in a row col already has
-                entry = (col.get(row, 0) - factor * value) % p
+            pivot_rows, pivot_values, inverse = pivot
+            factor = modulus - lead * inverse % modulus
+            for row, value in zip(pivot_rows, pivot_values):
+                # factor is a unit, so an entry cancels only in a row col already has
+                entry = (col.get(row, 0) + factor * value) % modulus
                 if entry:
                     col[row] = entry
                 else:
@@ -105,18 +137,23 @@ def reduce_columns(cob: Coboundary, p: int, skip=()) -> dict[int, int]:
     return owner
 
 
-def cleared_ranks(down: Coboundary | None, up: Coboundary, p: int) -> tuple[int, int]:
-    """Ranks over F_p of two consecutive boundary maps, from their coboundaries.
+def cleared_ranks(down: Coboundary | None, up: Coboundary, modulus: int) -> tuple[int, int] | None:
+    """Ranks mod ``modulus`` of two consecutive boundary maps, from their coboundaries.
 
     ``down`` is the coboundary of d_{k-1} (None for k = 1, whose rank is 0)
     and ``up`` that of d_k.  The reduced column of ``down`` with pivot row j
     is a coboundary whose lowest row is j, and ``up`` maps it to zero (the
     coboundary squares to zero).  So column j of ``up`` is a combination of
     the columns before it and would reduce to zero: it is skipped (clearing).
-    This holds over any field, since the columns go in ascending order.
+    This holds over any field, since the columns go in ascending order.  With
+    a product of primes as ``modulus`` the ranks hold for each of them, and
+    None means a non-unit lead stopped a reduction (``reduce_columns``).
     """
-    low = reduce_columns(down, p) if down is not None else {}
-    return len(low), len(reduce_columns(up, p, skip=low))
+    low = reduce_columns(down, modulus) if down is not None else {}
+    if low is None:
+        return None
+    high = reduce_columns(up, modulus, skip=low)
+    return None if high is None else (len(low), len(high))
 
 
 def integer_rank(matrix) -> int:

@@ -17,7 +17,9 @@ its spectrum is +-sqrt of the Laplacian spectrum, which ``spectrum`` owns.
 Betti numbers come from exact ranks, not from floating point: sparse column
 reduction of the coboundaries over F_p for two primes, with the columns that
 would reduce to zero cleared, and dense Bareiss elimination of a map when
-the primes disagree on it (see ``betti_exact`` and ``exactrank``).  Spectra
+the primes disagree on it (see ``betti_exact`` and ``exactrank``).  One
+reduction modulo the product of the primes serves both unless it meets a
+lead that is not a unit; then each prime is reduced on its own.  Spectra
 come from a dense symmetric eigensolver and are cross-checked against the
 exact ranks in the test suite.
 """
@@ -213,15 +215,19 @@ def betti_exact(g: Graph, k: int, cx: CliqueComplex | None = None) -> int:
     the two disagree.  The result is wrong only if both primes divide a
     torsion coefficient of the homology.  Both maps are ranked through their
     coboundaries, the pivots of d_{k-1}^T clearing columns of d_k^T
-    (``exactrank.cleared_ranks``).  No dense matrix is built unless the
-    primes disagree, so only that fallback is under the dense cap.  ``cx``,
-    the complex of g through size k+1, saves rebuilding it.
+    (``exactrank.cleared_ranks``).  One reduction modulo the product of the
+    primes gives both primes' ranks; when it meets a lead that is not a unit,
+    a sign of torsion, each prime is reduced separately.  No dense matrix is
+    built unless the primes disagree, so only that fallback is under the
+    dense cap.  ``cx``, the complex of g through size k+1, saves rebuilding
+    it.
     """
     check_weight(k)
     cx = _complex(g, k, cx)
     down = coboundary(face_table(cx, k - 1), cx.count(k - 1)) if k >= 2 else None
     up = coboundary(face_table(cx, k), cx.count(k))
-    ranks = [cleared_ranks(down, up, p) for p in RANK_PRIMES]
+    both = cleared_ranks(down, up, math.prod(RANK_PRIMES))
+    ranks = [both] if both is not None else [cleared_ranks(down, up, p) for p in RANK_PRIMES]
     rank_down = _exact_rank(cx, k - 1, {r for r, _ in ranks}) if k >= 2 else 0
     return cx.count(k) - rank_down - _exact_rank(cx, k, {r for _, r in ranks})
 

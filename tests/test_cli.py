@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bettiforge
+from bettiforge import cli
 from bettiforge.cli import _pin_threads, main, parse_generator_spec
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -388,6 +389,43 @@ class TestExitCodes:
         )
         cfg = json.loads(out)["config"]
         assert cfg["t"] == 2.0 and cfg["seed"] == 17 and cfg["sampler"] == "exact"
+
+
+def _fresh_process(argv) -> subprocess.CompletedProcess:
+    src = str(Path(bettiforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "bettiforge.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestParserReuse:
+    BETTI = ["betti", "--gen", "er:12,0.6", "--seed", "2", "--k", "2"]
+
+    def test_main_builds_the_parser_once(self, capsys):
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, *self.BETTI)[0] == 0
+        assert run_cli(capsys, "sweep", "--k", "3", "--n", "6:12:3")[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_out_does_not_carry_over(self, capsys, tmp_path):
+        path = tmp_path / "b.json"
+        code, out, _ = run_cli(capsys, *self.BETTI, "--out", str(path))
+        assert code == 0 and out == ""
+        code, out, _ = run_cli(capsys, *self.BETTI)
+        assert code == 0 and out == path.read_text()
+
+    def test_rejection_leaves_no_state(self, capsys, monkeypatch):
+        # the usage text wraps at the terminal width; fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        rejected = ["betti", "--gen", "er:12,0.6", "--k", "two"]
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert exc.value.code == 2
+        fresh = _fresh_process(rejected)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, "", capsys.readouterr().err)
+        fresh = _fresh_process(self.BETTI)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == run_cli(capsys, *self.BETTI)
 
 
 def test_thread_cap_overrides_inherited_settings(monkeypatch):

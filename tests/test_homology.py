@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -125,6 +126,10 @@ def _rp2_subdivision() -> Graph:
     return Graph.from_edges(len(order), edges)
 
 
+# the modulus of the joint reduction that ranks over both primes at once
+JOINT = math.prod(RANK_PRIMES)
+
+
 class TestModularRank:
     @pytest.mark.parametrize("g,k", _property_cases())
     def test_matches_bareiss_and_nullity(self, g, k):
@@ -163,6 +168,64 @@ class TestModularRank:
             # a column that yields no pivot in the full reduction reached zero
             assert cleared.keys().isdisjoint(full.values())
             assert reduce_columns(up, p, skip=cleared) == full
+
+    @pytest.mark.parametrize("g,k", _property_cases() + _edge_cases())
+    def test_joint_modulus_matches_each_prime(self, g, k):
+        # every coboundary up to d_k, uncleared and cleared by the one below
+        cx = build_clique_complex(g, k)
+        below = None
+        for level in range(1, k + 1):
+            cob = coboundary(face_table(cx, level), cx.count(level))
+            joint = reduce_columns(cob, JOINT)
+            assert joint is not None
+            for p in RANK_PRIMES:
+                assert reduce_columns(cob, p) == joint
+            if below is not None:
+                cleared = reduce_columns(cob, JOINT, skip=below)
+                for p in RANK_PRIMES:
+                    assert reduce_columns(cob, p, skip=below) == cleared
+            below = joint
+
+    def test_joint_ranks_match_bareiss_on_random_graphs(self):
+        rng = np.random.default_rng(1616)
+        graphs = [gen_kpartite(1, n) for n in range(1, 10)]
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            graphs.append(gen_erdos_renyi(n, float(rng.uniform(0.2, 0.95)), int(rng.integers(2**31))))
+        seen = set()
+        for g in graphs:
+            for k in range(1, 5):
+                cx = build_clique_complex(g, k)
+                down, up = _coboundaries(cx, k)
+                want_up = integer_rank(boundary_matrix(cx, k).matrix)
+                want_down = integer_rank(boundary_matrix(cx, k - 1).matrix) if k >= 2 else 0
+                assert cleared_ranks(down, up, JOINT) == (want_down, want_up)
+                assert betti_exact(g, k, cx) == cx.count(k) - want_down - want_up
+                seen.add("k1" if k == 1 else "no k-cliques" if cx.count(k) == 0 else "other")
+        assert seen == {"k1", "no k-cliques", "other"}
+
+    def test_modulus_past_int64(self):
+        # the product of two Mersenne primes is about 2**150; no residue of it
+        # may be formed in int64
+        primes = (2**61 - 1, 2**89 - 1)
+        big = math.prod(primes)
+        cx = build_clique_complex(gen_erdos_renyi(10, 0.6, 3), 3)
+        down, up = _coboundaries(cx, 3)
+        low = reduce_columns(down, big)
+        for cob, skip in ((down, ()), (up, ()), (up, low)):
+            joint = reduce_columns(cob, big, skip=skip)
+            assert joint is not None
+            assert all(reduce_columns(cob, p, skip=skip) == joint for p in primes)
+        assert cleared_ranks(down, up, big) == cleared_ranks(down, up, JOINT)
+
+    def test_torsion_stops_the_joint_reduction(self):
+        # H_1 of RP^2 is Z/2: the ranks of d_2 mod 2 and mod 3 differ, so the
+        # reduction mod 6 must meet a lead that is not a unit
+        cx = build_clique_complex(_rp2_subdivision(), 2)
+        down, up = _coboundaries(cx, 2)
+        assert reduce_columns(up, 6) is None
+        assert cleared_ranks(down, up, 6) is None
+        assert (cleared_ranks(down, up, 2), cleared_ranks(down, up, 3)) == ((30, 59), (30, 60))
 
     def test_coboundary_is_transpose(self):
         cx = build_clique_complex(gen_erdos_renyi(10, 0.6, 3), 3)
