@@ -168,8 +168,6 @@ def estimate_from_operator(
     cfg: PIMCConfig,
 ) -> DequantResult:
     anchors = op.basis.weight_k_clique_indices
-    if anchors.size == 0:
-        raise ValueError(f"graph has no {k}-cliques")
     space = PathSpace(decomp, cfg.t, cfg.r_t, anchors)
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)

@@ -7,10 +7,12 @@ and the complement is penalized:
 
     H = B_G^2 + gamma_pen (1 - P).
 
-H is positive semidefinite; its kernel restricted to the weight-k clique
-states has dimension beta_{k-1}, and every nonzero eigenvalue is at least
-min(gamma_min, gamma_pen) where gamma_min is the smallest nonzero eigenvalue
-of B_G^2.
+B_G^2 = blockdiag(d d^T, L_k, d^T d) has the nonzero spectrum of the
+Laplacian L_k, so its smallest nonzero eigenvalue gamma_min and its top are
+the gap and top of ``homology.spectrum``.  The penalty gamma_pen is
+gamma_min, or 1 when L_k has no nonzero mode.  H is positive semidefinite;
+its kernel restricted to the weight-k clique states has dimension
+beta_{k-1}, and every nonzero eigenvalue is at least gamma_min.
 
 The decomposition H = sum_p c_p H_p uses terms of two shapes, both one-sparse
 Hermitian with eigenvalues +-c_p on their support:
@@ -37,7 +39,7 @@ import numpy as np
 
 from ..errors import DeskScaleError
 from ..graphs import CliqueComplex, Graph, build_clique_complex
-from ..homology import ZERO_TOL, dirac, dirac_basis
+from ..homology import dirac, dirac_basis, spectrum
 
 MAX_DEQUANT_QUBITS = 8
 DECOMPOSE_TOL = 1e-12  # symmetry, identity-term and off-diagonal cutoff of one_sparse_decompose
@@ -82,44 +84,31 @@ def ambient_basis(g: Graph, k: int) -> AmbientBasis:
 class PenalizedOperator:
     basis: AmbientBasis
     matrix: np.ndarray
-    gamma_pen: float
+    gamma_pen: float  # gamma_min, or 1 when B_G^2 has no nonzero mode
     gamma_min: float  # smallest nonzero eigenvalue of B_G^2
     gamma_max: float  # largest eigenvalue of the penalized operator
     d_k: int  # C(n, k), the normalization of the estimator
 
 
-def penalized_operator(g: Graph, k: int, gamma_pen: float | str = "gap") -> PenalizedOperator:
+def penalized_operator(g: Graph, k: int) -> PenalizedOperator:
     """Build B_G^2 + gamma_pen (1-P) on the ambient weight window; B_G is ``homology.dirac``.
 
-    ``gamma_pen`` may be an explicit positive number, "gap" (the oracle value
-    gamma_min), or "max" (the safe, looser choice gamma_max of B_G^2).  When
-    B_G^2 has no nonzero mode both fall back to 1: then every clique state is
+    gamma_min, gamma_pen and gamma_max are read off one Laplacian spectrum
+    (see the module docstring).  With no nonzero mode every clique state is
     in the kernel, and any positive penalty keeps the weight-k kernel.
     """
     basis = ambient_basis(g, k)
     if basis.weight_k_clique_indices.size == 0:
         raise ValueError(f"graph has no {k}-cliques")
-    b = dirac(basis.cx, k).matrix
+    summary = spectrum(g, k, basis.cx)
+    pen = summary.gap if summary.gap > 0 else 1.0
+    b = dirac(basis.cx, k).matrix.astype(np.float64)
     h = np.zeros((basis.dim, basis.dim))
     h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
-    evals = np.linalg.eigvalsh(h)
-    tol = ZERO_TOL * max(1.0, float(evals.max(initial=0.0)))
-    nonzero = evals[evals > tol]
-    gamma_min = float(nonzero.min()) if nonzero.size else 0.0
-    gamma_max_b2 = float(evals.max(initial=0.0))
-    if gamma_pen in ("gap", "max") and not nonzero.size:
-        pen = 1.0
-    elif gamma_pen == "gap":
-        pen = gamma_min
-    elif gamma_pen == "max":
-        pen = gamma_max_b2
-    else:
-        pen = float(gamma_pen)
-    if pen <= 0:
-        raise ValueError("penalty weight must be positive")
-    h = h + pen * np.diag(1.0 - basis.clique_flags)
-    gamma_max = float(np.linalg.eigvalsh(h).max(initial=0.0))
-    return PenalizedOperator(basis, h, pen, gamma_min, gamma_max, math.comb(g.n, k))
+    penalized = np.flatnonzero(~basis.clique_flags)
+    h[penalized, penalized] = pen
+    gamma_max = max(summary.top, pen) if penalized.size else summary.top
+    return PenalizedOperator(basis, h, pen, summary.gap, gamma_max, math.comb(g.n, k))
 
 
 # ---------------------------------------------------------------------------

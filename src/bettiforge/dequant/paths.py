@@ -71,43 +71,51 @@ def build_schedule(decomp: OneSparseDecomposition, r_t: int) -> tuple[tuple[int,
     return tuple(slice_order * r_t), shift
 
 
-def overlap_table(tp: OneSparseTerm, tq: OneSparseTerm) -> np.ndarray:
-    """Signed overlaps table[f, e] = <eigenvector f of tq | eigenvector e of tp>.
+def _state_entries(term: OneSparseTerm) -> tuple[np.ndarray, np.ndarray]:
+    """Per basis state, its (eigenvector, amplitude) entries in ``term``: two slots, eigenvector -1 if empty.
 
-    Two supports share at most two states, so at most two of the four
-    products below are nonzero; their sum is then the same float whichever
-    term comes first, and the reverse direction is exactly ``table.T``.
+    The catalog has one eigenvector per basis state; an eigenvector touches
+    at most two states, and a state lies in one block of at most two.
     """
-    u1, u2 = tp.sup1[None, :], tp.sup2[None, :]
-    v1, v2 = tq.sup1[:, None], tq.sup2[:, None]
-    a1, a2 = tp.amp1[None, :], tp.amp2[None, :]
-    b1, b2 = tq.amp1[:, None], tq.amp2[:, None]
-    table = np.where(u1 == v1, a1 * b1, 0.0)
-    table += np.where(u1 == v2, a1 * b2, 0.0)
-    table += np.where((u2 >= 0) & (u2 == v1), a2 * b1, 0.0)
-    table += np.where((u2 >= 0) & (u2 == v2), a2 * b2, 0.0)
-    return table
+    paired = np.flatnonzero(term.sup2 >= 0)
+    state = np.concatenate([term.sup1, term.sup2[paired]])
+    order = np.argsort(state, kind="stable")
+    state = state[order]
+    slot = np.arange(state.size) - np.searchsorted(state, state)
+    eig, amp = np.full((term.n_eigs, 2), -1), np.zeros((term.n_eigs, 2))
+    eig[state, slot] = np.concatenate([np.arange(term.n_eigs), paired])[order]
+    amp[state, slot] = np.concatenate([term.amp1, term.amp2[paired]])[order]
+    return eig, amp
 
 
-def column_nonzeros(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices and values of each column's nonzeros, padded to one width.
+def _rows(row: np.ndarray, col: np.ndarray, value: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries sorted by row, then column, as (column, value) arrays padded to one width."""
+    counts = np.bincount(row, minlength=n)
+    slot = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((n, int(counts.max(initial=0))), dtype=np.int64)
+    values = np.zeros(index.shape)
+    index[row, slot] = col
+    values[row, slot] = value
+    return index, values
 
-    Row ``e`` of both arrays lists the nonzero rows of ``table[:, e]`` in
-    ascending order, as ``np.flatnonzero`` does; padding slots hold row 0
-    and value 0.0.  An eigenvector touches at most two basis states, and
-    each state lies in one block of at most two eigenvectors, so the width
-    is at most 4.
+
+def overlap_columns(p_entries: tuple, q_entries: tuple) -> tuple[tuple, tuple]:
+    """Nonzero overlaps <eigenvector f of term q | eigenvector e of term p>, in both directions.
+
+    Takes each term's ``_state_entries`` and joins them on their shared basis
+    states, so an overlap sums at most two products.  Returns the (index,
+    overlap) rows of each e (its f's ascending) and of each f (its e's
+    ascending), at most 4 entries each, padded with index 0 and overlap 0.0.
     """
-    cols, rows = np.nonzero(table.T)
-    counts = np.bincount(cols, minlength=table.shape[1])
-    width = int(counts.max(initial=0))
-    assert width <= 4, f"overlap column with {width} nonzeros"
-    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.zeros((table.shape[1], width), dtype=np.int64)
-    value = np.zeros((table.shape[1], width))
-    index[cols, slot] = rows
-    value[cols, slot] = table[rows, cols]
-    return index, value
+    (pe, pa), (qe, qa) = p_entries, q_entries
+    e, f = np.repeat(pe, 2, axis=1), np.tile(qe, 2)  # slot pairs (0,0), (0,1), (1,0), (1,1)
+    live = (e >= 0) & (f >= 0)
+    keys, inverse = np.unique(e[live] * qe.shape[0] + f[live], return_inverse=True)
+    value = np.bincount(inverse, weights=(np.repeat(pa, 2, axis=1) * np.tile(qa, 2))[live])
+    keys, value = keys[value != 0.0], value[value != 0.0]
+    e, f = np.divmod(keys, qe.shape[0])
+    back = np.lexsort((e, f))
+    return _rows(e, f, value, pe.shape[0]), _rows(f[back], e[back], value[back], qe.shape[0])
 
 
 # the two path measures (see the module docstring), and the signed path
@@ -137,14 +145,13 @@ class PathSpace:
     """Schedule, overlap columns and thermal bookkeeping for one decomposition.
 
     Link i joins position i to position i + 1; the last link closes the loop
-    onto position 0.  ``columns[i]`` holds the ``column_nonzeros`` of link
-    i's overlap table, whose entry [f, e] is the overlap of eigenvector e at
-    position i with eigenvector f at position i + 1.  Each distinct pair of
-    adjacent terms has its ``overlap_table`` built once, turned into the
-    columns of both directions and dropped, so every link of one direction
-    shares one pair of arrays of at most 4 entries per eigenvector.  The
-    first scheduled term is diagonal, so the anchor's eigenvector index is
-    its basis state.
+    onto position 0.  ``columns[i]`` holds link i's ``overlap_columns``:
+    row e lists the eigenvectors f at position i + 1 that overlap
+    eigenvector e at position i.  Each distinct pair of adjacent terms is
+    joined once for both directions, so every link of one direction shares
+    one pair of arrays of at most 4 entries per eigenvector.  The first
+    scheduled term is diagonal, so the anchor's eigenvector index is its
+    basis state.
     """
 
     def __init__(
@@ -167,16 +174,15 @@ class PathSpace:
         self.terms = decomp.terms
         if not all(0 <= a < decomp.dim for a in self.anchor_states):
             raise ValueError("anchor states must be basis states of the ambient space")
-        # (p, q) -> column_nonzeros of the table from term p's eigenvectors to term q's
+        # (p, q) -> overlap columns from term p's eigenvectors to term q's
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.columns: list[tuple[np.ndarray, np.ndarray]] = []
+        entries = {p: _state_entries(self.terms[p]) for p in set(self.schedule)}
         n = self.length - 1
         for i in range(n):
             p, q = self.schedule[i], self.schedule[(i + 1) % n]
             if (p, q) not in self._pairs:
-                table = overlap_table(self.terms[min(p, q)], self.terms[max(p, q)])
-                self._pairs[min(p, q), max(p, q)] = column_nonzeros(table)
-                self._pairs[max(p, q), min(p, q)] = column_nonzeros(table.T)
+                self._pairs[p, q], self._pairs[q, p] = overlap_columns(entries[p], entries[q])
             self.columns.append(self._pairs[p, q])
         self._overlap_maps: list | None = None
 
@@ -186,7 +192,7 @@ class PathSpace:
         return self._pairs[self.schedule[(i + 1) % n], self.schedule[i]]
 
     def overlap_maps(self) -> list[dict[tuple[int, int], float]]:
-        """Per link, its nonzero overlaps {(e, f): table[f, e]}, read from the columns.
+        """Per link, its nonzero overlaps {(e, f): overlap of e with f}, read from the columns.
 
         Built the first time they are asked for, one dict per direction of
         a term pair, shared like the columns are.

@@ -124,14 +124,16 @@ def _plane_blocks(enc: BlockEncoding, vectors: np.ndarray) -> np.ndarray:
     """W = i R V compressed onto span{|0,v>, V|0,v>}: one 2 x 2 block per column v.
 
     |E| / lambda <= 1 / sqrt(n) (B^2 = n) and E = 0 at n = 1, so V|0,v> never
-    lies along |0,v>.
+    lies along |0,v>.  V is a real symmetric involution, so with a = |0,v>
+    and b = (Va - c a) / s, Vb = (a - c Va) / s: V is applied once.
     """
     refl = enc.reflection()[:, None]
     a = enc.embed(vectors)
-    ra = enc.apply(a)
-    b = ra - np.einsum("rm,rm->m", a, ra) * a
-    b /= np.linalg.norm(b, axis=0)
-    ra *= refl
-    rb = refl * enc.apply(b)
-    dots = [[np.einsum("rm,rm->m", x, rx) for rx in (ra, rb)] for x in (a, b)]
-    return 1j * np.moveaxis(np.array(dots), -1, 0)
+    va = enc.apply(a)
+    c = np.einsum("rm,rm->m", a, va)
+    b = va - c * a
+    s = np.linalg.norm(b, axis=0)
+    b /= s
+    rva, ra = np.multiply(va, refl, out=va), refl * a
+    dots = [[np.einsum("rm,rm->m", x, y) for y in (rva, ra)] for x in (a, b)]
+    return 1j * np.moveaxis(np.array([[xv, (xa - c * xv) / s] for xv, xa in dots]), -1, 0)

@@ -42,7 +42,6 @@ from bettiforge.dequant.paths import (
     PathSample,
     PathSpace,
     build_schedule,
-    overlap_table,
 )
 from bettiforge.graphs import Graph, build_clique_complex, is_clique
 from bettiforge.homology import ZERO_TOL, DiracOperator, dirac, spectrum
@@ -378,6 +377,34 @@ def trotterized_matrix(decomp: OneSparseDecomposition, t: float, r_t: int) -> np
     return math.exp(-shift * t) * out
 
 
+def ambient_gammas(op: PenalizedOperator) -> dict[str, float]:
+    """The operator's numbers from dense eigensolves of the whole ambient window.
+
+    B_G^2 is placed at its clique states with zeros elsewhere; ``gamma_min``
+    is its smallest eigenvalue above the zero tolerance (0.0 if none),
+    ``top`` its largest, ``gamma_pen`` the gap or 1, and ``gamma_max`` the
+    top of B_G^2 + gamma_pen (1 - P).
+    """
+    basis = op.basis
+    b = dirac(basis.cx, basis.k).matrix
+    h = np.zeros((basis.dim, basis.dim))
+    h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
+    evals = np.linalg.eigvalsh(h)
+    top = float(evals.max(initial=0.0))
+    nonzero = evals[evals > ZERO_TOL * max(1.0, top)]
+    gamma_min = float(nonzero.min()) if nonzero.size else 0.0
+    pen = gamma_min if nonzero.size else 1.0
+    gamma_max = float(np.linalg.eigvalsh(h + pen * np.diag(1.0 - basis.clique_flags)).max(initial=0.0))
+    return {"gamma_min": gamma_min, "top": top, "gamma_pen": pen, "gamma_max": gamma_max}
+
+
+def larger_penalty(op: PenalizedOperator) -> PenalizedOperator:
+    """The operator with the top of B_G^2 as its penalty: op.matrix plus (top - gap) on the non-clique diagonal."""
+    gam = ambient_gammas(op)
+    extra = gam["top"] - gam["gamma_pen"]
+    return replace(op, matrix=op.matrix + extra * np.diag(1.0 - op.basis.clique_flags), gamma_pen=gam["top"])
+
+
 def kernel_dim_weight_k(op: PenalizedOperator) -> int:
     """Nullity of the operator restricted to the weight-k clique block."""
     idx = op.basis.weight_k_clique_indices
@@ -418,6 +445,45 @@ def trotter_slices(
 
 # ---------------------------------------------------------------------------
 # path sampler
+
+
+def overlap_table(tp: OneSparseTerm, tq: OneSparseTerm) -> np.ndarray:
+    """Signed overlaps table[f, e] = <eigenvector f of tq | eigenvector e of tp>.
+
+    Two supports share at most two states, so at most two of the four
+    products below are nonzero; their sum is then the same float whichever
+    term comes first, and the reverse direction is exactly ``table.T``.
+    """
+    u1, u2 = tp.sup1[None, :], tp.sup2[None, :]
+    v1, v2 = tq.sup1[:, None], tq.sup2[:, None]
+    a1, a2 = tp.amp1[None, :], tp.amp2[None, :]
+    b1, b2 = tq.amp1[:, None], tq.amp2[:, None]
+    table = np.where(u1 == v1, a1 * b1, 0.0)
+    table += np.where(u1 == v2, a1 * b2, 0.0)
+    table += np.where((u2 >= 0) & (u2 == v1), a2 * b1, 0.0)
+    table += np.where((u2 >= 0) & (u2 == v2), a2 * b2, 0.0)
+    return table
+
+
+def column_nonzeros(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and values of each column's nonzeros, padded to one width.
+
+    Row ``e`` of both arrays lists the nonzero rows of ``table[:, e]`` in
+    ascending order, as ``np.flatnonzero`` does; padding slots hold row 0
+    and value 0.0.  An eigenvector touches at most two basis states, and
+    each state lies in one block of at most two eigenvectors, so the width
+    is at most 4.
+    """
+    cols, rows = np.nonzero(table.T)
+    counts = np.bincount(cols, minlength=table.shape[1])
+    width = int(counts.max(initial=0))
+    assert width <= 4, f"overlap column with {width} nonzeros"
+    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((table.shape[1], width), dtype=np.int64)
+    value = np.zeros((table.shape[1], width))
+    index[cols, slot] = rows
+    value[cols, slot] = table[rows, cols]
+    return index, value
 
 
 def dense_links(space: PathSpace) -> list[np.ndarray]:

@@ -202,8 +202,9 @@ class TestSubcommands:
         assert data["estimate"] == 1.0 and data["exact_trotter_mean"] == 1.0
 
     def test_dequantize_single_reflection(self, capsys, tmp_path):
-        # the 4-cycle at k = 1 decomposes with one reflection term, so the
-        # loop closes through a matching term
+        # the 4-cycle at k = 1: the penalty, its Laplacian gap 2 as the
+        # eigensolve rounds it, splits off a second reflection term from the
+        # clique diagonal 2 (the triangle below keeps a single one)
         from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
         from bettiforge.graphs import Graph
         from oracles import trotterized_matrix
@@ -222,6 +223,31 @@ class TestSubcommands:
         target = float(np.trace(mat[np.ix_(idx, idx)])) / op.d_k
         assert target == pytest.approx(0.32225, abs=5e-5)
         data = json.loads(out)
+        assert abs(data["estimate"] - target) <= 4 * data["stderr"]
+
+    def test_dequantize_triangle_single_reflection(self, capsys, tmp_path):
+        # every state of the triangle at k = 1 is a clique with diagonal 2:
+        # one reflection term, so the loop closes through a matching term
+        from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
+        from bettiforge.graphs import Graph
+        from oracles import trotterized_matrix
+
+        g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        op = penalized_operator(g, 1)
+        decomp = one_sparse_decompose(op.matrix)
+        assert [t.kind for t in decomp.terms].count("reflection") == 1
+        path = tmp_path / "k3.json"
+        path.write_text(json.dumps({"n": 3, "edges": [list(e) for e in g.edges]}))
+        code, out, err = run_cli(
+            capsys, "dequantize", "--graph", str(path), "--k", "1", "--t", "1", "--slices", "1",
+            "--samples", "4000",
+        )
+        assert code == 0, err
+        idx = op.basis.weight_k_clique_indices
+        mat = trotterized_matrix(decomp, 1.0, 1)
+        target = float(np.trace(mat[np.ix_(idx, idx)])) / op.d_k
+        data = json.loads(out)
+        assert data["D"] == decomp.D
         assert abs(data["estimate"] - target) <= 4 * data["stderr"]
 
     def test_verify_props(self, capsys):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from bettiforge.graphs import gen_kpartite
-from bettiforge.homology import betti_exact
+from bettiforge.homology import betti_exact, dirac
 from bettiforge.dequant.estimator import PIMCConfig, estimate_from_operator, estimate_normalized_betti
 from bettiforge.dequant.operators import (
     one_sparse_decompose,
@@ -22,6 +22,8 @@ from bettiforge.dequant.paths import (
 from bettiforge.graphs import Graph, enumerate_cliques, gen_erdos_renyi
 
 from oracles import (
+    ambient_gammas,
+    column_nonzeros,
     dense_closing_rows,
     dense_decomposition,
     dense_links,
@@ -32,7 +34,9 @@ from oracles import (
     enumerate_paths,
     exhaustive_check,
     kernel_dim_weight_k,
+    larger_penalty,
     mh_chain,
+    overlap_table,
     scalar_pattern_draw,
     stationary_log_prob,
     trotter_slices,
@@ -70,8 +74,8 @@ class TestPenalizedOperator:
 
     def test_oracle_modes(self):
         g = gen_kpartite(2, 2)
-        loose = penalized_operator(g, 2, gamma_pen="max")
-        tight = penalized_operator(g, 2, gamma_pen="gap")
+        tight = penalized_operator(g, 2)
+        loose = larger_penalty(tight)
         assert loose.gamma_pen >= tight.gamma_pen
         assert kernel_dim_weight_k(loose) == kernel_dim_weight_k(tight)
 
@@ -95,6 +99,44 @@ class TestPenalizedOperator:
 
         with pytest.raises(DeskScaleError):
             penalized_operator(Graph(9, ()), 2)
+
+    def test_gammas_match_dense_ambient_eigensolve(self):
+        for g, k in _oracle_cases() + [(Graph(4, ()), 1)]:
+            op = penalized_operator(g, k)
+            want = ambient_gammas(op)
+            tol = 1e-10 * max(1.0, want["top"])
+            assert (op.gamma_min > 0) == (want["gamma_min"] > 0)
+            assert op.gamma_min == pytest.approx(want["gamma_min"], abs=tol)
+            assert op.gamma_pen == pytest.approx(want["gamma_pen"], abs=tol)
+            assert op.gamma_max == pytest.approx(want["gamma_max"], abs=tol)
+        # no nonzero mode on the edgeless graph: the penalty is 1
+        assert (op.gamma_min, op.gamma_pen, op.gamma_max) == (0.0, 1.0, 1.0)
+
+    def test_squared_dirac_block_is_the_integer_square(self):
+        for g, k in _oracle_cases():
+            op = penalized_operator(g, k)
+            b = dirac(op.basis.cx, k).matrix
+            idx = op.basis.dirac_indices
+            assert op.matrix[np.ix_(idx, idx)].tobytes() == (b @ b).astype(np.float64).tobytes()
+
+    def test_only_the_laplacian_is_eigensolved(self, monkeypatch):
+        # the gammas come from the |Cl_k| x |Cl_k| Laplacian, never from the ambient window
+        g = gen_kpartite(2, 4)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        penalized_operator(g, 3)
+        n3 = len(enumerate_cliques(g, 3))
+        assert shapes and set(shapes) == {(n3, n3)}
+
+    def test_no_k_cliques_exits_2(self, capsys, tmp_path):
+        from bettiforge.cli import main
+
+        path = tmp_path / "path.json"
+        path.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+        code = main(["dequantize", "--graph", str(path), "--k", "3", "--t", "1", "--slices", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and "graph has no 3-cliques" in captured.err and captured.out == ""
 
 
 class TestOneSparseDecomposition:
@@ -608,8 +650,43 @@ def _sparse_cases():
     return cases
 
 
+def _oracle_cases():
+    """(graph, k) with k-cliques: the 4-cycle at k = 1, K2-K8, K(2,2..4) and 24 random G(n <= 8, p), k = 1-3."""
+    rng = np.random.default_rng(17)
+    graphs = [gen_kpartite(1, n) for n in range(2, 9)] + [gen_kpartite(2, p) for p in (2, 3, 4)]
+    graphs += [gen_erdos_renyi(int(rng.integers(2, 9)), float(rng.uniform(0.3, 0.9)), int(rng.integers(1000)))
+               for _ in range(24)]
+    return [(CYCLE4, 1)] + [(g, k) for g in graphs for k in (1, 2, 3) if k <= g.n and enumerate_cliques(g, k)]
+
+
 class TestSparseOverlaps:
     """The path layer reads only the overlap columns; each reader matches the dense tables bit for bit."""
+
+    def test_join_matches_dense_tables(self):
+        for g, k in _oracle_cases():
+            _, space = _space(g, k, 1.0, 2)
+            assert space._pairs
+            for (p, q), columns in space._pairs.items():
+                want = column_nonzeros(overlap_table(space.terms[p], space.terms[q]))
+                for got, ref in zip(columns, want):
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes(), (g.n, g.edges, k, p, q)
+
+    def test_set_up_builds_no_dense_table(self):
+        # one dense 154 x 154 table and its temporaries alone take about 0.8 MB
+        import tracemalloc
+
+        op = penalized_operator(gen_erdos_renyi(8, 0.6, 1), 3)
+        decomp = one_sparse_decompose(op.matrix)
+        anchors = op.basis.weight_k_clique_indices
+        PathSpace(decomp, 1.0, 2, anchors)
+        tracemalloc.start()
+        try:
+            PathSpace(decomp, 1.0, 2, anchors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decomp.dim == 154 and peak < 500_000
 
     @pytest.mark.parametrize("t,r_t", [(1.0, 1), (2.5, 2)])
     def test_readers_match_dense_tables(self, t, r_t):
