@@ -28,13 +28,17 @@ def _pin_threads() -> None:
         os.environ[var] = "1"
 
 
-def _json_dump(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file ``path`` (LF newlines), or to stdout when no path is given."""
     if path:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_dump(payload: dict, path: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
 def parse_generator_spec(spec: str, seed: int):
@@ -83,13 +87,7 @@ def _load_graph(args):
 def cmd_generate(args) -> int:
     from . import graphs
 
-    g = _load_graph(args)
-    text = graphs.graph_to_json(g) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(graphs.graph_to_json(_load_graph(args)) + "\n", args.out)
     return 0
 
 
@@ -97,15 +95,12 @@ def cmd_betti(args) -> int:
     from . import graphs, homology
 
     g = _load_graph(args)
-    # one complex serves the rank and the spectrum; betti_exact rejects
-    # k < 1 with its own message before reading it
-    cx = graphs.build_clique_complex(g, max(args.k, 0))
-    beta = homology.betti_exact(g, args.k, cx)
-    cl_k = cx.count(args.k)
+    beta = homology.betti_exact(g, args.k)
+    cl_k = graphs.build_clique_complex(g, args.k).count(args.k)
     # with no k-cliques the chain group is empty and so is the spectrum
     gap = gamma_max = kappa = None
     if cl_k:
-        summary = homology.spectrum(g, args.k, cx)
+        summary = homology.spectrum(g, args.k)
         gap, gamma_max = summary.gap, summary.top
         kappa = summary.kappa if math.isfinite(summary.kappa) else None
     payload = {
@@ -122,9 +117,16 @@ def cmd_betti(args) -> int:
     return 0
 
 
+# estimate's count flags and the ResourceParams fields they set
+_COUNT_FIELDS = {
+    "n": "n", "k": "k", "edges": "edge_count", "cliques": "clique_count", "betti": "betti", "gap": "lambda_min"
+}
+
+
 def _params_from_args(args):
     from . import resources
 
+    given = {name: getattr(args, name) for name in _COUNT_FIELDS}
     if args.gen:
         family, _, rest = args.gen.partition(":")
         if family != "kpartite":
@@ -132,22 +134,16 @@ def _params_from_args(args):
         m, k = (int(x) for x in rest.split(","))
         if args.k is not None and args.k != k:
             raise ValueError("--k disagrees with the kpartite spec")
-        return resources.kpartite_params(m, k, args.r, args.delta, c=args.c)
-    needed = dict(n=args.n, k=args.k, edges=args.edges, cliques=args.cliques, betti=args.betti, gap=args.gap)
-    missing = [name for name, val in needed.items() if val is None]
+        params = resources.kpartite_params(m, k, args.r, args.delta, c=args.c)
+        for name, val in given.items():
+            if val is not None and val != getattr(params, _COUNT_FIELDS[name]):
+                raise ValueError(f"--{name} disagrees with the kpartite spec")
+        return params
+    missing = [name for name, val in given.items() if val is None]
     if missing:
         raise ValueError(f"explicit estimate needs --{' --'.join(missing)}")
-    return resources.ResourceParams(
-        n=args.n,
-        k=args.k,
-        edge_count=args.edges,
-        clique_count=args.cliques,
-        betti=args.betti,
-        lambda_min=args.gap,
-        r=args.r,
-        delta=args.delta,
-        c=args.c,
-    )
+    counts = {field: given[name] for name, field in _COUNT_FIELDS.items()}
+    return resources.ResourceParams(**counts, r=args.r, delta=args.delta, c=args.c)
 
 
 def cmd_estimate(args) -> int:
@@ -165,12 +161,7 @@ def cmd_estimate(args) -> int:
         "amp_amp_steps": est.amp_amp_steps,
         "breakdown": est.breakdown,
         "config": {
-            "n": params.n,
-            "k": params.k,
-            "edges": params.edge_count,
-            "cliques": params.clique_count,
-            "betti": params.betti,
-            "gap": params.lambda_min,
+            **{name: getattr(params, field) for name, field in _COUNT_FIELDS.items()},
             "r": params.r,
             "delta": params.delta,
             "c": params.c,
@@ -204,12 +195,7 @@ def cmd_sweep(args) -> int:
         refined_kaiser=args.refined_kaiser,
         warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
     )
-    text = resources.sweep_to_csv(rows)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(resources.sweep_to_csv(rows), args.out)
     return 0
 
 
@@ -246,7 +232,9 @@ def cmd_simulate(args) -> int:
         g = _load_graph(args)
         eps = args.epsilon
         summary = homology.spectrum(g, args.k)
-        ell = args.ell or resources.chebyshev_degree(eps, filters.dirac_gap(summary), float(g.n))
+        ell = args.ell
+        if ell is None:
+            ell = resources.chebyshev_degree(eps, filters.dirac_gap(summary), float(g.n))
         res = filters.apply_filter_to_state(summary, float(g.n), ell, eps)
         payload = {
             "amplitude_sq": res.amplitude_sq,

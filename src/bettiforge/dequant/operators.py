@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DeskScaleError
-from ..graphs import CliqueComplex, Graph, build_clique_complex
+from ..graphs import Graph, build_clique_complex
 from ..homology import dirac, dirac_basis, spectrum
 
 MAX_DEQUANT_QUBITS = 8
@@ -55,7 +55,6 @@ class AmbientBasis:
     clique_flags: np.ndarray  # bool per state
     weight_k_clique_indices: np.ndarray  # indices into states
     dirac_indices: np.ndarray  # index into states of each row of dirac(cx, k)
-    cx: CliqueComplex = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -63,21 +62,20 @@ class AmbientBasis:
 
 
 def ambient_basis(g: Graph, k: int) -> AmbientBasis:
-    """The weight window's bit strings, annotated from one clique complex of g."""
+    """The weight window's bit strings, annotated from the clique complex of g."""
     if g.n > MAX_DEQUANT_QUBITS:
         raise DeskScaleError(f"dequantizer supports n <= {MAX_DEQUANT_QUBITS}, got {g.n}")
     if not 1 <= k <= g.n:
         raise ValueError(f"weight k={k} outside 1..{g.n}")
-    cx = build_clique_complex(g, k)
     # no weight-0 state at k = 1, as in the Dirac basis: the empty-simplex
     # boundary would turn degree-0 homology into reduced homology
     weight = np.bitwise_count(np.arange(1 << g.n))
     states = np.flatnonzero((max(k - 1, 1) <= weight) & (weight <= k + 1))
-    rows = np.searchsorted(states, dirac_basis(cx, k))
+    rows = np.searchsorted(states, dirac_basis(build_clique_complex(g, k), k))
     flags = np.zeros(states.size, dtype=bool)
     flags[rows] = True
     wk = np.flatnonzero(flags & (weight[states] == k))
-    return AmbientBasis(g.n, k, tuple(states.tolist()), flags, wk, rows, cx)
+    return AmbientBasis(g.n, k, tuple(states.tolist()), flags, wk, rows)
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,9 @@ def penalized_operator(g: Graph, k: int) -> PenalizedOperator:
     basis = ambient_basis(g, k)
     if basis.weight_k_clique_indices.size == 0:
         raise ValueError(f"graph has no {k}-cliques")
-    summary = spectrum(g, k, basis.cx)
+    summary = spectrum(g, k)
     pen = summary.gap if summary.gap > 0 else 1.0
-    b = dirac(basis.cx, k).matrix.astype(np.float64)
+    b = dirac(build_clique_complex(g, k), k).matrix.astype(np.float64)
     h = np.zeros((basis.dim, basis.dim))
     h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
     penalized = np.flatnonzero(~basis.clique_flags)

@@ -4,6 +4,9 @@ Vertices are labeled 0..n-1 and vertex subsets are encoded as Python int bit
 masks (bit v set <=> vertex v in the subset).  Everything here is pure: the
 random generator takes an explicit seed and uses NumPy's PCG64 stream, so
 Erdos-Renyi graphs are bit-reproducible across platforms.
+
+A graph keeps its clique complexes (``build_clique_complex``), and a complex
+builds each of its boundary maps' face tables and coboundaries once.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DeskScaleError
+from .exactrank import Coboundary, coboundary
 
 # Bit-mask encodings cap the exact/simulation paths; the resource estimator
 # works from plain counts and has no such limit.
@@ -38,6 +42,7 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    _complexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # by k_max
 
     def __post_init__(self):
         if self.n < 0:
@@ -94,16 +99,18 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class CliqueComplex:
-    """Per-size sorted clique lists of a graph (the chain bases).
+    """Per-size sorted clique lists of a graph (the chain bases) and their boundary maps.
 
     ``cliques[s]`` holds every s-vertex clique as a bit mask, in strictly
     increasing mask order, for s = 1 .. k_max + 1.  Downward closure holds by
     construction: every (s-1)-subset of a listed s-clique is itself a clique.
+    Each face table and coboundary is built on first use, kept and read-only.
     """
 
-    n: int
     k_max: int
     cliques: dict[int, tuple[int, ...]] = field(repr=False)
+    _faces: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cofaces: dict[int, Coboundary] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, size: int) -> tuple[int, ...]:
         """Sorted clique list for a given clique size (empty if none)."""
@@ -111,6 +118,40 @@ class CliqueComplex:
 
     def count(self, size: int) -> int:
         return len(self.basis(size))
+
+    def faces(self, k: int) -> np.ndarray:
+        """Face table of the boundary map d_k, an int array of shape (|Cl_{k+1}|, k+1).
+
+        Entry [j, i] is the row in ``basis(k)`` of clique j of size k+1 less its
+        i-th vertex (ascending, i from 0), where d_k holds (-1)^i.
+        """
+        if k not in self._faces:
+            self._faces[k] = _face_table(self, k)
+        return self._faces[k]
+
+    def cofaces(self, k: int) -> Coboundary:
+        """The coboundary of d_k: the transpose of ``faces(k)`` (``exactrank.coboundary``)."""
+        if k not in self._cofaces:
+            cob = coboundary(self.faces(k), self.count(k))
+            for arr in (cob.indptr, cob.rows, cob.pos):
+                arr.flags.writeable = False
+            self._cofaces[k] = cob
+        return self._cofaces[k]
+
+
+def _face_table(cx: CliqueComplex, k: int) -> np.ndarray:
+    if not 1 <= k <= cx.k_max:
+        raise ValueError(f"boundary map d_{k} needs 1 <= k <= k_max = {cx.k_max}")
+    rows = np.array(cx.basis(k), dtype=np.uint64)
+    cols = np.array(cx.basis(k + 1), dtype=np.uint64)
+    faces = np.empty((cols.size, k + 1), dtype=np.intp)
+    rest = cols.copy()
+    for i in range(k + 1):
+        low = rest & (~rest + np.uint64(1))  # lowest vertex still in rest
+        faces[:, i] = np.searchsorted(rows, cols ^ low)
+        rest ^= low
+    faces.flags.writeable = False
+    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +291,11 @@ def enumerate_cliques(g: Graph, s: int) -> list[int]:
 
 
 def build_clique_complex(g: Graph, k_max: int) -> CliqueComplex:
-    """Clique lists for sizes 1..k_max+1 (simplices of dimension <= k_max)."""
+    """Clique lists for sizes 1..k_max+1, built once per (g, k_max): kept on g, never referencing it."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    if k_max in g._complexes:
+        return g._complexes[k_max]
     cliques = {}
     for s in range(1, k_max + 2):
         cl = enumerate_cliques(g, s)
@@ -262,7 +305,7 @@ def build_clique_complex(g: Graph, k_max: int) -> CliqueComplex:
             for t in range(s + 1, k_max + 2):
                 cliques[t] = ()
             break
-    return CliqueComplex(g.n, k_max, cliques)
+    return g._complexes.setdefault(k_max, CliqueComplex(k_max, cliques))
 
 
 # ---------------------------------------------------------------------------

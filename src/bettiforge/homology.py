@@ -5,11 +5,11 @@ weight k of the basis states, i.e. the CLIQUE SIZE, and quantities like
 ``betti_exact(g, k)`` return the Betti number of simplex dimension k-1.  So
 ``betti_exact(g, 2)`` is beta_1, computed on the vertex/edge/triangle bases.
 
-Every boundary map has one representation, its face table (``face_table``).
-Its transpose, the coboundary, is one stable sort of that table
-(``exactrank.coboundary``).  The Laplacian is scattered from the face tables
-as sign products, and the Dirac operator scatters its blocks from them,
-so only the torsion fallback of the rank builds a dense boundary matrix.
+Every boundary map has one representation, its face table, and one owner,
+the graph's clique complex, which builds it (``CliqueComplex.faces``) and its
+transpose, the coboundary (``cofaces``), once.  The Laplacian is scattered
+from them as sign products, and the Dirac operator scatters its blocks from
+them, so only the torsion fallback of the rank builds a dense boundary matrix.
 The dense Dirac operator and its basis (``dirac_basis``) serve the walk
 (``qsim.walkenc``) and the dequantizer's operator (``dequant.operators``);
 its spectrum is +-sqrt of the Laplacian spectrum, which ``spectrum`` owns.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeskScaleError
-from .exactrank import RANK_PRIMES, cleared_ranks, coboundary, integer_rank
+from .exactrank import RANK_PRIMES, cleared_ranks, integer_rank
 from .graphs import CliqueComplex, Graph, build_clique_complex
 
 # eigenvalue |lambda| < ZERO_TOL * max(1, gamma_max) counts as zero; the
@@ -79,29 +79,6 @@ class SpectralSummary:
     kappa: float
 
 
-def face_table(cx: CliqueComplex, k: int) -> np.ndarray:
-    """Face table of the boundary map from size-(k+1) cliques onto size-k cliques.
-
-    An int array of shape (|Cl_{k+1}|, k+1): entry [j, i] is the row (index
-    into ``cx.basis(k)``) of column clique j with its i-th vertex removed,
-    vertices taken in ascending order and i counted from 0.  The boundary
-    matrix holds (-1)^i there and zeros elsewhere.
-    """
-    if k < 1:
-        raise ValueError("boundary maps need k >= 1")
-    if k + 1 > cx.k_max + 1:
-        raise ValueError(f"complex built to size {cx.k_max + 1}; level {k + 1} missing")
-    rows = np.array(cx.basis(k), dtype=np.uint64)
-    cols = np.array(cx.basis(k + 1), dtype=np.uint64)
-    faces = np.empty((cols.size, k + 1), dtype=np.intp)
-    rest = cols.copy()
-    for i in range(k + 1):
-        low = rest & (~rest + np.uint64(1))  # lowest vertex still in rest
-        faces[:, i] = np.searchsorted(rows, cols ^ low)
-        rest ^= low
-    return faces
-
-
 def _parity_sign(pos: np.ndarray) -> np.ndarray:
     return np.where(pos & 1, -1, 1)
 
@@ -116,10 +93,10 @@ def boundary_matrix(cx: CliqueComplex, k: int) -> BoundaryMatrix:
 
     Column x (a size-(k+1) clique) carries entry (-1)^i in the row of the
     subset obtained by clearing the i-th one of x (bit positions in ascending
-    order, i counted from 0); the rows come from ``face_table``.  Only the
+    order, i counted from 0); the rows come from ``cx.faces``.  Only the
     torsion fallback of ``betti_exact`` and the tests build it.
     """
-    faces = face_table(cx, k)
+    faces = cx.faces(k)
     rows = cx.basis(k)
     cols = cx.basis(k + 1)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
@@ -141,12 +118,12 @@ def laplacian(cx: CliqueComplex, k: int) -> np.ndarray:
     dim = cx.count(k)
     lap = np.zeros(dim * dim, dtype=np.int64)
     if cx.count(k + 1):
-        faces = face_table(cx, k)
+        faces = cx.faces(k)
         pos = np.arange(k + 1)
         sign = np.tile(_parity_sign(pos[:, None] + pos[None, :]).ravel(), faces.shape[0])
         np.add.at(lap, (faces[:, :, None] * dim + faces[:, None, :]).ravel(), sign)
     if k >= 2:
-        cob = coboundary(face_table(cx, k - 1), cx.count(k - 1))
+        cob = cx.cofaces(k - 1)
         # every ordered pair (s, t) of entries in one column of the coboundary:
         # entry s repeats once per entry of its column, and t runs over it
         deg = np.diff(cob.indptr)
@@ -171,9 +148,9 @@ def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
     mat = np.zeros((total, total), dtype=np.int64)
     a, b, c = sizes
     if k >= 2 and a and b:
-        _scatter(mat[0:a, a : a + b], face_table(cx, k - 1))  # Cl_k -> Cl_{k-1}
+        _scatter(mat[0:a, a : a + b], cx.faces(k - 1))  # Cl_k -> Cl_{k-1}
     if b and c:
-        _scatter(mat[a : a + b, a + b :], face_table(cx, k))  # Cl_{k+1} -> Cl_k
+        _scatter(mat[a : a + b, a + b :], cx.faces(k))  # Cl_{k+1} -> Cl_k
     mat += mat.T  # the lower blocks are the transposes; the diagonal is zero
     return DiracOperator(k, sizes, mat)
 
@@ -198,16 +175,7 @@ def _exact_rank(cx: CliqueComplex, k: int, ranks: set[int]) -> int:
     return integer_rank(boundary_matrix(cx, k).matrix)
 
 
-def _complex(g: Graph, k: int, cx: CliqueComplex | None) -> CliqueComplex:
-    """The clique complex through size k+1: ``cx`` if the caller built it."""
-    if cx is None:
-        return build_clique_complex(g, k)
-    if cx.n != g.n or cx.k_max < k:
-        raise ValueError(f"clique complex (n={cx.n}, k_max={cx.k_max}) does not cover n={g.n}, k={k}")
-    return cx
-
-
-def betti_exact(g: Graph, k: int, cx: CliqueComplex | None = None) -> int:
+def betti_exact(g: Graph, k: int) -> int:
     """Betti number of dimension k-1 of the clique complex, via exact ranks.
 
     beta = |Cl_k| - rank(d_{k-1}) - rank(d_k), each rank the common rank over
@@ -219,13 +187,12 @@ def betti_exact(g: Graph, k: int, cx: CliqueComplex | None = None) -> int:
     primes gives both primes' ranks; when it meets a lead that is not a unit,
     a sign of torsion, each prime is reduced separately.  No dense matrix is
     built unless the primes disagree, so only that fallback is under the
-    dense cap.  ``cx``, the complex of g through size k+1, saves rebuilding
-    it.
+    dense cap.
     """
     check_weight(k)
-    cx = _complex(g, k, cx)
-    down = coboundary(face_table(cx, k - 1), cx.count(k - 1)) if k >= 2 else None
-    up = coboundary(face_table(cx, k), cx.count(k))
+    cx = build_clique_complex(g, k)
+    down = cx.cofaces(k - 1) if k >= 2 else None
+    up = cx.cofaces(k)
     both = cleared_ranks(down, up, math.prod(RANK_PRIMES))
     ranks = [both] if both is not None else [cleared_ranks(down, up, p) for p in RANK_PRIMES]
     rank_down = _exact_rank(cx, k - 1, {r for r, _ in ranks}) if k >= 2 else 0
@@ -237,17 +204,17 @@ def _zero_tol(eigenvalues: np.ndarray) -> float:
     return ZERO_TOL * max(1.0, top)
 
 
-def spectrum(g: Graph, k: int, cx: CliqueComplex | None = None) -> SpectralSummary:
+def spectrum(g: Graph, k: int) -> SpectralSummary:
     """Dense symmetric eigensolve of the (k-1)-Laplacian over Cl_k.
 
     ``gap`` is the smallest eigenvalue above the zero tolerance (0.0 when the
-    whole spectrum is zero), ``kappa`` = top/gap (NaN when gap is 0).  ``cx``
-    is as for ``betti_exact``.  The restricted Dirac operator's gap is
-    sqrt(gap) and its spectrum is +-sqrt of this one (see ``qsim.filters``),
-    so the filter and the pipeline read their spectral numbers from here.
+    whole spectrum is zero), ``kappa`` = top/gap (NaN when gap is 0).  The
+    restricted Dirac operator's gap is sqrt(gap) and its spectrum is +-sqrt
+    of this one (see ``qsim.filters``), so the filter and the pipeline read
+    their spectral numbers from here.
     """
     check_weight(k)
-    cx = _complex(g, k, cx)
+    cx = build_clique_complex(g, k)
     dim = cx.count(k)
     if dim == 0:
         raise ValueError(f"graph has no {k}-cliques; spectrum undefined")

@@ -10,10 +10,10 @@ algebra.
 The error budget, stage precisions and walk normalization come from one
 ``resources.ResourceParams``, as in the cost model.  The true Betti number
 (floored at 1) and the Dirac gap only size the budgets; the reported estimate
-comes from the simulated measurements alone.  One clique complex serves the
-Laplacian spectrum and the exact Betti number, and that one spectrum gives
-the Dirac gap and the filtered amplitude.  No stage holds a 2^n object, so
-the spectrum's dense cap is the pipeline's only size limit.
+comes from the simulated measurements alone.  The graph's one clique
+complex serves the Laplacian spectrum and the exact Betti number, and that
+one spectrum gives the Dirac gap and the filtered amplitude.  No stage holds
+a 2^n object, so the spectrum's dense cap is the pipeline's only size limit.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ def end_to_end_normalized_betti(
 ) -> PipelineResult:
     """Simulate the full pipeline and return the normalized Betti estimate."""
     check_weight(k)
-    cx = build_clique_complex(g, k)
-    cl_count = cx.count(k)
+    cl_count = build_clique_complex(g, k).count(k)
     if not cl_count:
         raise ValueError(f"graph has no {k}-cliques")
     d_k = math.comb(g.n, k)
     # the spectrum comes first: a complex past its dense cap stops before the rank
-    summary = spectrum(g, k, cx)
-    beta = betti_exact(g, k, cx)
+    summary = spectrum(g, k)
+    beta = betti_exact(g, k)
     # a vanishing Betti number cannot set a relative scale
     params = ResourceParams(
         n=g.n, k=k, edge_count=len(g.edges), clique_count=cl_count, betti=max(beta, 1),

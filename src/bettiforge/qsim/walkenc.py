@@ -14,12 +14,12 @@ on the plane spanned by |0,k> and V|0,k>; distinct eigenvectors give orthogonal 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DeskScaleError
-from ..graphs import CliqueComplex, Graph, build_clique_complex
+from ..graphs import Graph, build_clique_complex
 from ..homology import check_weight, dirac, dirac_basis
 
 MAX_SIM_QUBITS = 12
@@ -59,7 +59,6 @@ class BlockEncoding:
     lam: float  # normalization, equal to n
     states: np.ndarray  # the projector P: the restricted Dirac basis, in dirac() order
     prep: np.ndarray  # n x n orthogonal, column 0 the uniform vector
-    cx: CliqueComplex = field(repr=False)  # the complex the projector was read off
 
     @property
     def system_dim(self) -> int:
@@ -96,8 +95,7 @@ def build_block_encoding(g: Graph, k: int) -> BlockEncoding:
     if g.n < 1:
         raise ValueError("need at least one vertex")
     check_weight(k)
-    cx = build_clique_complex(g, k)
-    return BlockEncoding(g.n, k, float(g.n), dirac_basis(cx, k), _uniform_prep(g.n), cx)
+    return BlockEncoding(g.n, k, float(g.n), dirac_basis(build_clique_complex(g, k), k), _uniform_prep(g.n))
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,10 @@ class WalkSpectrum:
 def walk_spectrum(g: Graph, k: int) -> WalkSpectrum:
     """Eigenphases of W on the invariant subspace spanned by |0,k>, V|0,k>."""
     enc = build_block_encoding(g, k)
-    if enc.cx.count(k) == 0:
+    cx = build_clique_complex(g, k)
+    if cx.count(k) == 0:
         raise ValueError(f"graph has no {k}-cliques")
-    evals, evecs = np.linalg.eigh(dirac(enc.cx, k).matrix.astype(np.float64))
+    evals, evecs = np.linalg.eigh(dirac(cx, k).matrix.astype(np.float64))
     step = max(1, WALK_BATCH_ENTRIES // (enc.n * enc.system_dim))
     blocks = [_plane_blocks(enc, evecs[:, i : i + step]) for i in range(0, evals.size, step)]
     z = np.linalg.eigvals(np.concatenate(blocks)).ravel()

@@ -377,7 +377,7 @@ def trotterized_matrix(decomp: OneSparseDecomposition, t: float, r_t: int) -> np
     return math.exp(-shift * t) * out
 
 
-def ambient_gammas(op: PenalizedOperator) -> dict[str, float]:
+def ambient_gammas(g: Graph, op: PenalizedOperator) -> dict[str, float]:
     """The operator's numbers from dense eigensolves of the whole ambient window.
 
     B_G^2 is placed at its clique states with zeros elsewhere; ``gamma_min``
@@ -386,7 +386,7 @@ def ambient_gammas(op: PenalizedOperator) -> dict[str, float]:
     top of B_G^2 + gamma_pen (1 - P).
     """
     basis = op.basis
-    b = dirac(basis.cx, basis.k).matrix
+    b = dirac(build_clique_complex(g, basis.k), basis.k).matrix
     h = np.zeros((basis.dim, basis.dim))
     h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
     evals = np.linalg.eigvalsh(h)
@@ -398,9 +398,9 @@ def ambient_gammas(op: PenalizedOperator) -> dict[str, float]:
     return {"gamma_min": gamma_min, "top": top, "gamma_pen": pen, "gamma_max": gamma_max}
 
 
-def larger_penalty(op: PenalizedOperator) -> PenalizedOperator:
+def larger_penalty(g: Graph, op: PenalizedOperator) -> PenalizedOperator:
     """The operator with the top of B_G^2 as its penalty: op.matrix plus (top - gap) on the non-clique diagonal."""
-    gam = ambient_gammas(op)
+    gam = ambient_gammas(g, op)
     extra = gam["top"] - gam["gamma_pen"]
     return replace(op, matrix=op.matrix + extra * np.diag(1.0 - op.basis.clique_flags), gamma_pen=gam["top"])
 

@@ -21,6 +21,7 @@ from bettiforge.cli import _pin_threads, main, parse_generator_spec
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+KPARTITE_4_3 = ["estimate", "--gen", "kpartite:4,3", "--r", "0.05", "--delta", "0.05"]
 DEQUANT_K22 = ["dequantize", "--gen", "kpartite:2,2", "--k", "2", "--slices", "1", "--samples", "100"]
 
 
@@ -360,11 +361,25 @@ class TestExitCodes:
                 id="filter-epsilon-nan",
             ),
             pytest.param(["simulate", "dicke", "--n", "64"], "simulate dicke needs --k", id="dicke-no-k"),
+            pytest.param(
+                ["simulate", "filter", "--gen", "er:6,0.7", "--seed", "1", "--k", "2", "--ell", "0"],
+                "filter degree must be positive",
+                id="filter-ell-0",
+            ),
+            *[
+                pytest.param([*KPARTITE_4_3, flag, value], f"{flag} disagrees with the kpartite spec", id=f"kpartite{flag}")
+                for flag, value in (("--n", "9"), ("--edges", "5"), ("--cliques", "63"), ("--betti", "1"), ("--gap", "4.5"))
+            ],
         ],
     )
     def test_bad_input_is_2_and_named(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and named in err and out == ""
+
+    def test_estimate_kpartite_accepts_agreeing_counts(self, capsys):
+        # K(4,3): n = 12, 48 edges, 64 triangles, beta = 27, gap 4
+        counts = ["--n", "12", "--k", "3", "--edges", "48", "--cliques", "64", "--betti", "27", "--gap", "4"]
+        assert run_cli(capsys, *KPARTITE_4_3, *counts) == run_cli(capsys, *KPARTITE_4_3)
 
     @pytest.mark.parametrize(
         "argv,code,named",
@@ -537,19 +552,44 @@ def test_filter_and_pipeline_read_one_laplacian_spectrum(capsys, monkeypatch, ar
     assert len(solves) == 1
 
 
+def _count_builds(monkeypatch):
+    """Record the clique size of each enumeration and the level of each face table and coboundary built."""
+    from bettiforge import graphs
+
+    built = {"cliques": [], "faces": [], "cofaces": []}
+    enumerate_cliques, face_table, coboundary = graphs.enumerate_cliques, graphs._face_table, graphs.coboundary
+    monkeypatch.setattr(graphs, "enumerate_cliques", lambda g, s: built["cliques"].append(s) or enumerate_cliques(g, s))
+    monkeypatch.setattr(graphs, "_face_table", lambda cx, k: built["faces"].append(k) or face_table(cx, k))
+    monkeypatch.setattr(
+        graphs, "coboundary", lambda faces, n: built["cofaces"].append(faces.shape[1] - 1) or coboundary(faces, n)
+    )
+    return built
+
+
+def _assert_built_once(built, k):
+    # each clique size through k+1 enumerated once, each boundary map's tables at most once
+    assert built["cliques"] == list(range(1, k + 2))[: len(built["cliques"])] and k in built["cliques"]
+    for levels in (built["faces"], built["cofaces"]):
+        assert len(levels) == len(set(levels)) and set(levels) <= {k - 1, k}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "walk", "--gen", "er:8,0.6", "--seed", "1", "--k", "2"],
     ["simulate", "walk", "--gen", "kpartite:1,2", "--k", "1"],
     [*DEQUANT_K22, "--t", "1", "--samples", "200"],
     [*DEQUANT_K22, "--t", "1", "--samples", "200", "--sampler", "mh", "--burn-in", "10"],
+    ["simulate", "pipeline", "--gen", "er:12,0.6", "--seed", "2", "--k", "2"],
+    ["simulate", "filter", "--gen", "er:12,0.6", "--seed", "2", "--k", "3", "--epsilon", "0.1"],
 ])
 def test_walk_and_dequantizer_read_one_clique_complex(capsys, monkeypatch, argv):
-    # the restricted Dirac operator comes from one clique complex: no subset
-    # test per bit string, and one Dirac operator.  The modules are imported
-    # first, so that none binds a patched function at import
+    # the restricted Dirac operator and the Laplacian come from the graph's
+    # one clique complex: no subset test per bit string, each clique size
+    # enumerated once, each face table and coboundary built at most once, and
+    # one Dirac operator for the walk and the dequantizer.  The modules are
+    # imported first, so that none binds a patched function at import
     from bettiforge import graphs, homology
     from bettiforge.dequant import estimator, operators  # noqa: F401
-    from bettiforge.qsim import walkenc  # noqa: F401
+    from bettiforge.qsim import pipeline, walkenc  # noqa: F401
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-state clique test on a production path")
@@ -557,16 +597,17 @@ def test_walk_and_dequantizer_read_one_clique_complex(capsys, monkeypatch, argv)
     for name, module in list(sys.modules.items()):
         if name.startswith("bettiforge") and getattr(module, "is_clique", None) is graphs.is_clique:
             monkeypatch.setattr(module, "is_clique", refuse)
-    complexes, operators = [], []
-    build, dirac = graphs.build_clique_complex, homology.dirac
+    operators = []
+    dirac = homology.dirac
     for name, module in list(sys.modules.items()):
-        if name.startswith("bettiforge") and getattr(module, "build_clique_complex", None) is build:
-            monkeypatch.setattr(module, "build_clique_complex", lambda g, k: complexes.append(k) or build(g, k))
         if name.startswith("bettiforge") and getattr(module, "dirac", None) is dirac:
             monkeypatch.setattr(module, "dirac", lambda cx, k: operators.append(k) or dirac(cx, k))
+    built = _count_builds(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out), err
-    assert len(complexes) == 1 and len(operators) == 1
+    k = int(argv[argv.index("--k") + 1])
+    _assert_built_once(built, k)
+    assert len(operators) == (argv[0] == "dequantize" or argv[1] == "walk")
 
 
 def test_pipeline_runs_past_eight_vertices(capsys):
@@ -597,15 +638,12 @@ def test_perfbench_trace_targets_resolve():
 
 
 def test_betti_builds_one_clique_complex(capsys, monkeypatch):
-    # one complex through size k+1 serves the rank, the spectrum and cl_k
-    from bettiforge import graphs
-
-    calls = []
-    enumerate_cliques = graphs.enumerate_cliques
-    monkeypatch.setattr(graphs, "enumerate_cliques", lambda g, s: calls.append(s) or enumerate_cliques(g, s))
+    # one complex through size k+1 serves the rank, the spectrum and cl_k, and
+    # the rank and the Laplacian share its face tables and coboundaries
+    built = _count_builds(monkeypatch)
     code, out, _ = run_cli(capsys, "betti", "--gen", "er:12,0.6", "--seed", "2", "--k", "3")
     assert code == 0 and json.loads(out)["cl_k"] > 0
-    assert calls == [1, 2, 3, 4]
+    assert built == {"cliques": [1, 2, 3, 4], "faces": [2, 3], "cofaces": [2, 3]}
 
 
 # ---------------------------------------------------------------------------

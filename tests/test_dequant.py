@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
-from bettiforge.graphs import gen_kpartite
+from bettiforge.graphs import build_clique_complex, gen_kpartite
 from bettiforge.homology import betti_exact, dirac
 from bettiforge.dequant.estimator import PIMCConfig, estimate_from_operator, estimate_normalized_betti
 from bettiforge.dequant.operators import (
@@ -75,7 +75,7 @@ class TestPenalizedOperator:
     def test_oracle_modes(self):
         g = gen_kpartite(2, 2)
         tight = penalized_operator(g, 2)
-        loose = larger_penalty(tight)
+        loose = larger_penalty(g, tight)
         assert loose.gamma_pen >= tight.gamma_pen
         assert kernel_dim_weight_k(loose) == kernel_dim_weight_k(tight)
 
@@ -103,7 +103,7 @@ class TestPenalizedOperator:
     def test_gammas_match_dense_ambient_eigensolve(self):
         for g, k in _oracle_cases() + [(Graph(4, ()), 1)]:
             op = penalized_operator(g, k)
-            want = ambient_gammas(op)
+            want = ambient_gammas(g, op)
             tol = 1e-10 * max(1.0, want["top"])
             assert (op.gamma_min > 0) == (want["gamma_min"] > 0)
             assert op.gamma_min == pytest.approx(want["gamma_min"], abs=tol)
@@ -115,7 +115,7 @@ class TestPenalizedOperator:
     def test_squared_dirac_block_is_the_integer_square(self):
         for g, k in _oracle_cases():
             op = penalized_operator(g, k)
-            b = dirac(op.basis.cx, k).matrix
+            b = dirac(build_clique_complex(g, k), k).matrix
             idx = op.basis.dirac_indices
             assert op.matrix[np.ix_(idx, idx)].tobytes() == (b @ b).astype(np.float64).tobytes()
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from bettiforge import homology
 from bettiforge.errors import DeskScaleError
-from bettiforge.exactrank import RANK_PRIMES, cleared_ranks, coboundary, integer_rank, reduce_columns
+from bettiforge.exactrank import RANK_PRIMES, cleared_ranks, integer_rank, reduce_columns
 from bettiforge.graphs import (
     Graph,
     build_clique_complex,
@@ -20,7 +22,6 @@ from bettiforge.homology import (
     betti_exact,
     boundary_matrix,
     dirac,
-    face_table,
     laplacian,
     spectrum,
 )
@@ -104,8 +105,7 @@ def _edge_cases():
 
 def _coboundaries(cx, k):
     """Coboundaries of d_{k-1} (None for k = 1) and d_k."""
-    down = coboundary(face_table(cx, k - 1), cx.count(k - 1)) if k >= 2 else None
-    return down, coboundary(face_table(cx, k), cx.count(k))
+    return (cx.cofaces(k - 1) if k >= 2 else None), cx.cofaces(k)
 
 
 def _rp2_subdivision() -> Graph:
@@ -135,7 +135,7 @@ class TestModularRank:
     def test_matches_bareiss_and_nullity(self, g, k):
         cx = build_clique_complex(g, k)
         for level in range(1, k + 1):
-            faces = face_table(cx, level)
+            faces = cx.faces(level)
             want = integer_rank(boundary_matrix(cx, level).matrix)
             assert [modular_rank(faces, p) for p in RANK_PRIMES] == [want, want]
         beta = betti_exact(g, k)
@@ -154,9 +154,9 @@ class TestModularRank:
         want_down = integer_rank(boundary_matrix(cx, k - 1).matrix) if k >= 2 else 0
         for p in RANK_PRIMES:
             assert cleared_ranks(down, up, p) == (want_down, want_up)
-            assert modular_rank(face_table(cx, k), p) == want_up
+            assert modular_rank(cx.faces(k), p) == want_up
             if k >= 2:
-                assert modular_rank(face_table(cx, k - 1), p) == want_down
+                assert modular_rank(cx.faces(k - 1), p) == want_down
 
     @pytest.mark.parametrize("g,k", [c for c in _property_cases() + _edge_cases() if c.values[1] >= 2])
     def test_cleared_columns_reduce_to_zero(self, g, k):
@@ -175,7 +175,7 @@ class TestModularRank:
         cx = build_clique_complex(g, k)
         below = None
         for level in range(1, k + 1):
-            cob = coboundary(face_table(cx, level), cx.count(level))
+            cob = cx.cofaces(level)
             joint = reduce_columns(cob, JOINT)
             assert joint is not None
             for p in RANK_PRIMES:
@@ -200,7 +200,7 @@ class TestModularRank:
                 want_up = integer_rank(boundary_matrix(cx, k).matrix)
                 want_down = integer_rank(boundary_matrix(cx, k - 1).matrix) if k >= 2 else 0
                 assert cleared_ranks(down, up, JOINT) == (want_down, want_up)
-                assert betti_exact(g, k, cx) == cx.count(k) - want_down - want_up
+                assert betti_exact(g, k) == cx.count(k) - want_down - want_up
                 seen.add("k1" if k == 1 else "no k-cliques" if cx.count(k) == 0 else "other")
         assert seen == {"k1", "no k-cliques", "other"}
 
@@ -230,7 +230,7 @@ class TestModularRank:
     def test_coboundary_is_transpose(self):
         cx = build_clique_complex(gen_erdos_renyi(10, 0.6, 3), 3)
         for k in (1, 2, 3):
-            cob = coboundary(face_table(cx, k), cx.count(k))
+            cob = cx.cofaces(k)
             mat = np.zeros((cx.count(k + 1), cx.count(k)), dtype=np.int64)
             for c in range(cx.count(k)):
                 part = slice(cob.indptr[c], cob.indptr[c + 1])
@@ -242,7 +242,7 @@ class TestModularRank:
         g = _rp2_subdivision()
         cx = build_clique_complex(g, 3)
         assert (cx.count(1), cx.count(2), cx.count(3), cx.count(4)) == (31, 90, 60, 0)
-        faces = face_table(cx, 2)
+        faces = cx.faces(2)
         # H_1 = Z/2: d_2 loses one rank mod 2 and none mod 3
         assert (modular_rank(faces, 2), modular_rank(faces, 3)) == (59, 60)
         calls = []
@@ -446,19 +446,32 @@ class TestBettiExact:
 
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_given_complex_matches_own(self, seed):
+    def test_complex_built_once_per_graph(self, seed):
         g = gen_erdos_renyi(11, 0.6, seed)
-        cx = build_clique_complex(g, 4)  # a deeper complex serves too
         for k in (1, 2, 3):
-            assert betti_exact(g, k, cx) == betti_exact(g, k)
-            assert np.array_equal(spectrum(g, k, cx).eigenvalues, spectrum(g, k).eigenvalues)
+            cx = build_clique_complex(g, k)
+            assert build_clique_complex(g, k) is cx
+            assert cx.faces(k) is cx.faces(k) and cx.cofaces(k) is cx.cofaces(k)
+            # the kept complex answers as a new equal graph's own does
+            fresh = gen_erdos_renyi(11, 0.6, seed)
+            assert fresh == g and hash(fresh) == hash(g)
+            assert betti_exact(g, k) == betti_exact(fresh, k)
+            assert np.array_equal(spectrum(g, k).eigenvalues, spectrum(fresh, k).eigenvalues)
+        # the complex holds no reference to its graph: reference counting frees both
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g, cx
+            assert ref() is None
+        finally:
+            gc.enable()
 
-    def test_complex_too_shallow_rejected(self):
-        g = gen_kpartite(2, 3)
-        with pytest.raises(ValueError, match="does not cover"):
-            betti_exact(g, 3, build_clique_complex(g, 2))
-        with pytest.raises(ValueError, match="does not cover"):
-            spectrum(g, 2, build_clique_complex(gen_kpartite(2, 2), 2))
+    def test_boundary_maps_are_read_only(self):
+        cx = build_clique_complex(gen_kpartite(2, 3), 3)
+        cob = cx.cofaces(2)
+        for arr in (cx.faces(2), cob.indptr, cob.rows, cob.pos):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestSpectrum:
