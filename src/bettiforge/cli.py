@@ -41,27 +41,45 @@ def _json_dump(payload: dict, path: str | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
+# per generator family: its fields as the grammar names them, their types,
+# and how many must be given
+_GENERATORS = {
+    "kpartite": ("m,k", (int, int), 2),
+    "er": ("n,p", (int, float), 2),
+    "rips": ("n,k[,threshold]", (int, int, float), 2),
+}
+
+
+def _split_generator_spec(spec: str) -> tuple[str, list]:
+    """A family:field,field spec as its family and typed fields, checked against the grammar."""
+    family, _, rest = spec.partition(":")
+    if family not in _GENERATORS:
+        raise ValueError(f"unknown generator family {family!r}")
+    usage, types, required = _GENERATORS[family]
+    args = [a for a in rest.split(",") if a]
+    if not required <= len(args) <= len(types):
+        raise ValueError(f"{family} spec needs {usage}")
+    fields = []
+    for kind, arg in zip(types, args):
+        try:
+            fields.append(kind(arg))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{family} spec field {arg!r} is not {what}") from None
+    return family, fields
+
+
 def parse_generator_spec(spec: str, seed: int):
     """family:param,param mini-grammar: kpartite:m,k | er:n,p | rips:n,k[,threshold]."""
     from . import graphs
 
-    family, _, rest = spec.partition(":")
-    args = [a for a in rest.split(",") if a]
+    family, fields = _split_generator_spec(spec)
     if family == "kpartite":
-        if len(args) != 2:
-            raise ValueError("kpartite spec needs m,k")
-        return graphs.gen_kpartite(int(args[0]), int(args[1]))
+        return graphs.gen_kpartite(*fields)
     if family == "er":
-        if len(args) != 2:
-            raise ValueError("er spec needs n,p")
-        return graphs.gen_erdos_renyi(int(args[0]), float(args[1]), seed)
-    if family == "rips":
-        if len(args) not in (2, 3):
-            raise ValueError("rips spec needs n,k[,threshold]")
-        pts = graphs.gen_rips_points(int(args[0]), int(args[1]))
-        threshold = float(args[2]) if len(args) == 3 else 1.0
-        return graphs.rips_graph(pts, threshold)
-    raise ValueError(f"unknown generator family {family!r}")
+        return graphs.gen_erdos_renyi(*fields, seed)
+    pts = graphs.gen_rips_points(*fields[:2])
+    return graphs.rips_graph(pts, fields[2] if len(fields) == 3 else 1.0)
 
 
 def _load_graph(args):
@@ -128,10 +146,10 @@ def _params_from_args(args):
 
     given = {name: getattr(args, name) for name in _COUNT_FIELDS}
     if args.gen:
-        family, _, rest = args.gen.partition(":")
+        family, fields = _split_generator_spec(args.gen)
         if family != "kpartite":
             raise ValueError("estimate --gen supports only the kpartite family")
-        m, k = (int(x) for x in rest.split(","))
+        m, k = fields
         if args.k is not None and args.k != k:
             raise ValueError("--k disagrees with the kpartite spec")
         params = resources.kpartite_params(m, k, args.r, args.delta, c=args.c)
@@ -327,7 +345,7 @@ def _verify_props() -> list[tuple[str, bool, str]]:
     for m in (2, 3, 4):
         for k in (2, 3, 4):
             g = graphs.gen_kpartite(m, k)
-            cl = len(graphs.enumerate_cliques(g, k))
+            cl = graphs.build_clique_complex(g, k).count(k)
             beta = homology.betti_exact(g, k)
             summary = homology.spectrum(g, k)
             lattice = bool(

@@ -26,10 +26,13 @@ per anchor by transfer-matrix messages:
 Both values are multiplied by the scalar factor exp(-shift t) of the
 identity term (see ``build_schedule``).
 
-Every reader takes the overlaps from one sparse store, ``PathSpace.columns``
-(at most 4 nonzeros per eigenvector per link): the transfer passes, the
-draws and the signs they return, and the per-column dicts that the
-Metropolis moves and path snapshots look single overlaps up in.
+One transfer pass, ``PathSpace.backward_pass``, computes every partition
+function: the per-anchor Z_a and Z^abs_a behind the draws, the pattern
+measure's Z (``log_partition``) and the signed restricted trace.  Every
+reader takes the overlaps from one sparse store, ``PathSpace.columns`` (at
+most 4 nonzeros per eigenvector per link): that pass, the draws and the
+signs they return, and the per-column dicts that the Metropolis moves and
+path snapshots look single overlaps up in.
 """
 
 from __future__ import annotations
@@ -186,11 +189,6 @@ class PathSpace:
             self.columns.append(self._pairs[p, q])
         self._overlap_maps: list | None = None
 
-    def _rows(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero columns of each row of link i, ascending: the reverse direction's columns."""
-        n = self.length - 1
-        return self._pairs[self.schedule[(i + 1) % n], self.schedule[i]]
-
     def overlap_maps(self) -> list[dict[tuple[int, int], float]]:
         """Per link, its nonzero overlaps {(e, f): overlap of e with f}, read from the columns.
 
@@ -236,42 +234,17 @@ class PathSpace:
     # -- partition function ---------------------------------------------------
 
     def log_partition(self) -> float:
-        """Log of Z = sum of thermal weights over valid anchored closed paths.
+        """Log of Z, the pattern measure's sum of Z_a over the anchors, read off its backward pass.
 
-        Each step adds, for every eigenvector of the next position, the
-        messages of its nonzero overlaps in ascending column order.
+        -inf when no anchor has a valid closed path.
         """
-        beta = self.t / self.r_t
-        sched = self.schedule
-        first = self.terms[sched[0]]
-        anchors = np.array(self.anchor_states)
-        cols = np.arange(anchors.size)
-        vec = np.zeros((first.n_eigs, anchors.size))
-        vec[anchors, cols] = 1.0
-        w1 = np.exp(-2.0 * beta * first.lam[anchors])
-        log_scale = 0.0
-        for i in range(1, self.length - 1):
-            index, value = self._rows(i - 1)
-            step = np.zeros((index.shape[0], anchors.size))
-            for j in range(index.shape[1]):
-                step += (value[:, j] != 0.0)[:, None] * vec[index[:, j]]
-            vec = np.exp(-beta * self.terms[sched[i]].lam)[:, None] * step
-            peak = vec.max(initial=0.0)
-            if peak <= 0.0:
-                return -math.inf
-            vec /= peak
-            log_scale += math.log(peak)
-        index, value = self._rows(self.length - 2)
-        index, value = index[anchors], value[anchors]
-        closed = np.zeros(anchors.size)
-        for j in range(index.shape[1]):
-            closed += (value[:, j] != 0.0) * vec[index[:, j], cols]
-        total = 0.0
-        for col in range(anchors.size):
-            total += w1[col] * float(closed[col])
-        if total <= 0.0:
+        _, _, start, log_scale = self.backward_pass(PATTERN)
+        with np.errstate(divide="ignore"):
+            log_z = np.log(start) + log_scale
+        top = float(log_z.max())
+        if top == -math.inf:
             return -math.inf
-        return math.log(total) + log_scale
+        return top + math.log(float(np.exp(log_z - top).sum()))
 
     def backward_pass(self, kind: str) -> tuple[list, list, np.ndarray, np.ndarray]:
         """Backward messages of one path weight, per anchor column.
@@ -297,7 +270,8 @@ class PathSpace:
         last = self.length - 2
         anchors = np.array(self.anchor_states)
         cols = np.arange(anchors.size)
-        index, value = self._rows(last)
+        # the closing link's row of each anchor: its nonzero columns at the last position, ascending
+        index, value = self._pairs[sched[0], sched[last]]
         m = np.zeros((self.terms[sched[last]].n_eigs, anchors.size))
         np.add.at(m, (index[anchors], cols[:, None]), value[anchors])  # padding adds 0.0
         m = weigh(m)
@@ -418,10 +392,6 @@ class MetropolisPathSampler:
             return True
         return False
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.proposed if self.proposed else 0.0
-
     def sample(self) -> PathSample:
         return self.space.snapshot(self.eig)
 
@@ -431,11 +401,12 @@ class ExactPathSampler:
 
     Conditioned on the anchor, a path's weight factorizes over the loop into
     nearest-neighbor terms, so backward filtering / forward sampling draws
-    Pr(path | anchor) exactly: no burn-in, no mixing error.  The per-anchor
-    log partition functions are a byproduct: log Z_a of the pattern measure
-    (``log_z_per_anchor``) and log Z^abs_a of the magnitude measure.  The
-    messages of a measure are built the first time it is used; each draw
-    takes the caller's generator.
+    Pr(path | anchor) exactly: no burn-in, no mixing error.  The messages
+    come from the space's one transfer pass, ``backward_pass``, and the
+    per-anchor log partition functions are a byproduct: ``log_z(PATTERN)``
+    gives log Z_a and ``log_z(MAGNITUDE)`` log Z^abs_a.  The messages of a
+    measure are built the first time it is used; each draw takes the
+    caller's generator.
     """
 
     def __init__(self, space: PathSpace, clique_sampler=None):
@@ -468,13 +439,9 @@ class ExactPathSampler:
         """Log partition function of each anchor column under ``measure``."""
         return self.messages(measure)[1]
 
-    @property
-    def log_z_per_anchor(self) -> np.ndarray:
-        return self.log_z(PATTERN)
-
     def log_z_anchor(self, state: int) -> float:
         """Pattern-measure log Z of one anchor state."""
-        return float(self.log_z_per_anchor[self._column_of[state]])
+        return float(self.log_z(PATTERN)[self._column_of[state]])
 
     def draw_anchor(self, rng: np.random.Generator) -> int:
         """An anchor state, uniform over the anchor set."""

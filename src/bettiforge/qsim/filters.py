@@ -46,10 +46,10 @@ def chebyshev_t(ell: int, x) -> np.ndarray:
 
 def chebyshev_filter_response(ell: int, epsilon: float, phi) -> np.ndarray:
     """w(phi) = eps T_ell(beta cos phi); w(0) = 1 and |w| <= eps past the gap."""
-    if ell <= 0:
-        raise ValueError("filter degree must be positive")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("suppression factor must lie in (0, 1)")
+    if ell <= 0:
+        raise ValueError("filter degree must be positive")
     beta = math.cosh(math.acosh(1.0 / epsilon) / ell)
     return epsilon * chebyshev_t(ell, beta * np.cos(np.asarray(phi, dtype=float)))
 

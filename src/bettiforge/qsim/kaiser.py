@@ -172,7 +172,7 @@ def solve_alpha_asymptotic(delta: float) -> float:
     def g(a):
         return 2.0 * math.pi * a - math.log(8.0 * math.log(2.0 * a) * math.sqrt(a))
 
-    # locate the minimum of g by coarse scan + golden refinement
+    # the minimum of g on a 400-point grid, then bisection on the rising branch past it
     grid = np.linspace(ALPHA_LO + 1e-6, 2.0, 400)
     vals = [g(a) for a in grid]
     i = int(np.argmin(vals))

@@ -10,10 +10,10 @@ dense walk and its eigenphases, the filter half-width, and the filtered
 amplitude and Dirac gap from the eigendecomposition of the dense restricted
 Dirac operator.  Dequantizer oracles: the dense matrices of the one-sparse
 terms, the dense Trotter product, the dense overlap tables of every link,
-exhaustive path enumeration and the checks built on it, the dense transfer
-pass, the slice count and variance bounds.  Then the continuum Kaiser phase-error law with
-the repeated amplitude-estimation draws that the window sizing is checked
-with.
+exhaustive path enumeration and the checks built on it, the dense forward
+and backward transfer passes, the slice count and variance bounds.  Then
+the continuum Kaiser phase-error law with the repeated amplitude-estimation
+draws that the window sizing is checked with.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from bettiforge.dequant.operators import (
     penalized_operator,
 )
 from bettiforge.dequant.paths import (
+    MAGNITUDE,
     PATTERN,
+    SIGNED,
     ExactPathSampler,
     MetropolisPathSampler,
     PathSample,
@@ -552,6 +554,40 @@ def dense_log_partition(space: PathSpace, links: list[np.ndarray]) -> float:
     if total <= 0.0:
         return -math.inf
     return math.log(total) + log_scale
+
+
+def dense_backward_pass(space: PathSpace, links: list[np.ndarray], kind: str) -> tuple[list, np.ndarray, np.ndarray]:
+    """``PathSpace.backward_pass`` from the dense tables: (kept messages, start, log scale).
+
+    Each row's message adds the weighted messages of its link's nonzero
+    columns in ascending order, as the sparse pass adds its candidates, so
+    the two agree bit for bit.  The signed pass keeps no messages.
+    """
+    weigh = {PATTERN: lambda v: (v != 0.0).astype(float), MAGNITUDE: np.abs, SIGNED: lambda v: v}[kind]
+    beta = space.t / space.r_t
+    rate = beta if kind == PATTERN else 0.5 * beta
+    sched, last = space.schedule, space.length - 2
+    m = weigh(dense_closing_rows(space, links))
+    log_scale = np.zeros(m.shape[1])
+    weighted: list = [None] * (last + 1)
+    for i in range(last, 0, -1):
+        damped = np.exp(-rate * space.terms[sched[i]].lam)[:, None] * m
+        if kind != SIGNED:
+            weighted[i] = damped
+        coef = weigh(links[i - 1])
+        e, f = np.nonzero(links[i - 1].T)  # per row e of the new message, its nonzero columns f ascending
+        rank = np.arange(e.size) - np.searchsorted(e, e)
+        m = np.zeros((links[i - 1].shape[1], m.shape[1]))
+        for r in range(int(rank.max(initial=-1)) + 1):
+            at = rank == r
+            m[e[at]] += coef[f[at], e[at]][:, None] * damped[f[at]]
+        peak = np.abs(m).max(axis=0)
+        scale = np.where(peak > 0, peak, 1.0)
+        m /= scale
+        log_scale += np.log(scale)
+    anchors = np.array(space.anchor_states)
+    start = np.exp(-2.0 * rate * space.terms[sched[0]].lam[anchors]) * m[anchors, np.arange(anchors.size)]
+    return weighted, start, log_scale
 
 
 def enumerate_paths(space: PathSpace, max_paths: int = 1 << 14) -> list[PathSample]:

@@ -366,6 +366,23 @@ class TestExitCodes:
                 "filter degree must be positive",
                 id="filter-ell-0",
             ),
+            pytest.param(
+                ["simulate", "filter", "--gen", "er:6,0.7", "--seed", "1", "--k", "2", "--epsilon", "1.5"],
+                "suppression factor must lie in (0, 1)",
+                id="filter-epsilon-1.5",
+            ),
+            pytest.param(
+                ["estimate", "--gen", "kpartite:4,3,5", "--r", "0.05", "--delta", "0.05"],
+                "kpartite spec needs m,k",
+                id="estimate-kpartite-three-fields",
+            ),
+            pytest.param(
+                ["estimate", "--gen", "kpartite:4.5,3", "--r", "0.05", "--delta", "0.05"],
+                "kpartite spec field '4.5' is not an integer",
+                id="estimate-kpartite-non-integer",
+            ),
+            pytest.param(["betti", "--gen", "kpartite:4,3,5", "--k", "2"], "kpartite spec needs m,k",
+                         id="betti-kpartite-three-fields"),
             *[
                 pytest.param([*KPARTITE_4_3, flag, value], f"{flag} disagrees with the kpartite spec", id=f"kpartite{flag}")
                 for flag, value in (("--n", "9"), ("--edges", "5"), ("--cliques", "63"), ("--betti", "1"), ("--gap", "4.5"))
@@ -484,6 +501,8 @@ def test_thread_cap_overrides_inherited_settings(monkeypatch):
         ["simulate", "walk", "--gen", "er:8,0.7", "--seed", "1", "--k", "2"],
         ["dequantize", "--gen", "kpartite:2,4", "--k", "3", "--t", "1", "--slices", "1", "--samples", "2000",
          "--sampler", "exact", "--seed", "3"],
+        ["dequantize", "--gen", "kpartite:2,3", "--k", "3", "--t", "1", "--slices", "1", "--samples", "450",
+         "--sampler", "mh", "--chains", "2", "--burn-in", "250", "--thin", "4", "--seed", "3"],
     ],
 )
 def test_output_independent_of_inherited_threads(argv):
@@ -635,6 +654,30 @@ def test_perfbench_trace_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{attr}"
+
+
+def test_metropolis_runs_the_pattern_pass_twice(capsys, monkeypatch):
+    # the chains share one set of pattern messages, and log_partition, which
+    # the benchmark's tracer times, reads Z off one more pattern pass
+    from bettiforge.dequant.paths import PATTERN, PathSpace
+
+    calls = {"log_partition": 0, "pattern_passes": 0}
+    log_partition, backward_pass = PathSpace.log_partition, PathSpace.backward_pass
+
+    def count_log_partition(self):
+        calls["log_partition"] += 1
+        return log_partition(self)
+
+    def count_backward_pass(self, kind):
+        calls["pattern_passes"] += kind == PATTERN
+        return backward_pass(self, kind)
+
+    monkeypatch.setattr(PathSpace, "log_partition", count_log_partition)
+    monkeypatch.setattr(PathSpace, "backward_pass", count_backward_pass)
+    code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "200", "--sampler", "mh",
+                             "--burn-in", "10")
+    assert code == 0 and json.loads(out)["config"]["chains"] == 4, err
+    assert calls == {"log_partition": 1, "pattern_passes": 2}
 
 
 def test_betti_builds_one_clique_complex(capsys, monkeypatch):

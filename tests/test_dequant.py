@@ -15,6 +15,7 @@ from bettiforge.dequant.operators import (
 from bettiforge.dequant.paths import (
     MAGNITUDE,
     PATTERN,
+    SIGNED,
     ExactPathSampler,
     MetropolisPathSampler,
     PathSpace,
@@ -24,6 +25,7 @@ from bettiforge.graphs import Graph, enumerate_cliques, gen_erdos_renyi
 from oracles import (
     ambient_gammas,
     column_nonzeros,
+    dense_backward_pass,
     dense_closing_rows,
     dense_decomposition,
     dense_links,
@@ -359,7 +361,9 @@ class TestPartitionConsistency:
             z_abs[p.anchor_state] += 2.0**p.w_log2 * math.exp(-0.5 * beta * p.energy)
         z_abs_msgs = np.exp(exact.log_z(MAGNITUDE))
         assert z_abs_msgs == pytest.approx([z_abs[a] for a in space.anchor_states], rel=1e-9, abs=1e-300)
-        return log_z_msgs, space.log_partition(), log_z_enum
+        # the pattern measure's Z is the sum of the per-anchor Z_a of its one backward pass
+        assert space.log_partition() == pytest.approx(log_z_msgs, rel=1e-12)
+        return log_z_msgs, dense_log_partition(space, dense_links(space)), log_z_enum
 
     def test_random_symmetric_matrices(self):
         rng = np.random.default_rng(2024)
@@ -693,7 +697,12 @@ class TestSparseOverlaps:
         for seed, (g, k) in enumerate(_sparse_cases()):
             _, space = _space(g, k, t, r_t)
             links = dense_links(space)
-            assert space.log_partition() == dense_log_partition(space, links)
+            for kind in (PATTERN, MAGNITUDE, SIGNED):
+                weighted, _, start, log_scale = space.backward_pass(kind)
+                want, want_start, want_log_scale = dense_backward_pass(space, links, kind)
+                assert start.tobytes() == want_start.tobytes() and log_scale.tobytes() == want_log_scale.tobytes()
+                assert [m is None for m in weighted] == [m is None for m in want]
+                assert all(m is None or m.tobytes() == ref.tobytes() for m, ref in zip(weighted, want))
             exact = ExactPathSampler(space)
             last = space.length - 2
             closing = dense_closing_rows(space, links)
