@@ -456,6 +456,17 @@ def cmd_verify(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    """The type of ``--seed``: a non-negative integer, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: a parse leaves no state in it."""
@@ -468,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a graph in canonical JSON form")
     add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("betti", help="exact Betti number and Laplacian spectrum summary")
     add_graph_source(p)
     p.add_argument("--k", type=int, required=True, help="Hamming weight (clique size); reports beta_{k-1}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_betti)
 
@@ -516,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--r", type=float, default=0.1)
     p.add_argument("--ell", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -530,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=int, default=8)
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--sampler", choices=("exact", "mh"), default="exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dequantize)
 

@@ -4,9 +4,10 @@ Implements the randomized trace estimation: draw a starting weight-k clique
 by rejection from the uniform weight-k strings, draw a closed eigenvector
 path, and average its value (see ``paths`` for the two path measures).
 
-  * ``sampler="exact"`` draws each chain's anchors in blocks, then its paths
-    exactly from the magnitude measure, all in a few array operations.  A
-    sample's value is sign(W) |Cl_k| Z^abs_a exp(-shift t) / d_k.
+  * ``sampler="exact"`` draws each chain's anchors in blocks from the
+    chain's generator, then every chain's paths exactly from the magnitude
+    measure in one batched draw, each chain's uniforms from its own
+    generator.  A sample's value is sign(W) |Cl_k| Z^abs_a exp(-shift t) / d_k.
   * ``sampler="mh"`` runs Metropolis-Hastings chains on the pattern measure
     and records E_q = (Z / d_k) W exp(beta E / 2) exp(-shift t).
 
@@ -172,9 +173,8 @@ def estimate_from_operator(
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)
 
-    chunks = []
-    acc_num = acc_den = 0
     per_chain = -(-cfg.n_samp // cfg.chains)
+    rngs = [np.random.default_rng((cfg.seed, chain)) for chain in range(cfg.chains)]
     diagnostics = {}
     if cfg.sampler == "exact":
         # anchor uniform over the cliques (by rejection), remainder of the
@@ -194,21 +194,20 @@ def estimate_from_operator(
             "exact_trotter_mean": exact_mean,
             "average_sign": min(1.0, max(-1.0, sign)),
         }
+        # each chain's anchors from its own generator, then every chain's
+        # paths in one draw, each chain's uniforms from its generator
+        cols = np.concatenate([exact.draw_anchor_columns(rng, per_chain) for rng in rngs])
+        arr = exact.draw(rngs, cols, MAGNITUDE, signed=True) * anchor_values[cols]
+        acc_num = acc_den = arr.size
     else:
         log_z = space.log_partition()
         if not math.isfinite(log_z):
             raise RuntimeError(NO_CLOSED_PATH)
         log_pref = log_z - math.log(op.d_k) - space.scalar_shift * cfg.t
         beta_half = cfg.t / (2.0 * cfg.r_t)
-    for chain in range(cfg.chains):
-        rng = np.random.default_rng((cfg.seed, chain))
-        if cfg.sampler == "exact":
-            cols = exact.draw_anchor_columns(rng, per_chain)
-            _, signs = exact.draw(rng, cols, MAGNITUDE, signed=True)
-            chunks.append(signs * anchor_values[cols])
-            acc_num += per_chain
-            acc_den += per_chain
-        else:
+        chunks = []
+        acc_num = acc_den = 0
+        for rng in rngs:
             sampler = MetropolisPathSampler(exact, rng)
             for _ in range(cfg.burn_in):
                 sampler.step()
@@ -222,8 +221,8 @@ def estimate_from_operator(
             chunks.append(np.array(samples))
             acc_num += sampler.accepted
             acc_den += sampler.proposed
+        arr = np.concatenate(chunks)
 
-    arr = np.concatenate(chunks)
     estimate = float(arr.mean())
     stderr = _batch_stderr(arr)
     tau = integrated_autocorr_time(arr)

@@ -149,37 +149,31 @@ def _diag_term(coeff: float, values: np.ndarray, kind: str) -> OneSparseTerm:
 
 
 def _matching_term(coeff: float, pairs: list[tuple[int, int, float]], dim: int) -> OneSparseTerm:
-    """Pairs (u, v, sign) all of magnitude ``coeff``; other states are fixed."""
+    """Pairs (u, v, sign) all of magnitude ``coeff``; other states are fixed.
+
+    Pair j gives eigenvectors 2j and 2j + 1, (|u> +- |v>)/sqrt(2) with
+    eigenvalues +-sign coeff, each the other's partner; the fixed states
+    follow in ascending order.
+    """
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    lam, sup1, sup2, amp1, amp2, partner = [], [], [], [], [], []
+    paired = 2 * len(pairs)
+    pair = np.array(pairs).repeat(2, axis=0)  # rows (u, v, sign), each pair twice
+    ends = pair[:, :2].astype(np.int64)
+    plus_minus = np.array([1.0, -1.0] * len(pairs))
+    lam, amp1, amp2 = np.zeros(dim), np.ones(dim), np.zeros(dim)
+    sup1, sup2, partner = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    lam[:paired] = plus_minus * pair[:, 2] * coeff
+    amp1[:paired] = inv_sqrt2
+    amp2[:paired] = plus_minus * inv_sqrt2
+    sup1[:paired] = ends[:, 0]
+    sup2[:paired] = ends[:, 1]
+    sup2[paired:] = -1
+    partner[:paired] = np.arange(paired) ^ 1
+    partner[paired:] = -1
     covered = np.zeros(dim, dtype=bool)
-    for u, v, sgn in pairs:
-        base = len(lam)
-        for s in (+1.0, -1.0):
-            lam.append(s * sgn * coeff)
-            sup1.append(u)
-            sup2.append(v)
-            amp1.append(inv_sqrt2)
-            amp2.append(s * inv_sqrt2)
-        partner.extend([base + 1, base])
-        covered[u] = covered[v] = True
-    for x in np.nonzero(~covered)[0]:
-        lam.append(0.0)
-        sup1.append(int(x))
-        sup2.append(-1)
-        amp1.append(1.0)
-        amp2.append(0.0)
-        partner.append(-1)
-    return OneSparseTerm(
-        coeff,
-        "matching",
-        np.array(lam),
-        np.array(sup1, dtype=np.int64),
-        np.array(sup2, dtype=np.int64),
-        np.array(amp1),
-        np.array(amp2),
-        np.array(partner, dtype=np.int64),
-    )
+    covered[ends] = True
+    sup1[paired:] = (~covered).nonzero()[0]
+    return OneSparseTerm(coeff, "matching", lam, sup1, sup2, amp1, amp2, partner)
 
 
 @dataclass(frozen=True)
@@ -220,31 +214,32 @@ def one_sparse_decompose(mat: np.ndarray) -> OneSparseDecomposition:
     if abs(ident) > DECOMPOSE_TOL:
         terms.append(_diag_term(abs(ident), np.full(dim, ident), "identity"))
 
-    # off-diagonal part: split by magnitude, then greedy edge coloring
+    # off-diagonal part: split by magnitude, then greedy edge coloring of
+    # the edges in (u, v) order, the row-major order np.nonzero lists them in
     iu, ju = np.nonzero(np.triu(np.abs(mat), k=1) > DECOMPOSE_TOL)
-    edges = sorted(zip(iu.tolist(), ju.tolist()))
-    by_mag: dict[float, list[tuple[int, int]]] = {}
-    for u, v in edges:
-        by_mag.setdefault(float(abs(mat[u, v])), []).append((u, v))
+    entries = mat[iu, ju]
+    by_mag: dict[float, list[tuple[int, int, float]]] = {}
+    for u, v, mag, sgn in zip(iu.tolist(), ju.tolist(), np.abs(entries).tolist(), np.copysign(1.0, entries).tolist()):
+        by_mag.setdefault(mag, []).append((u, v, sgn))
     max_degree = 0
     n_colors_total = 0
     for mag in sorted(by_mag):
         colors: list[list[tuple[int, int, float]]] = []
-        color_used: list[np.ndarray] = []
-        degree = np.zeros(dim, dtype=int)
-        for u, v in by_mag[mag]:
+        color_used: list[bytearray] = []
+        degree = [0] * dim
+        for u, v, sgn in by_mag[mag]:
             degree[u] += 1
             degree[v] += 1
-            for ci in range(len(colors)):
-                if not color_used[ci][u] and not color_used[ci][v]:
+            for ci, used in enumerate(color_used):
+                if not used[u] and not used[v]:
                     break
             else:
                 colors.append([])
-                color_used.append(np.zeros(dim, dtype=bool))
+                color_used.append(bytearray(dim))
                 ci = len(colors) - 1
-            colors[ci].append((u, v, math.copysign(1.0, mat[u, v])))
-            color_used[ci][u] = color_used[ci][v] = True
-        max_degree = max(max_degree, int(degree.max(initial=0)))
+            colors[ci].append((u, v, sgn))
+            color_used[ci][u] = color_used[ci][v] = 1
+        max_degree = max(max_degree, *degree)
         n_colors_total += len(colors)
         for matching in colors:
             terms.append(_matching_term(mag, matching, dim))

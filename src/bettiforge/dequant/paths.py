@@ -33,11 +33,17 @@ reader takes the overlaps from one sparse store, ``PathSpace.columns`` (at
 most 4 nonzeros per eigenvector per link): that pass, the draws and the
 signs they return, and the per-column dicts that the Metropolis moves and
 path snapshots look single overlaps up in.
+
+Draws of many paths are array operations over the batch, one position at a
+time.  A single path, and every Metropolis move, reads Python lists and
+tuples built once per sampler (per-anchor cumulative weights, candidates,
+eigenvalues), since per-call array overhead would dominate at that size.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +133,8 @@ PATTERN = "pattern"
 MAGNITUDE = "magnitude"
 SIGNED = "signed"
 
+DEAD_END = "dead end during exact sampling (inconsistent messages)"
+
 
 @dataclass(frozen=True)
 class PathSample:
@@ -187,6 +195,8 @@ class PathSpace:
             if (p, q) not in self._pairs:
                 self._pairs[p, q], self._pairs[q, p] = overlap_columns(entries[p], entries[q])
             self.columns.append(self._pairs[p, q])
+        lam = {p: self.terms[p].lam.tolist() for p in set(self.schedule)}
+        self.lam = [lam[p] for p in self.schedule]  # per position, its term's eigenvalues
         self._overlap_maps: list | None = None
 
     def overlap_maps(self) -> list[dict[tuple[int, int], float]]:
@@ -221,10 +231,10 @@ class PathSpace:
         return sign, log2, True
 
     def path_energy(self, eig: list[int]) -> float:
-        sched = self.schedule
-        total = 2.0 * float(self.terms[sched[0]].lam[eig[0]])
+        lam = self.lam
+        total = 2.0 * lam[0][eig[0]]
         for i in range(1, self.length - 1):
-            total += float(self.terms[sched[i]].lam[eig[i]])
+            total += lam[i][eig[i]]
         return total
 
     def snapshot(self, eig: list[int]) -> PathSample:
@@ -335,6 +345,11 @@ class MetropolisPathSampler:
         self.proposed = 0
         self._beta = self.space.t / self.space.r_t
         self._maps = self.space.overlap_maps()
+        # per position, its term's partners and catalog size (``space.lam`` has its eigenvalues)
+        sched, terms = self.space.schedule, self.space.terms
+        partner = {p: terms[p].partner.tolist() for p in set(sched)}
+        self._partner = [partner[p] for p in sched]
+        self._n_eigs = [terms[p].n_eigs for p in sched]
         exact.log_z(PATTERN)  # build the messages apart from the first draw
         self.eig: list[int] = exact.draw_path(rng, PATTERN)
 
@@ -345,25 +360,20 @@ class MetropolisPathSampler:
         return (eig[before], new_eig) in maps[before] and (new_eig, eig[after]) in maps[pos]
 
     def step(self) -> bool:
-        space = self.space
-        sched = space.schedule
         self.proposed += 1
         u = self.rng.random()
         if u < REDRAW_PROB:
             return self._redraw_step()
         u = (u - REDRAW_PROB) / (1.0 - REDRAW_PROB)
         if u < SIGN_PROB:
-            pos = int(self.rng.integers(1, space.length - 1))
-            term = space.terms[sched[pos]]
-            partner = int(term.partner[self.eig[pos]])
-            if partner < 0:
+            pos = int(self.rng.integers(1, self.space.length - 1))
+            new_eig = self._partner[pos][self.eig[pos]]
+            if new_eig < 0:
                 return False
-            new_eig = partner
             weight = 1.0
         elif u < SIGN_PROB + BLOCK_PROB:
-            pos = int(self.rng.integers(1, space.length - 1))
-            term = space.terms[sched[pos]]
-            new_eig = int(self.rng.integers(term.n_eigs))
+            pos = int(self.rng.integers(1, self.space.length - 1))
+            new_eig = int(self.rng.integers(self._n_eigs[pos]))
             weight = 1.0
         else:
             pos = 0
@@ -373,9 +383,8 @@ class MetropolisPathSampler:
             return False
         if not self._neighbors_ok(pos, new_eig):
             return False
-        term = space.terms[sched[pos]]
-        d_energy = weight * (float(term.lam[new_eig]) - float(term.lam[self.eig[pos]]))
-        log_ratio = -self._beta * d_energy
+        lam = self.space.lam[pos]
+        log_ratio = -self._beta * (weight * (lam[new_eig] - lam[self.eig[pos]]))
         if log_ratio >= 0.0 or self.rng.random() < math.exp(log_ratio):
             self.eig[pos] = new_eig
             self.accepted += 1
@@ -406,7 +415,13 @@ class ExactPathSampler:
     per-anchor log partition functions are a byproduct: ``log_z(PATTERN)``
     gives log Z_a and ``log_z(MAGNITUDE)`` log Z^abs_a.  The messages of a
     measure are built the first time it is used; each draw takes the
-    caller's generator.
+    caller's generators.
+
+    A single path (``draw_path``, the Metropolis redraw) walks tables: the
+    first time an anchor column is drawn under a measure, the normalized
+    cumulative candidate weights of every live eigenvector at every position
+    are built as Python tuples (``cdf_rows``), and each position is then one
+    ``bisect_right``.
     """
 
     def __init__(self, space: PathSpace, clique_sampler=None):
@@ -418,6 +433,10 @@ class ExactPathSampler:
         # measure -> (weighted messages, log Z per anchor column, per-link
         # weight of each padded candidate of ``space.columns``)
         self._messages: dict[str, tuple[list, np.ndarray, list]] = {}
+        self._rows: dict[tuple[str, int], list] = {}  # (measure, anchor column) -> ``cdf_rows``
+        self._shared_maps: dict[tuple, dict] = {}  # one copy of each distinct position map
+        self._candidates: list | None = None  # per link, each eigenvector's candidates as lists
+        self._anchor_log_z: dict[int, float] | None = None  # anchor state -> pattern-measure log Z_a
 
     def _prepare_messages(self, measure: str) -> None:
         if measure not in (PATTERN, MAGNITUDE):
@@ -441,7 +460,9 @@ class ExactPathSampler:
 
     def log_z_anchor(self, state: int) -> float:
         """Pattern-measure log Z of one anchor state."""
-        return float(self.log_z(PATTERN)[self._column_of[state]])
+        if self._anchor_log_z is None:
+            self._anchor_log_z = dict(zip(self.space.anchor_states, self.log_z(PATTERN).tolist()))
+        return self._anchor_log_z[state]
 
     def draw_anchor(self, rng: np.random.Generator) -> int:
         """An anchor state, uniform over the anchor set."""
@@ -455,75 +476,136 @@ class ExactPathSampler:
 
     def draw_path(self, rng: np.random.Generator, measure: str) -> list[int]:
         """One anchor, then one path from it: the path's eigenvector indices."""
-        col = self._column_of[self.draw_anchor(rng)]
-        return self.draw(rng, np.array([col]), measure)[0].tolist()
+        return self._draw_one(rng, int(self._column_of[self.draw_anchor(rng)]), measure)
 
-    def draw(self, rng: np.random.Generator, cols, measure: str, signed: bool = False):
+    def draw(self, rngs, cols, measure: str, signed: bool = False) -> np.ndarray:
         """One path per anchor column: a (len(cols), L-1) array of eigenvector indices.
 
         Each position takes one uniform per path, searched against the
         normalized cumulative candidate weights exactly as
-        ``rng.choice(len(c), p=w / total)`` searches them, so a single path
+        ``rng.choice(len(c), p=w / total)`` searches them, so each path
         consumes the same uniforms and picks the same eigenvectors as that
-        scalar draw.  A single path runs the same float operations on Python
-        floats, which saves the per-call cost of the array operations.
+        scalar draw and as the table walk of ``draw_path``.
 
-        With ``signed``, also returns the sign of each path's overlap
+        ``rngs`` is a sequence of Generators that splits ``cols`` into equal
+        consecutive shares, one per chain: at each position each generator
+        hands over the uniforms of its share, in order, so one call draws
+        every chain's paths on the chains' own streams.
+
+        With ``signed``, returns instead the sign of each path's overlap
         product: the parity of the negative overlaps in the slots it picked,
-        and of its closing overlap.
+        and of its closing overlap.  Only what the signs need is kept: each
+        path's anchor, current eigenvector and parity.
         """
         weighted, _, coefs = self.messages(measure)
         space = self.space
         cols = np.asarray(cols, dtype=np.int64)
-        if cols.size == 1:
-            eig, negative = self._draw_one(rng, int(cols[0]), weighted, coefs, signed)
-            eig, negative = np.array([eig]), np.array([negative])
-        else:
-            rows = np.arange(cols.size)
-            eig = np.empty((cols.size, space.length - 1), dtype=np.int64)
-            eig[:, 0] = self._anchors[cols]
-            negative = np.zeros(cols.size, dtype=bool)
-            for i in range(1, space.length - 1):
-                index, value = space.columns[i - 1]
-                prev = eig[:, i - 1]
-                cands = index[prev]
-                weights = coefs[i - 1][prev] * weighted[i][cands, cols[:, None]]
-                total = weights[:, 0].copy()
-                for j in range(1, weights.shape[1]):
-                    total += weights[:, j]
-                if not np.all(total > 0.0):
-                    raise RuntimeError("dead end during exact sampling (inconsistent messages)")
-                cdf = np.cumsum(weights / total[:, None], axis=1)
-                cdf /= cdf[:, -1:]
-                pick = np.count_nonzero(cdf <= rng.random(cols.size)[:, None], axis=1)
-                eig[:, i] = cands[rows, pick]
-                negative ^= value[prev, pick] < 0.0
+        share, rest = divmod(cols.size, len(rngs))
+        if rest:
+            raise ValueError("the generators must split the anchor columns into equal shares")
+        first = last = self._anchors[cols]
+        eig = [first]
+        negative = np.zeros(cols.size, dtype=bool)
+        for i in range(1, space.length - 1):
+            index, value = space.columns[i - 1]
+            # each candidate's message entry in its path's column, read
+            # through one flat index so that no broadcast index is built
+            at = index[last]
+            at *= len(space.anchor_states)
+            at += cols[:, None]
+            weights = weighted[i].take(at)
+            del at
+            weights *= coefs[i - 1][last]
+            cdf, live = _cdf(weights)
+            if not live.all():
+                raise RuntimeError(DEAD_END)
+            u = np.concatenate([g.random(share) for g in rngs])
+            pick = np.count_nonzero(cdf <= u[:, None], axis=1)
+            del weights, cdf  # freed before the next position's are built
+            negative ^= value[last, pick] < 0.0
+            last = index[last, pick]
+            if not signed:
+                eig.append(last)
         if not signed:
-            return eig
+            return np.column_stack(eig)
         index, value = space.columns[space.length - 2]
-        closing = np.where(index[eig[:, -1]] == eig[:, :1], value[eig[:, -1]], 0.0).sum(axis=1)
-        return eig, np.where(negative ^ (closing < 0.0), -1.0, 1.0)
+        closing = np.where(index[last] == first[:, None], value[last], 0.0).sum(axis=1)
+        return np.where(negative ^ (closing < 0.0), -1.0, 1.0)
 
-    def _draw_one(
-        self, rng: np.random.Generator, col: int, weighted: list, coefs: list, signed: bool
-    ) -> tuple[list[int], bool]:
-        eig = [int(self._anchors[col])]
-        negative = False
+    def cdf_rows(self, measure: str, col: int) -> list:
+        """Per position i >= 1, each eigenvector e's normalized cumulative candidate weights.
+
+        ``cdf_rows(measure, col)[i]`` maps e to the row the batched ``draw``
+        searches when a path from anchor column ``col`` holds e at position
+        i - 1, from the same float operations (``_cdf``), as a tuple.  Rows
+        whose candidates' total is not positive are left out, so a path that
+        reaches one is at a dead end.  Built the first time the column is
+        drawn under ``measure``; columns whose rows at a position are equal
+        share that position's map.
+        """
+        key = (measure, col)
+        if key not in self._rows:
+            self._rows[key] = self._build_rows(measure, col)
+        return self._rows[key]
+
+    def _build_rows(self, measure: str, col: int) -> list:
+        weighted, _, coefs = self.messages(measure)
+        shared = self._shared_maps
+        rows: list = [None]  # position 0 is the anchor
         for i in range(1, self.space.length - 1):
-            index, value = self.space.columns[i - 1]
-            cands = index[eig[-1]]
-            weights = (coefs[i - 1][eig[-1]] * weighted[i][cands, col]).tolist()
-            total = sum(weights)
-            if total <= 0.0:
-                raise RuntimeError("dead end during exact sampling (inconsistent messages)")
-            cdf = []
-            acc = 0.0
-            for w in weights:
-                acc += w / total
-                cdf.append(acc)
-            u = rng.random()
-            pick = sum(c / acc <= u for c in cdf)
-            if signed and value[eig[-1], pick] < 0.0:
-                negative = not negative
-            eig.append(int(cands[pick]))
-        return eig, negative
+            index = self.space.columns[i - 1][0]
+            cdf, live = _cdf(coefs[i - 1] * weighted[i][index, col])
+            key = (live.tobytes(), cdf[live].tobytes())
+            if key not in shared:
+                shared[key] = dict(zip(np.flatnonzero(live).tolist(), map(tuple, cdf[live].tolist())))
+            rows.append(shared[key])
+        return rows
+
+    def _candidate_lists(self) -> list:
+        """Per link, each eigenvector's candidates as lists.
+
+        Shared like the columns: one list per direction of a term pair.
+        """
+        if self._candidates is None:
+            lists = {}
+            for index, _ in self.space.columns:
+                if id(index) not in lists:
+                    lists[id(index)] = index.tolist()
+            self._candidates = [lists[id(index)] for index, _ in self.space.columns]
+        return self._candidates
+
+    def _draw_one(self, rng, col: int, measure: str) -> list[int]:
+        """One path from anchor column ``col``: its eigenvector indices.
+
+        Takes the path's L - 2 uniforms in one call, the values that one
+        call per position would give.
+        """
+        rows = self.cdf_rows(measure, col)
+        candidates = self._candidate_lists()
+        e = int(self._anchors[col])
+        eig = [e]
+        for i, u in enumerate(rng.random(self.space.length - 2).tolist(), 1):
+            row = rows[i].get(e)
+            if row is None:
+                raise RuntimeError(DEAD_END)
+            e = candidates[i - 1][e][bisect_right(row, u)]
+            eig.append(e)
+        return eig
+
+
+def _cdf(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's normalized cumulative weights, as ``rng.choice`` forms them, and whether its total is positive.
+
+    The total and the running sums are taken left to right, as ``np.cumsum``
+    takes them; rows whose total is not positive hold no meaningful cdf.
+    Works in place, so a batch needs no copy: ``weights`` becomes the cdf.
+    """
+    total = weights[:, 0].copy()
+    for j in range(1, weights.shape[1]):
+        total += weights[:, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = np.divide(weights, total[:, None], out=weights)
+        for j in range(1, cdf.shape[1]):
+            cdf[:, j] += cdf[:, j - 1]
+        cdf /= cdf[:, -1:]
+    return cdf, total > 0.0

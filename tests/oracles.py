@@ -9,9 +9,10 @@ oracles: the unrestricted hopping Hamiltonian, the dense block encoding V
 dense walk and its eigenphases, the filter half-width, and the filtered
 amplitude and Dirac gap from the eigendecomposition of the dense restricted
 Dirac operator.  Dequantizer oracles: the dense matrices of the one-sparse
-terms, the dense Trotter product, the dense overlap tables of every link,
+terms, the matching terms by element loops, the dense Trotter product, the dense overlap tables of every link,
 exhaustive path enumeration and the checks built on it, the dense forward
-and backward transfer passes, the slice count and variance bounds.  Then
+and backward transfer passes, the slice count and variance bounds, and the
+exact estimator drawing its chains' paths one chain at a time.  Then
 the continuum Kaiser phase-error law with the repeated amplitude-estimation
 draws that the window sizing is checked with.
 """
@@ -27,7 +28,15 @@ import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.special import i0e
 
-from bettiforge.dequant.estimator import DequantResult, PIMCConfig, estimate_normalized_betti
+from bettiforge.dequant.estimator import (
+    NO_CLOSED_PATH,
+    DequantResult,
+    PIMCConfig,
+    _batch_stderr,
+    estimate_normalized_betti,
+    integrated_autocorr_time,
+    make_clique_sampler,
+)
 from bettiforge.dequant.operators import (
     OneSparseDecomposition,
     OneSparseTerm,
@@ -336,6 +345,59 @@ def dense_term(term: OneSparseTerm, dim: int) -> np.ndarray:
             mat[u, v] += entry
             mat[v, u] += entry
     return mat
+
+
+def loop_matching_terms(mat: np.ndarray) -> list[OneSparseTerm]:
+    """The matching terms of ``one_sparse_decompose(mat)``, by the element loops.
+
+    Magnitude classes in ascending order, each greedily edge-coloured over
+    numpy bool arrays, and each term's catalog appended state by state.
+    """
+    dim = mat.shape[0]
+    iu, ju = np.nonzero(np.triu(np.abs(mat), k=1) > 1e-12)
+    by_mag: dict[float, list[tuple[int, int]]] = {}
+    for u, v in sorted(zip(iu.tolist(), ju.tolist())):
+        by_mag.setdefault(float(abs(mat[u, v])), []).append((u, v))
+    terms = []
+    for mag in sorted(by_mag):
+        colors: list[list[tuple[int, int, float]]] = []
+        used: list[np.ndarray] = []
+        for u, v in by_mag[mag]:
+            for ci in range(len(colors)):
+                if not used[ci][u] and not used[ci][v]:
+                    break
+            else:
+                colors.append([])
+                used.append(np.zeros(dim, dtype=bool))
+                ci = len(colors) - 1
+            colors[ci].append((u, v, math.copysign(1.0, mat[u, v])))
+            used[ci][u] = used[ci][v] = True
+        for pairs in colors:
+            inv_sqrt2 = 1.0 / math.sqrt(2.0)
+            lam, sup1, sup2, amp1, amp2, partner = [], [], [], [], [], []
+            covered = np.zeros(dim, dtype=bool)
+            for u, v, sgn in pairs:
+                base = len(lam)
+                for sign in (+1.0, -1.0):
+                    lam.append(sign * sgn * mag)
+                    sup1.append(u)
+                    sup2.append(v)
+                    amp1.append(inv_sqrt2)
+                    amp2.append(sign * inv_sqrt2)
+                partner.extend([base + 1, base])
+                covered[u] = covered[v] = True
+            for x in np.nonzero(~covered)[0]:
+                lam.append(0.0)
+                sup1.append(int(x))
+                sup2.append(-1)
+                amp1.append(1.0)
+                amp2.append(0.0)
+                partner.append(-1)
+            terms.append(OneSparseTerm(
+                mag, "matching", np.array(lam), np.array(sup1, dtype=np.int64), np.array(sup2, dtype=np.int64),
+                np.array(amp1), np.array(amp2), np.array(partner, dtype=np.int64),
+            ))
+    return terms
 
 
 def dense_decomposition(decomp: OneSparseDecomposition) -> np.ndarray:
@@ -731,6 +793,81 @@ def scalar_pattern_draw(exact: ExactPathSampler, rng: np.random.Generator) -> li
             raise RuntimeError("dead end during exact sampling (inconsistent messages)")
         eig[i] = int(cands[rng.choice(len(cands), p=weights / total)])
     return eig
+
+
+
+def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult:
+    """The exact estimator with one batch per chain, in chain order.
+
+    Each chain draws its anchors from its own generator, then its paths
+    position by position, one ``rng.random(per_chain)`` per position, with
+    the batched search of ``ExactPathSampler.draw``.  ``estimate_normalized_betti``
+    draws every chain's paths in one call and must match this bit for bit.
+    """
+    op = penalized_operator(g, k)
+    decomp = one_sparse_decompose(op.matrix)
+    anchors = op.basis.weight_k_clique_indices
+    space = PathSpace(decomp, cfg.t, cfg.r_t, anchors)
+    draw, counters = make_clique_sampler(g, k, op.basis)
+    exact = ExactPathSampler(space, clique_sampler=draw)
+    log_z = exact.log_z(MAGNITUDE)
+    if not np.isfinite(log_z).any():
+        raise RuntimeError(NO_CLOSED_PATH)
+    anchor_values = np.exp(math.log(anchors.size) - math.log(op.d_k) - space.scalar_shift * cfg.t + log_z)
+    exact_mean = space.restricted_trace() / op.d_k
+    weighted, _, coefs = exact.messages(MAGNITUDE)
+    per_chain = -(-cfg.n_samp // cfg.chains)
+    rows = np.arange(per_chain)
+    chunks = []
+    for chain in range(cfg.chains):
+        rng = np.random.default_rng((cfg.seed, chain))
+        cols = exact.draw_anchor_columns(rng, per_chain)
+        first = prev = np.array(space.anchor_states)[cols]
+        negative = np.zeros(per_chain, dtype=bool)
+        for i in range(1, space.length - 1):
+            index, value = space.columns[i - 1]
+            cands = index[prev]
+            weights = coefs[i - 1][prev] * weighted[i][cands, cols[:, None]]
+            total = weights[:, 0].copy()
+            for j in range(1, weights.shape[1]):
+                total += weights[:, j]
+            if not np.all(total > 0.0):
+                raise RuntimeError("dead end during exact sampling (inconsistent messages)")
+            cdf = np.cumsum(weights / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            pick = np.count_nonzero(cdf <= rng.random(per_chain)[:, None], axis=1)
+            negative ^= value[prev, pick] < 0.0
+            prev = cands[rows, pick]
+        index, value = space.columns[space.length - 2]
+        closing = np.where(index[prev] == first[:, None], value[prev], 0.0).sum(axis=1)
+        chunks.append(np.where(negative ^ (closing < 0.0), -1.0, 1.0) * anchor_values[cols])
+    arr = np.concatenate(chunks)
+    estimate, stderr = float(arr.mean()), _batch_stderr(arr)
+    return DequantResult(
+        estimate=estimate,
+        stderr=stderr,
+        n_samples=arr.size,
+        acceptance_rate=1.0,
+        clique_acceptance=counters["accepts"] / max(counters["draws"], 1),
+        autocorr_time=integrated_autocorr_time(arr),
+        D=decomp.D,
+        D_scheduled=len(space.schedule) // (2 * cfg.r_t),
+        r_t=cfg.r_t,
+        t=cfg.t,
+        d_k=op.d_k,
+        diagnostics={
+            "gamma_min": op.gamma_min,
+            "gamma_pen": op.gamma_pen,
+            "gamma_max": op.gamma_max,
+            "scalar_shift": space.scalar_shift,
+            "clique_draws": counters["draws"],
+            "samples_mean_abs": float(np.abs(arr).mean()),
+            "samples_max_abs": float(np.abs(arr).max()),
+            "exact_trotter_mean": exact_mean,
+            "average_sign": min(1.0, max(-1.0, exact_mean / float(anchor_values.mean()))),
+            "z_score": (estimate - exact_mean) / stderr if stderr > 0 else None,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

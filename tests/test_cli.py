@@ -26,7 +26,10 @@ DEQUANT_K22 = ["dequantize", "--gen", "kpartite:2,2", "--k", "2", "--slices", "1
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -322,6 +325,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,named",
         [
+            *[
+                pytest.param([*argv, "--seed", "-1"], "argument --seed: must be a non-negative integer", id=f"seed-neg-{name}")
+                for name, argv in (
+                    ("generate", ["generate", "--gen", "er:6,0.5"]),
+                    ("betti", ["betti", "--gen", "er:6,0.5", "--k", "2"]),
+                    ("betti-kpartite", ["betti", "--gen", "kpartite:2,2", "--k", "2"]),
+                    ("dicke", ["simulate", "dicke", "--n", "8", "--k", "2"]),
+                    ("qae", ["simulate", "qae"]),
+                    ("pipeline", ["simulate", "pipeline", "--gen", "er:6,0.6", "--k", "2"]),
+                    ("dequantize", [*DEQUANT_K22, "--t", "1"]),
+                )
+            ],
             pytest.param(["sweep", "--k", "0", "--n", "16:32:8"], "k must be >= 1", id="sweep-k0"),
             pytest.param(["sweep", "--k", "-2", "--n", "16:32:8"], "k must be >= 1", id="sweep-k-neg"),
             pytest.param([*DEQUANT_K22, "--t", "1", "--burn-in", "-5"], "burn_in must be >= 0", id="burn-in-neg"),
@@ -680,6 +695,43 @@ def test_metropolis_runs_the_pattern_pass_twice(capsys, monkeypatch):
     assert calls == {"log_partition": 1, "pattern_passes": 2}
 
 
+def test_exact_run_draws_every_chain_in_one_call(capsys, monkeypatch):
+    # each chain draws its anchors from its own generator, then one batched
+    # draw takes every chain's paths
+    from bettiforge.dequant.paths import ExactPathSampler
+
+    calls = []
+    draw = ExactPathSampler.draw
+
+    def count_draw(self, rngs, cols, *args, **kwargs):
+        calls.append(len(cols))
+        return draw(self, rngs, cols, *args, **kwargs)
+
+    monkeypatch.setattr(ExactPathSampler, "draw", count_draw)
+    code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "200")
+    assert code == 0 and json.loads(out)["config"]["chains"] == 4, err
+    assert calls == [200]
+
+
+def test_metropolis_builds_each_cdf_table_once(capsys, monkeypatch):
+    # the redraw move walks per-anchor tables, built the first time an
+    # anchor column is drawn and shared by every chain
+    from bettiforge.dequant.paths import ExactPathSampler
+
+    built = []
+    build_rows = ExactPathSampler._build_rows
+
+    def count_build(self, measure, col):
+        built.append((measure, col))
+        return build_rows(self, measure, col)
+
+    monkeypatch.setattr(ExactPathSampler, "_build_rows", count_build)
+    code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "200", "--sampler", "mh",
+                             "--burn-in", "10")
+    assert code == 0 and json.loads(out)["config"]["chains"] == 4, err
+    assert built and len(built) == len(set(built))
+
+
 def test_betti_builds_one_clique_complex(capsys, monkeypatch):
     # one complex through size k+1 serves the rank, the spectrum and cl_k, and
     # the rank and the Laplacian share its face tables and coboundaries
@@ -736,14 +788,14 @@ def test_fuzz_sweep(k, start, stop, step, r, delta):
 @given(amplitude=EDGE_FLOATS, epsilon=EDGE_FLOATS, delta=EDGE_FLOATS, seed=EDGE_INTS)
 def test_fuzz_simulate_qae(amplitude, epsilon, delta, seed):
     argv = ["simulate", "qae", *_flags(amplitude=amplitude, epsilon=epsilon, delta=delta, seed=seed)]
-    assert _exit_code(argv) in (0, 2, 3)
+    assert _cli_exit_code(argv) in (0, 2, 3)
 
 
 @FUZZ
 @given(n=EDGE_INTS, k=EDGE_INTS, c=EDGE_INTS, trials=st.integers(-3, 1000), seed=EDGE_INTS)
 def test_fuzz_simulate_dicke(n, k, c, trials, seed):
     argv = ["simulate", "dicke", *_flags(n=n, k=k, c=c, trials=trials, seed=seed)]
-    assert _exit_code(argv) in (0, 2, 3)
+    assert _cli_exit_code(argv) in (0, 2, 3)
 
 
 def test_walk_at_k1_lists_each_energy_twice(capsys):

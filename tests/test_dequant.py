@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -37,8 +39,10 @@ from oracles import (
     exhaustive_check,
     kernel_dim_weight_k,
     larger_penalty,
+    loop_matching_terms,
     mh_chain,
     overlap_table,
+    per_chain_exact_estimate,
     scalar_pattern_draw,
     stationary_log_prob,
     trotter_slices,
@@ -305,6 +309,27 @@ class TestPathMachinery:
         # no diagonal part at all: paths cannot anchor on basis states
         with pytest.raises(ValueError):
             PathSpace(decomp, 1.0, 1, anchor_states=(0,))
+
+
+def test_matching_terms_match_the_element_loops():
+    # the array-built catalogs against the appended ones, field by field:
+    # dtype, order and every bit
+    mats = [penalized_operator(g, k).matrix for g, k in _oracle_cases()]
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        dim = int(rng.integers(2, 30))
+        mat = np.round(rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.3), 1)
+        mats.append(mat + mat.T)
+    fields = ("lam", "sup1", "sup2", "amp1", "amp2", "partner")
+    for mat in mats:
+        got = [t for t in one_sparse_decompose(mat).terms if t.kind == "matching"]
+        want = loop_matching_terms(mat)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.coeff == b.coeff
+            for name in fields:
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 def _random_symmetric(rng):
@@ -578,9 +603,28 @@ class TestDrawRoutine:
             rng = np.random.default_rng(seed)
             cols = rng.integers(len(space.anchor_states), size=16)
             uniforms = rng.random((space.length - 2, cols.size))
-            batch = exact.draw(_Replay(uniforms.ravel()), cols, measure)
+            batch = exact.draw([_Replay(uniforms.ravel())], cols, measure)
             for b, col in enumerate(cols):
-                assert batch[b].tolist() == exact.draw(_Replay(uniforms[:, b]), [col], measure)[0].tolist()
+                assert batch[b].tolist() == exact._draw_one(_Replay(uniforms[:, b]), int(col), measure)
+
+    @pytest.mark.parametrize("measure", [PATTERN, MAGNITUDE])
+    def test_zeroed_message_column_dead_ends_both_ways(self, measure):
+        # one anchor column with no completions from a middle position: the
+        # single-path table walk and the merged batch raise the same dead end
+        _, space = _space(gen_kpartite(2, 3), 3, 1.0, 2)
+        draws = (
+            lambda exact, col: exact._draw_one(np.random.default_rng(0), col, measure),
+            lambda exact, col: exact.draw([np.random.default_rng(0), np.random.default_rng(1)], [0, col, 1, col], measure),
+        )
+        raised = []
+        for draw in draws:
+            exact = ExactPathSampler(space)
+            col = int(np.flatnonzero(np.isfinite(exact.log_z(measure)))[-1])
+            exact.messages(measure)[0][space.length // 2][:, col] = 0.0
+            with pytest.raises(RuntimeError) as exc:
+                draw(exact, col)
+            raised.append(str(exc.value))
+        assert raised == ["dead end during exact sampling (inconsistent messages)"] * 2
 
     @pytest.mark.parametrize(
         "graph,k",
@@ -601,7 +645,7 @@ class TestDrawRoutine:
         exact = ExactPathSampler(space)
         per_anchor = 4000
         cols = np.repeat(np.arange(len(space.anchor_states)), per_anchor)
-        eig = exact.draw(np.random.default_rng(5), cols, MAGNITUDE)
+        eig = exact.draw([np.random.default_rng(5)], cols, MAGNITUDE)
         rows, counts = np.unique(eig, axis=0, return_counts=True)
         observed = {tuple(row.tolist()): int(c) for row, c in zip(rows, counts)}
         z_abs = np.exp(exact.log_z(MAGNITUDE))
@@ -715,11 +759,13 @@ class TestSparseOverlaps:
                 continue
             rng = np.random.default_rng(seed)
             cols = rng.choice(live, size=32)
-            eig, sign = exact.draw(rng, cols, MAGNITUDE, signed=True)
+            # a twin generator hands the unsigned draw the same uniforms, so
+            # it picks the paths whose signs the signed draw returns
+            twin = copy.deepcopy(rng)
+            sign = exact.draw([rng], cols, MAGNITUDE, signed=True)
+            eig = exact.draw([twin], cols, MAGNITUDE)
             assert np.array_equal(sign, dense_path_signs(links, eig)) and np.all(sign != 0.0)
-            one, one_sign = exact.draw(rng, cols[:1], MAGNITUDE, signed=True)
-            assert np.array_equal(one_sign, dense_path_signs(links, one))
-            paths = eig.tolist() + exact.draw(rng, cols, PATTERN).tolist()
+            paths = eig.tolist() + exact.draw([rng], cols, PATTERN).tolist()
             # one position moved to a random eigenvector: mostly invalid paths
             for path in paths[: len(paths) // 2]:
                 pos = int(rng.integers(space.length - 1))
@@ -776,6 +822,45 @@ class TestExactReferences:
                 diag = res.diagnostics
                 assert diag["exact_trotter_mean"] == pytest.approx(_trotter_mean(op, decomp, t, r_t), rel=1e-9)
                 assert 0.0 < diag["average_sign"] <= 1.0
+
+
+class TestMergedBatch:
+    """The exact estimator draws every chain's paths in one call, bit for bit as one batch per chain."""
+
+    @staticmethod
+    def _cases():
+        triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        cases = [
+            (gen_kpartite(1, 4), 1, PIMCConfig(t=1.0, r_t=1, n_samp=200, seed=1)),
+            (gen_kpartite(1, 5), 3, PIMCConfig(t=2.0, r_t=2, n_samp=200, seed=2)),
+            # K(2,2) decomposes with two reflection terms at k = 1 and 2; the
+            # triangle at k = 1 has a single one
+            (gen_kpartite(2, 2), 1, PIMCConfig(t=1.0, r_t=1, n_samp=200, seed=3)),
+            (gen_kpartite(2, 2), 2, PIMCConfig(t=3.0, r_t=1, n_samp=400, seed=4)),
+            (triangle, 1, PIMCConfig(t=1.0, r_t=1, n_samp=200, seed=5)),
+            (CYCLE4, 1, PIMCConfig(t=1.0, r_t=1, n_samp=203, seed=6)),  # not a multiple of the chains
+            (gen_kpartite(2, 3), 3, PIMCConfig(t=1.0, r_t=2, n_samp=300, seed=7, chains=1)),
+            (gen_kpartite(2, 3), 2, PIMCConfig(t=1.0, r_t=1, n_samp=3, seed=8, chains=5)),  # chains > samples
+            (gen_kpartite(2, 4), 3, PIMCConfig(t=1.0, r_t=1, n_samp=500, seed=9, chains=3)),
+        ]
+        rng = np.random.default_rng(21)
+        while len(cases) < 21:
+            n, k = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+            g = gen_erdos_renyi(n, float(rng.uniform(0.3, 0.9)), int(rng.integers(1000)))
+            if enumerate_cliques(g, k):
+                cfg = PIMCConfig(t=float(rng.uniform(0.5, 3.0)), r_t=int(rng.integers(1, 3)),
+                                 n_samp=int(rng.integers(2, 300)), seed=int(rng.integers(1000)),
+                                 chains=int(rng.integers(1, 7)))
+                cases.append((g, k, cfg))
+        return cases
+
+    def test_matches_the_per_chain_loop(self):
+        triangle_terms = one_sparse_decompose(penalized_operator(self._cases()[4][0], 1).matrix).terms
+        assert [t.kind for t in triangle_terms].count("reflection") == 1
+        for g, k, cfg in self._cases():
+            got = dataclasses.asdict(estimate_normalized_betti(g, k, cfg))
+            want = dataclasses.asdict(per_chain_exact_estimate(g, k, cfg))
+            assert got == want, (g.n, g.edges, k, cfg)
 
 
 class TestEstimator:
