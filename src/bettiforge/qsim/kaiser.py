@@ -13,12 +13,25 @@ point is 8 ln(2a) sqrt(a) exp(-2 pi a), which pins alpha for a requested
 confidence delta; a quadrature mode solves for alpha against the numerically
 integrated tail instead.
 
-The module runs on numpy alone.  The tail quadrature uses ``_simpson``, a
-copy of scipy's composite Simpson rule for given abscissae, and the window
-weights use ``_i0e``, a copy of the Cephes exponentially scaled Bessel
-function I0e; both repeat their reference's float operations in the same
-order, so the outputs are bit-identical to the scipy routines (tests check
-both against scipy).
+The quadrature is cached on alpha rounded to 12 decimals, so the test
+"tail(alpha) <= delta" is a step function on that grid, and a 60-step
+bisection of [0.05, 25] on it ends at a value fixed by one grid point: g*,
+the smallest whose tail is <= delta.  ``solve_alpha_quadrature`` brackets g*
+by Illinois regula falsi on log tail over the integer grid index (Dowell
+and Jarratt, BIT 11, 1971), about 10 quadratures where the bisection made
+44, then replays the bisection's halvings against g* without a quadrature.
+The tail decreases strictly on the grid (tests check it at several roots),
+so the replay's alpha is the evaluating bisection's to the bit;
+``tests/oracles.py`` keeps that bisection as the reference.
+
+The module runs on numpy alone, and imports it inside the functions that
+use it, so the closed-form sizing (``solve_alpha_asymptotic``, and through
+it ``resources``) starts without numpy.  The tail quadrature uses
+``_simpson``, a copy of scipy's composite Simpson rule for given abscissae,
+and the window weights use ``_i0e``, a copy of the Cephes exponentially
+scaled Bessel function I0e; both repeat their reference's float operations
+in the same order, so the outputs are bit-identical to the scipy routines
+(tests check both against scipy).
 """
 
 from __future__ import annotations
@@ -26,14 +39,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import DeskScaleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ALPHA_LO = 0.5
 ALPHA_HI = 25.0
 MAX_QAE_WINDOW = 1 << 20  # simulated outcome grids hold 2N+1 points
+_GRID = 1e12  # tail_fraction's cache key: alpha in steps of 1e-12
 
 # Chebyshev coefficients of exp(-x) I0(x) from Cephes i0.c: on [0, 8] in
 # x/2 - 2, and of exp(-x) sqrt(x) I0(x) on (8, inf) in 32/x - 2
@@ -74,6 +90,8 @@ def _chbevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
 
 def _i0e(x) -> np.ndarray:
     """exp(-|x|) I0(x), elementwise, bit-identical to ``scipy.special.i0e``."""
+    import numpy as np
+
     x = np.abs(np.asarray(x, dtype=float))
     small = x <= 8.0
     out = np.empty_like(x)
@@ -90,6 +108,8 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     ``scipy.integrate.simpson(y, x=x)`` for odd ``len(x)``, so the result is
     the same to the bit.
     """
+    import numpy as np
+
     h = np.diff(x).astype(float, copy=False)
     h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1
@@ -103,6 +123,8 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 def _kernel_sq(u: np.ndarray, alpha: float) -> np.ndarray:
     """Squared unnormalized kernel in the scaled coordinate u = N*dt (no I0)."""
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     c2 = (math.pi * alpha) ** 2
     x = u * u - c2
@@ -130,6 +152,8 @@ def _tail_fraction_scaled(alpha: float) -> float:
     Both integrals are over u in [0, inf); the far tail past the dense grid
     is closed with the analytic mean-value remainder of sin^2/(u^2-c^2).
     """
+    import numpy as np
+
     c = math.pi * alpha
     z1 = first_zero_scaled(alpha)
     grid_head = np.linspace(0.0, z1, 4001)
@@ -156,6 +180,12 @@ def _out_of_range(delta: float, tail: float) -> ValueError:
     )
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` as Python floats, bit for bit."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def solve_alpha_asymptotic(delta: float) -> float:
     """Solve ln(1/delta) = 2 pi a - ln(8 ln(2a) sqrt(a)) on the rising branch.
 
@@ -172,11 +202,11 @@ def solve_alpha_asymptotic(delta: float) -> float:
     def g(a):
         return 2.0 * math.pi * a - math.log(8.0 * math.log(2.0 * a) * math.sqrt(a))
 
-    # the minimum of g on a 400-point grid, then bisection on the rising branch past it
-    grid = np.linspace(ALPHA_LO + 1e-6, 2.0, 400)
+    # the first minimum of g on a 400-point grid, then bisection on the rising branch past it
+    grid = _linspace(ALPHA_LO + 1e-6, 2.0, 400)
     vals = [g(a) for a in grid]
-    i = int(np.argmin(vals))
-    a_min, g_min = float(grid[i]), vals[i]
+    i = min(range(len(vals)), key=vals.__getitem__)
+    a_min, g_min = grid[i], vals[i]
     if target <= g_min:
         return a_min
     if g(ALPHA_HI) < target:
@@ -191,27 +221,63 @@ def solve_alpha_asymptotic(delta: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _smallest_grid_alpha(delta: float, lo: float, hi: float, tail_lo: float, tail_hi: float) -> float:
+    """The smallest alpha on the 1e-12 grid in (lo, hi] whose tail is <= delta.
+
+    The ends are grid points with tails ``tail_lo`` > delta >= ``tail_hi``.
+    Illinois regula falsi on log tail over the integer grid index: the next
+    index is the floor of the secant root, kept strictly inside the bracket,
+    and an end kept twice running has its value halved.  The search stops
+    when the ends are adjacent grid points.
+    """
+    log_delta = math.log(delta)
+    a, b = round(lo * _GRID), round(hi * _GRID)
+    fa, fb = math.log(tail_lo) - log_delta, math.log(tail_hi) - log_delta
+    kept = 0  # +1 after a moved, -1 after b moved
+    while b - a > 1:
+        j = min(max(a + int(fa / (fa - fb) * (b - a)), a + 1), b - 1)
+        fj = math.log(tail_fraction(j / _GRID)) - log_delta
+        if fj <= 0.0:
+            b, fb = j, fj
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+        else:
+            a, fa = j, fj
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+    return b / _GRID  # the float that round(., 12) gives for grid point b
+
+
 def solve_alpha_quadrature(delta: float) -> float:
     """Smallest alpha whose numerically integrated tail mass is <= delta.
 
-    Raises ValueError when even the tail at ALPHA_HI exceeds delta; that
-    tail is evaluated only when the bisection never moved off ALPHA_HI.
+    The result is that of a 60-step bisection of [0.05, 25] on the test
+    tail(mid) <= delta.  The tail is keyed on alpha rounded to 12 decimals
+    and strictly decreasing on that grid, so the test is "mid rounds to at
+    least g*", where g* is the smallest grid point whose tail is <= delta.
+    The tails at both ends are evaluated, g* is bracketed between them by
+    ``_smallest_grid_alpha``, and the halvings are replayed against g*
+    without a quadrature.  Raises ValueError when even the tail at ALPHA_HI
+    exceeds delta.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     lo, hi = 0.05, ALPHA_HI
-    if tail_fraction(lo) <= delta:
+    tail_lo = tail_fraction(lo)
+    if tail_lo <= delta:
         return lo
+    tail_hi = tail_fraction(hi)
+    if tail_hi > delta:
+        raise _out_of_range(delta, tail_hi)
+    g_star = _smallest_grid_alpha(delta, lo, hi, tail_lo, tail_hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if tail_fraction(mid) <= delta:
+        if round(mid, 12) >= g_star:
             hi = mid
         else:
             lo = mid
-    if hi == ALPHA_HI:
-        tail = tail_fraction(hi)
-        if tail > delta:
-            raise _out_of_range(delta, tail)
     return hi
 
 
@@ -224,10 +290,14 @@ class KaiserKernel:
     coefficients: np.ndarray
 
     def offsets(self) -> np.ndarray:
+        import numpy as np
+
         return np.arange(-self.N, self.N + 1)
 
 
 def kaiser_kernel(N: int, alpha: float) -> KaiserKernel:
+    import numpy as np
+
     if N < 1:
         raise ValueError("window half-width N must be >= 1")
     m = np.arange(-N, N + 1)
@@ -278,6 +348,8 @@ class QaeOutcomeDistribution:
 
 
 def qae_outcome_distribution(a: float, epsilon: float, delta: float) -> QaeOutcomeDistribution:
+    import numpy as np
+
     if not 0.0 < a < 1.0:
         raise ValueError("amplitude must lie strictly in (0, 1)")
     alpha, n = window_size(epsilon, delta)
@@ -299,6 +371,8 @@ def qae_outcome_distribution(a: float, epsilon: float, delta: float) -> QaeOutco
 
 def amplitude_estimate_sim(a: float, epsilon: float, delta: float, seed: int) -> float:
     """One simulated amplitude-estimation measurement."""
+    import numpy as np
+
     dist = qae_outcome_distribution(a, epsilon, delta)
     rng = np.random.default_rng(seed)
     idx = rng.choice(dist.estimates.size, p=dist.probabilities / dist.probabilities.sum())

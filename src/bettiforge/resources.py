@@ -114,8 +114,11 @@ def kpartite_params(m: int, k: int, r: float, delta: float, c: int = 8) -> Resou
     """Analytic instance parameters for the complete k-partite family.
 
     K(m,k) has n = m*k vertices, C(k,2) m^2 edges, m^k top cliques, Betti
-    number (m-1)^k one dimension down, and Laplacian gap m.
+    number (m-1)^k one dimension down, and Laplacian gap m.  K(m,1) is
+    edgeless, with gap 0, so the family starts at k = 2.
     """
+    if k < 2:
+        raise ValueError(f"the k-partite family needs k >= 2, got k = {k}: K(m,1) has no edges and gap 0")
     if m < 2:
         raise ValueError("need cluster size m >= 2 (Betti number vanishes otherwise)")
     return ResourceParams(

@@ -14,7 +14,8 @@ exhaustive path enumeration and the checks built on it, the dense forward
 and backward transfer passes, the slice count and variance bounds, and the
 exact estimator drawing its chains' paths one chain at a time.  Then
 the continuum Kaiser phase-error law with the repeated amplitude-estimation
-draws that the window sizing is checked with.
+draws that the window sizing is checked with, and the evaluating bisection
+that the refined window shape replays.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from bettiforge.dequant.paths import (
 from bettiforge.graphs import Graph, build_clique_complex, is_clique
 from bettiforge.homology import ZERO_TOL, DiracOperator, dirac, spectrum
 from bettiforge.qsim.filters import chebyshev_filter_response
-from bettiforge.qsim.kaiser import _kernel_sq, first_zero_scaled, qae_outcome_distribution
+from bettiforge.qsim.kaiser import ALPHA_HI, _kernel_sq, first_zero_scaled, qae_outcome_distribution, tail_fraction
 from bettiforge.qsim.walkenc import REAL_AXIS_TOL, _check_qubits, _uniform_prep
 from bettiforge.resources import ResourceEstimate, ResourceParams, _ceil_log2, total_toffoli
 
@@ -877,6 +878,31 @@ def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult
 def asymptotic_tail_bound(alpha: float) -> float:
     """Analytic large-alpha tail estimate 8 ln(2a) sqrt(a) exp(-2 pi a)."""
     return 8.0 * math.log(2.0 * alpha) * math.sqrt(alpha) * math.exp(-2.0 * math.pi * alpha)
+
+
+def bisection_alpha(delta: float) -> float:
+    """Smallest alpha with tail <= delta by 60 evaluating halvings of [0.05, ALPHA_HI].
+
+    The solve that ``solve_alpha_quadrature`` replays without quadratures,
+    message included.
+    """
+    lo, hi = 0.05, ALPHA_HI
+    if tail_fraction(lo) <= delta:
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if tail_fraction(mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    if hi == ALPHA_HI:
+        tail = tail_fraction(hi)
+        if tail > delta:
+            raise ValueError(
+                f"failure probability {delta:g} too small: the Kaiser tail at the largest"
+                f" window shape alpha = {ALPHA_HI:g} is {tail:.3g}"
+            )
+    return hi
 
 
 @dataclass(frozen=True)

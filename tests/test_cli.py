@@ -339,6 +339,9 @@ class TestExitCodes:
             ],
             pytest.param(["sweep", "--k", "0", "--n", "16:32:8"], "k must be >= 1", id="sweep-k0"),
             pytest.param(["sweep", "--k", "-2", "--n", "16:32:8"], "k must be >= 1", id="sweep-k-neg"),
+            pytest.param(["sweep", "--k", "1", "--n", "2:6:1"], "k-partite family needs k >= 2", id="sweep-k1"),
+            pytest.param(["estimate", "--gen", "kpartite:3,1", "--r", "0.1", "--delta", "0.1"],
+                         "k-partite family needs k >= 2", id="estimate-kpartite-k1"),
             pytest.param([*DEQUANT_K22, "--t", "1", "--burn-in", "-5"], "burn_in must be >= 0", id="burn-in-neg"),
             pytest.param([*DEQUANT_K22, "--t", "1", "--thin", "0"], "(--thin) must be >= 1", id="thin-0"),
             pytest.param([*DEQUANT_K22, "--t", "nan"], "time t must be finite", id="t-nan"),
@@ -534,6 +537,16 @@ def test_output_independent_of_inherited_threads(argv):
     assert outputs[0] == outputs[1]
 
 
+def assert_fresh_run_matches(capsys, script, argv):
+    """``script`` runs the CLI in a fresh interpreter and prints what an in-process run prints."""
+    src = str(Path(bettiforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and (proc.stdout, proc.stderr) == (out, err)
+
+
 # run the CLI in a fresh interpreter in which any scipy import fails
 WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from bettiforge.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -547,14 +560,24 @@ WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from bettiforge.cli im
     ],
 )
 def test_runs_without_scipy(capsys, argv):
-    src = str(Path(bettiforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, *argv], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0 and (proc.stdout, proc.stderr) == (out, err)
+    assert_fresh_run_matches(capsys, WITHOUT_SCIPY, argv)
+
+
+# the same with numpy: the closed-form commands never import it
+WITHOUT_NUMPY = WITHOUT_SCIPY.replace("'scipy'", "'numpy'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--gen", "kpartite:6,5", "--r", "0.05", "--delta", "0.01"],
+        ["estimate", "--n", "12", "--k", "3", "--edges", "48", "--cliques", "64", "--betti", "27", "--gap", "4",
+         "--r", "0.05", "--delta", "0.05"],
+        ["sweep", "--k", "4", "--n", "8:128:4"],
+    ],
+)
+def test_closed_form_runs_without_numpy(capsys, argv):
+    assert_fresh_run_matches(capsys, WITHOUT_NUMPY, argv)
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ from bettiforge.resources import ResourceParams, chebyshev_degree
 from oracles import (
     amplitude_estimate_trials,
     asymptotic_tail_bound,
+    bisection_alpha,
     dense_dirac_gap,
     dense_encoding,
     dense_filter_amplitude,
@@ -417,6 +418,52 @@ class TestKaiserWindow:
         # a budget of 1e-60 is still met below the cap; only smaller ones fail
         assert kaiser.solve_alpha_quadrature(1e-60) < kaiser.ALPHA_HI
         assert kaiser.solve_alpha_asymptotic(1e-60) < kaiser.ALPHA_HI
+
+
+# 200 budgets log-uniform over [1e-66, 0.999], and the headline estimate's two shares of 0.05
+SOLVE_DELTAS = [
+    *np.exp(np.random.default_rng(22).uniform(math.log(1e-66), math.log(0.999), 200)).tolist(),
+    0.05 / 20,
+    0.05 * 19 / 20,
+]
+
+
+class TestQuadratureSolve:
+    """The bracketed solve against the evaluating bisection it replays."""
+
+    def test_matches_bisection_bit_for_bit_in_few_quadratures(self):
+        want = [bisection_alpha(delta) for delta in SOLVE_DELTAS]
+        got, quadratures = [], []
+        for delta in SOLVE_DELTAS:
+            kaiser._tail_fraction_scaled.cache_clear()
+            got.append(kaiser.solve_alpha_quadrature(delta))
+            quadratures.append(kaiser._tail_fraction_scaled.cache_info().misses)
+        assert [a.hex() for a in got] == [a.hex() for a in want]
+        assert max(quadratures) <= 16
+        assert any(a == 0.05 for a in got) and any(a > 20.0 for a in got)  # both ends of the range are reached
+
+    @pytest.mark.parametrize("delta", [kaiser.tail_fraction(0.05), 0.5, 0.999])
+    def test_budget_at_or_above_the_smallest_window_tail(self, delta):
+        kaiser._tail_fraction_scaled.cache_clear()
+        assert kaiser.solve_alpha_quadrature(delta) == bisection_alpha(delta) == 0.05
+        assert kaiser._tail_fraction_scaled.cache_info().misses == 1
+
+    def test_out_of_range_message_unchanged(self):
+        with pytest.raises(ValueError) as want:
+            bisection_alpha(1e-80)
+        with pytest.raises(ValueError) as got:
+            kaiser.solve_alpha_quadrature(1e-80)
+        assert str(got.value) == str(want.value)
+        assert "alpha = 25 is 4.68e-67" in str(got.value)
+
+    @pytest.mark.parametrize("delta", [1e-60, 1e-40, 1e-20, 1e-8, 1e-3, 0.05 / 20, 0.05 * 19 / 20, 0.09])
+    def test_tail_strictly_decreasing_on_the_fine_grid_at_the_root(self, delta):
+        # the replay's premise: on the 1e-12 grid the test tail <= delta
+        # switches once, between g* - 1e-12 and g*
+        g_star = round(round(kaiser.solve_alpha_quadrature(delta), 12) * 1e12)
+        tails = [kaiser.tail_fraction((g_star + i) / 1e12) for i in range(-3, 4)]
+        assert all(a > b for a, b in zip(tails, tails[1:]))
+        assert tails[2] > delta >= tails[3]
 
 
 class TestNumpyReplicas:

@@ -1,11 +1,16 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bettiforge
+from bettiforge.qsim import kaiser
 from bettiforge.qsim.kaiser import window_size
 from bettiforge.resources import (
     ResourceParams,
@@ -349,3 +354,19 @@ def test_no_module_level_scipy_import():
         if name.split(".")[0] == "scipy"
     ]
     assert offenders == []
+
+
+def test_resources_import_loads_no_numpy():
+    # the closed-form cost model and its asymptotic window sizing start
+    # without numpy; only the refined window shape and the simulators load it
+    src = str(Path(bettiforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, bettiforge.resources; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_asymptotic_grid_is_numpy_linspace():
+    want = np.linspace(kaiser.ALPHA_LO + 1e-6, 2.0, 400)
+    assert [a.hex() for a in kaiser._linspace(kaiser.ALPHA_LO + 1e-6, 2.0, 400)] == [a.hex() for a in want.tolist()]
