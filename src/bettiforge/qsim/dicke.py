@@ -8,6 +8,18 @@ count is >= k.  At the end the registers >= b are selected; the run succeeds
 iff exactly k registers are selected, which happens iff the k-th and (k+1)-th
 largest seed values differ (ties at that boundary cannot be split by any
 threshold).
+
+The Monte Carlo reads its seeds straight from PCG64's raw 64-bit words, a
+chunk of about CHUNK_SEEDS seeds at a time, and gets the same seeds as
+``Generator.integers(0, f, size=(trials, n))``.  For f = 2^b that call uses
+Lemire's multiply-shift bounded draw, x * 2^b >> w on a w-bit word x, whose
+rejection threshold (2^w - 2^b) mod 2^b is 0: it never rejects and keeps the
+top b bits of x.  For b <= 32 the words are 32-bit, and PCG64 hands them out
+as the low half of each 64-bit word and then its high half; for 32 < b <= 63
+they are whole 64-bit words.  An odd number of 32-bit draws leaves a high
+half buffered for the next call, so every chunk but the last spans an even
+number of them.  The raw stream is what NumPy keeps stable across versions;
+``Generator.integers`` only reproduces it.
 """
 
 from __future__ import annotations
@@ -19,6 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 EXACT_MAX_N = 8  # dicke_success_prob adds the exact failure law up to this n
+CHUNK_SEEDS = 1 << 16  # seeds per Monte Carlo chunk, which bounds its memory
+MAX_SEED_BITS = 63  # widest seed register the Monte Carlo draws
 
 
 def seed_modulus(n: int, c: int) -> int:
@@ -106,19 +120,29 @@ def exact_failure_prob(n: int, k: int, c: int) -> Fraction:
     k-1 seeds strictly above v and at least k+1 seeds >= v.  With A counting
     the seeds above v and A+B those at or above v, that event has probability
     P(A <= k-1) - P(A+B <= k) + P(A = k, B = 0).  Each term is a binomial sum
-    whose numerator over f^n is an integer, so the total is accumulated in
-    integer arithmetic and divided once.
+    whose numerator over f^n is an integer polynomial of degree n in v, so
+    the sum over v < f is Faulhaber's in the binomial basis: the forward
+    differences D^j of the summand at v = 0 weigh the power sums
+    sum_{v<f} C(v, j) = C(f, j+1), for j = 0..n.
     """
     f = seed_modulus(n, c)
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     binom = [math.comb(n, a) for a in range(k + 1)]
-    total = 0
-    for v in range(f):
+
+    def tie_count(v: int) -> int:
         above = f - 1 - v
-        total += sum(binom[a] * above**a * (v + 1) ** (n - a) for a in range(k))
-        total -= sum(binom[a] * (above + 1) ** a * v ** (n - a) for a in range(k + 1))
-        total += binom[k] * above**k * v ** (n - k)
+        return (
+            sum(binom[a] * above**a * (v + 1) ** (n - a) for a in range(k))
+            - sum(binom[a] * (above + 1) ** a * v ** (n - a) for a in range(k + 1))
+            + binom[k] * above**k * v ** (n - k)
+        )
+
+    diffs = [tie_count(v) for v in range(n + 1)]
+    total = 0
+    for j in range(n + 1):
+        total += diffs[0] * math.comb(f, j + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return Fraction(total, f**n)
 
 
@@ -133,6 +157,27 @@ class SuccessProbResult:
     exact_failure: Fraction | None
 
 
+def _seed_chunks(bitgen: np.random.BitGenerator, n: int, bits: int, trials: int):
+    """Yield the seeds of ``trials`` n-register tuples as (rows, n) chunks.
+
+    Each chunk holds about CHUNK_SEEDS seeds, as uint32 up to 32 bits and
+    uint64 above (NumPy 2.4 sorts the rows no faster as uint16 and up to 20x
+    slower as uint8), and together they are the array that
+    ``Generator.integers(0, 2**bits, size=(trials, n))`` returns from the
+    same PCG64 state (see the module docstring).
+    """
+    rows = max(1, CHUNK_SEEDS // n)
+    rows += rows & 1  # whole 64-bit words in every chunk but the last
+    for start in range(0, trials, rows):
+        count = min(rows, trials - start) * n
+        if bits <= 32:
+            words = bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False)
+            keys = words.view("<u4")[:count] >> (32 - bits)  # low half, then high half
+        else:
+            keys = bitgen.random_raw(count) >> (64 - bits)
+        yield keys.reshape(-1, n)
+
+
 def dicke_success_prob(n: int, k: int, c: int, trials: int, seed: int) -> SuccessProbResult:
     """Monte-Carlo failure frequency of the threshold preparation.
 
@@ -143,14 +188,13 @@ def dicke_success_prob(n: int, k: int, c: int, trials: int, seed: int) -> Succes
     if trials <= 0:
         raise ValueError("trials must be positive")
     f = seed_modulus(n, c)
-    rng = np.random.default_rng(seed)
+    bits = f.bit_length() - 1
+    if bits > MAX_SEED_BITS:
+        raise ValueError(
+            f"seed modulus f = {f} needs a {bits}-bit register; the Monte Carlo draws at most {MAX_SEED_BITS} bits"
+        )
     failures = 0
-    chunk = max(1, min(trials, 1 << 22 >> max(n.bit_length() - 1, 0)))
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        draws = rng.integers(0, f, size=(take, n))
+    for draws in _seed_chunks(np.random.PCG64(seed), n, bits, trials):
         failures += int(np.count_nonzero(~threshold_success_batch(draws, k)))
-        done += take
     exact = exact_failure_prob(n, k, c) if n <= EXACT_MAX_N else None
     return SuccessProbResult(n, k, c, trials, seed, failures / trials, exact)

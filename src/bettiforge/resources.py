@@ -110,6 +110,11 @@ class ResourceParams:
         return eps1, eps2, eps3
 
 
+def _check_kpartite_k(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"the k-partite family needs k >= 2, got k = {k}: K(m,1) has no edges and gap 0")
+
+
 def kpartite_params(m: int, k: int, r: float, delta: float, c: int = 8) -> ResourceParams:
     """Analytic instance parameters for the complete k-partite family.
 
@@ -117,8 +122,7 @@ def kpartite_params(m: int, k: int, r: float, delta: float, c: int = 8) -> Resou
     number (m-1)^k one dimension down, and Laplacian gap m.  K(m,1) is
     edgeless, with gap 0, so the family starts at k = 2.
     """
-    if k < 2:
-        raise ValueError(f"the k-partite family needs k >= 2, got k = {k}: K(m,1) has no edges and gap 0")
+    _check_kpartite_k(k)
     if m < 2:
         raise ValueError("need cluster size m >= 2 (Betti number vanishes otherwise)")
     return ResourceParams(
@@ -344,6 +348,7 @@ def sweep(
     """
     if k < 1:
         raise ValueError(f"clique size k must be >= 1, got {k}")
+    _check_kpartite_k(k)
     rows = []
     for n in n_list:
         if n % k != 0:

@@ -4,7 +4,8 @@ Homology oracles: clique lists by subset filtering, the face-row modular rank
 of a boundary map, the Laplacian eigenvalue count below a threshold and the
 Kunneth formula for joins.  Cost-model oracles: the ancilla-lean Dicke
 preparation and the total for an absolute Betti accuracy.  Simulator
-oracles: the unrestricted hopping Hamiltonian, the dense block encoding V
+oracles: the Dicke tie law summed over every seed value, the unrestricted
+hopping Hamiltonian, the dense block encoding V
 (Kronecker PREP around a block-diagonal SELECT), its projected block, the
 dense walk and its eigenphases, the filter half-width, and the filtered
 amplitude and Dirac gap from the eigendecomposition of the dense restricted
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -57,6 +59,7 @@ from bettiforge.dequant.paths import (
 )
 from bettiforge.graphs import Graph, build_clique_complex, is_clique
 from bettiforge.homology import ZERO_TOL, DiracOperator, dirac, spectrum
+from bettiforge.qsim.dicke import seed_modulus
 from bettiforge.qsim.filters import chebyshev_filter_response
 from bettiforge.qsim.kaiser import ALPHA_HI, _kernel_sq, first_zero_scaled, qae_outcome_distribution, tail_fraction
 from bettiforge.qsim.walkenc import REAL_AXIS_TOL, _check_qubits, _uniform_prep
@@ -192,6 +195,28 @@ def total_toffoli_abs(
     if not alpha_abs > 0:
         raise ValueError("absolute accuracy must be positive")
     return total_toffoli(replace(params, r=alpha_abs / params.betti), refined_kaiser=refined_kaiser)
+
+
+# ---------------------------------------------------------------------------
+# threshold preparation
+
+
+def failure_prob_by_values(n: int, k: int, c: int) -> Fraction:
+    """The tie law of ``dicke.exact_failure_prob`` summed over all f seed values v.
+
+    Each term is f^n P(A <= k-1) - f^n P(A+B <= k) + f^n P(A = k, B = 0) with
+    A seeds above v and B at v, accumulated as integers; O(f k) big-integer
+    terms, so f up to about 2^16.
+    """
+    f = seed_modulus(n, c)
+    binom = [math.comb(n, a) for a in range(k + 1)]
+    total = 0
+    for v in range(f):
+        above = f - 1 - v
+        total += sum(binom[a] * above**a * (v + 1) ** (n - a) for a in range(k))
+        total -= sum(binom[a] * (above + 1) ** a * v ** (n - a) for a in range(k + 1))
+        total += binom[k] * above**k * v ** (n - k)
+    return Fraction(total, f**n)
 
 
 # ---------------------------------------------------------------------------

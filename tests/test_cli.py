@@ -340,6 +340,14 @@ class TestExitCodes:
             pytest.param(["sweep", "--k", "0", "--n", "16:32:8"], "k must be >= 1", id="sweep-k0"),
             pytest.param(["sweep", "--k", "-2", "--n", "16:32:8"], "k must be >= 1", id="sweep-k-neg"),
             pytest.param(["sweep", "--k", "1", "--n", "2:6:1"], "k-partite family needs k >= 2", id="sweep-k1"),
+            # the family check runs before the n loop, whatever range it covers
+            pytest.param(["sweep", "--k", "1", "--n", "1:1:1"], "k-partite family needs k >= 2", id="sweep-k1-n1"),
+            pytest.param(["sweep", "--k", "1", "--n", "3:3:1"], "k-partite family needs k >= 2", id="sweep-k1-n3"),
+            pytest.param(["simulate", "dicke", "--n", "9", "--k", "2", "--c", str(1 << 60)],
+                         "f = 18446744073709551616 needs a 64-bit register; the Monte Carlo draws at most 63 bits",
+                         id="dicke-64-bit-register"),
+            pytest.param(["simulate", "dicke", "--n", "8", "--k", "2", "--c", str(1 << 61), "--trials", "10"],
+                         "f = 18446744073709551616 needs a 64-bit register", id="dicke-64-bit-register-exact-n"),
             pytest.param(["estimate", "--gen", "kpartite:3,1", "--r", "0.1", "--delta", "0.1"],
                          "k-partite family needs k >= 2", id="estimate-kpartite-k1"),
             pytest.param([*DEQUANT_K22, "--t", "1", "--burn-in", "-5"], "burn_in must be >= 0", id="burn-in-neg"),
@@ -472,6 +480,43 @@ def _fresh_process(argv) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "bettiforge.cli", *argv], env=env, capture_output=True, text=True,
                           timeout=300)
+
+
+def test_dicke_exact_law_at_a_32_bit_register_is_quick():
+    # f = 2^32: the closed form takes n + 1 summand values where a loop over v took hours
+    proc = _fresh_process(["simulate", "dicke", "--n", "4", "--k", "2", "--c", "1073741824", "--trials", "1000"])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["failure_rate"] == 0.0 and 0 < data["exact_failure"] < 1e-9
+
+
+# Runs each argv list of the CLI as a child and prints its peak RSS in MiB
+# (ru_maxrss is in KiB on Linux).  A child started by vfork and exec keeps
+# its parent's high-water mark, so the children are started from this small
+# interpreter rather than from the test process.
+PEAK_RSS = """
+import json, os, subprocess, sys
+for argv in json.loads(sys.argv[1]):
+    proc = subprocess.Popen([sys.executable, "-m", "bettiforge.cli", *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(proc.returncode, usage.ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the children's peak RSS")
+def test_dicke_peak_memory_does_not_grow_with_trials():
+    # the Monte Carlo draws CHUNK_SEEDS seeds at a time, so 2 and 200000
+    # trials peak within a few MB of each other
+    src = str(Path(bettiforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [["simulate", "dicke", "--n", "32", "--k", "8", "--trials", trials] for trials in ("200000", "2")]
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, json.dumps(runs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (code_big, peak_big), (code_small, peak_small) = (map(float, line.split()) for line in proc.stdout.splitlines())
+    assert code_big == code_small == 0
+    assert abs(peak_big - peak_small) < 8, (peak_big, peak_small)
 
 
 class TestParserReuse:

@@ -18,6 +18,7 @@ from oracles import (
     dense_filter_amplitude,
     dense_walk,
     dense_walk_spectrum,
+    failure_prob_by_values,
     filter_halfwidth,
     full_dirac,
     kaiser_phase_distribution,
@@ -72,7 +73,10 @@ class TestDickeThreshold:
 
     @pytest.mark.parametrize(
         "n,k,c",
-        [(4, 2, 4), (6, 3, 2), (8, 3, 8), (16, 4, 8), (2, 1, 1), (5, 1, 3), (5, 4, 3), (7, 6, 2)],
+        [
+            (4, 2, 4), (6, 3, 2), (8, 3, 8), (16, 4, 8), (2, 1, 1), (5, 1, 3), (5, 4, 3), (7, 6, 2),
+            (2, 1, 2048), (3, 1, 1024), (3, 2, 512), (5, 2, 128), (6, 3, 64),
+        ],
     )
     def test_exact_law_matches_direct_summation(self, n, k, c):
         # oracle: the direct Fraction sum over the k-th largest value v, with
@@ -89,6 +93,15 @@ class TestDickeThreshold:
                     )
         assert dicke.exact_failure_prob(n, k, c) == want
 
+    def test_exact_law_matches_the_value_loop(self):
+        # seeded (n, k, c) with f up to 2^16, against the sum over every seed value
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            n = int(rng.integers(2, 13))
+            k = int(rng.integers(1, n))
+            c = int(rng.integers(1, (1 << 16) // n + 1))
+            assert dicke.exact_failure_prob(n, k, c) == failure_prob_by_values(n, k, c), (n, k, c)
+
     def test_failure_vanishes_for_large_range(self):
         # continuous-seed limit: collisions disappear as c grows
         assert dicke.exact_failure_prob(4, 2, 1 << 12) < 1e-3
@@ -96,6 +109,52 @@ class TestDickeThreshold:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             dicke.dicke_success_prob(4, 2, 4, 0, seed=0)
+
+
+def _stream_cases():
+    """Seeded (n, k, c, trials, seed) with f = 2^b in each of b <= 16, 16 < b <= 32, 32 < b <= 63.
+
+    Odd n and odd trials*n come up in each band, and trials is never a
+    multiple of the chunk rows; the fixed cases are the band edges.
+    """
+    rng = np.random.default_rng(2311)
+    cases = [(2, 1, 1, 5, 0), (3, 1, 1 << 30, 7, 1), (3, 2, 1 << 31, 9, 2), (5, 3, (1 << 63) // 5, 3, 3)]
+    for lo, hi in ((2, 16), (17, 32), (33, 63)):
+        for i in range(6):
+            bits = int(rng.integers(lo, hi + 1))
+            n = int(rng.integers(2, min(40, 1 << (bits - 1)) + 1)) | (i % 2)
+            rows = max(1, dicke.CHUNK_SEEDS // n)
+            trials = int(rng.integers(1, 3 * rows)) | 1
+            cases.append((n, int(rng.integers(1, n)), (1 << bits) // n, trials, int(rng.integers(2**31))))
+    return cases
+
+
+class TestDickeStream:
+    """The raw-word draw reproduces one ``rng.integers(0, f, size=(trials, n))`` call."""
+
+    @pytest.mark.parametrize("n,k,c,trials,seed", _stream_cases())
+    def test_seeds_match_one_integers_call(self, n, k, c, trials, seed):
+        f = dicke.seed_modulus(n, c)
+        bits = f.bit_length() - 1
+        chunks = list(dicke._seed_chunks(np.random.PCG64(seed), n, bits, trials))
+        want = np.random.default_rng(seed).integers(0, f, size=(trials, n))
+        assert np.array_equal(np.concatenate(chunks), want)
+        assert max(chunk.size for chunk in chunks) <= max(dicke.CHUNK_SEEDS + n, 2 * n)
+
+    @pytest.mark.parametrize("n,k,c,trials,seed", _stream_cases())
+    def test_rate_matches_one_integers_call(self, n, k, c, trials, seed):
+        # past b = 16 ties are rare, so the seed check above carries the wide registers
+        draws = np.random.default_rng(seed).integers(0, dicke.seed_modulus(n, c), size=(trials, n))
+        want = np.count_nonzero(~dicke.threshold_success_batch(draws, k)) / trials
+        assert dicke.dicke_success_prob(n, k, c, trials, seed).failure_rate == want
+
+    @pytest.mark.parametrize("budget", [2, 64])
+    def test_rates_do_not_depend_on_the_chunk_budget(self, budget, monkeypatch):
+        cases = [(5, 2, 2, 999, 4), (4, 2, 4, 1001, 5), (7, 3, 1, 333, 6), (3, 1, 1 << 40, 101, 7), (64, 8, 8, 301, 8)]
+        want = [dicke.dicke_success_prob(*case) for case in cases]
+        monkeypatch.setattr(dicke, "CHUNK_SEEDS", budget)
+        assert [dicke.dicke_success_prob(*case) for case in cases] == want
+        assert want[0].failure_rate > 0 and want[2].failure_rate > 0
 
 
 def _walk_cases(n: int):
