@@ -72,12 +72,13 @@ def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
     ``draw(rng)`` draws a uniform k-subset of the vertices and retries until
     it is a clique, returning its basis index.  ``draw(rng, count)`` returns
     ``count`` of them, drawing the subsets in blocks (a row of uniforms per
-    subset, its k smallest entries name the vertices).  Every drawn subset
+    subset, its k smallest entries name the vertices).  A drawn subset is
+    looked up among the sorted weight-k clique masks.  Every drawn subset
     is counted, so the acceptance frequency estimates |Cl_k| / C(n, k).
     """
-    state_of_mask = np.full(1 << g.n, -1, dtype=np.int64)
     cliques = basis.weight_k_clique_indices
-    state_of_mask[np.array(basis.states)[cliques]] = cliques
+    masks = basis.states[cliques]
+    index_of = dict(zip(masks.tolist(), cliques.tolist()))
     accept_rate = cliques.size / math.comb(g.n, k)
     counters = {"draws": 0, "accepts": 0}
 
@@ -89,16 +90,18 @@ def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
                 mask = 0
                 for v in verts:
                     mask |= 1 << int(v)
-                if state_of_mask[mask] >= 0:
+                state = index_of.get(mask)
+                if state is not None:
                     counters["accepts"] += 1
-                    return int(state_of_mask[mask])
+                    return state
         out = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
             block = math.ceil(1.25 * (count - filled) / accept_rate) + 16
             verts = np.argsort(rng.random((block, g.n)), axis=1)[:, :k]
-            states = state_of_mask[np.left_shift(1, verts).sum(axis=1)]
-            states = states[states >= 0]
+            drawn = np.left_shift(np.uint64(1), verts.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+            at = np.searchsorted(masks, drawn)
+            states = cliques[at[masks.take(at, mode="clip") == drawn]]
             counters["draws"] += block
             counters["accepts"] += states.size
             take = min(states.size, count - filled)
@@ -157,7 +160,7 @@ def _batch_stderr(samples: np.ndarray, n_batches: int = 32) -> float:
 def estimate_normalized_betti(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult:
     """Run the full estimator on a graph; see the module docstring."""
     op = penalized_operator(g, k)
-    decomp = one_sparse_decompose(op.matrix)
+    decomp = one_sparse_decompose(op.matrix, op.ghost)
     return estimate_from_operator(g, k, op, decomp, cfg)
 
 

@@ -1,24 +1,31 @@
 """Penalized squared Dirac operator and its one-sparse unitary decomposition.
 
-The ambient space is spanned by ALL bit strings of Hamming weight k-1, k, k+1
-(cliques or not, never the empty set).  The clique/weight projector P keeps
-the basis of ``homology.dirac``, the restricted Dirac operator B_G = P B P,
-and the complement is penalized:
+The problem is posed on the window of ALL bit strings of Hamming weight k-1,
+k, k+1 (never the empty set), where the clique projector P keeps the basis
+of ``homology.dirac`` and the complement is penalized:
 
-    H = B_G^2 + gamma_pen (1 - P).
+    H = B_G^2 + gamma_pen (1 - P),   B_G = P B P the restricted Dirac operator.
 
-B_G^2 = blockdiag(d d^T, L_k, d^T d) has the nonzero spectrum of the
-Laplacian L_k, so its smallest nonzero eigenvalue gamma_min and its top are
-the gap and top of ``homology.spectrum``.  The penalty gamma_pen is
-gamma_min, or 1 when L_k has no nonzero mode.  H is positive semidefinite;
-its kernel restricted to the weight-k clique states has dimension
-beta_{k-1}, and every nonzero eigenvalue is at least gamma_min.
+Every term of H maps clique states to clique states, so an anchored path
+never leaves them: the operator is B_G^2 on the Dirac basis alone
+(``homology.dirac_basis``, sorted by mask), and the complement enters the
+decomposition only as one more distinct diagonal value, the ghost value
+gamma_pen.  It is there when the window holds a non-clique state, that is
+when the binomials C(n, s), s = max(k-1, 1) .. k+1, sum past the Dirac
+dimension.  B_G^2 has the nonzero spectrum of the Laplacian L_k, so gamma_min
+and the top are the gap and top of ``homology.spectrum``; gamma_pen is
+gamma_min, or 1 when L_k has no nonzero mode.  The weight-k kernel has
+dimension beta_{k-1}, and every nonzero eigenvalue is at least gamma_min.
+Limits: the dense cap of ``homology``, ``graphs.MAX_VERTICES`` and the
+message budget of ``paths``; past each a ``DeskScaleError`` names the size.
 
 The decomposition H = sum_p c_p H_p uses terms of two shapes, both one-sparse
 Hermitian with eigenvalues +-c_p on their support:
 
   * diagonal reflections, one per distinct diagonal value (plus one identity
-    term), obtained from indicator = (I - reflection)/2;
+    term), obtained from indicator = (I - reflection)/2.  On the clique
+    states the ghost value's reflection is the scalar -gamma_pen/2, which the
+    identity term cancels: it shapes the schedule, not the Trotterized trace;
   * off-diagonal matchings: the nonzero off-diagonal graph is split by entry
     magnitude and greedily edge-colored, so each term is a partial matching
     with entries of a single magnitude.
@@ -37,76 +44,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DeskScaleError
 from ..graphs import Graph, build_clique_complex
 from ..homology import dirac, dirac_basis, spectrum
 
-MAX_DEQUANT_QUBITS = 8
 DECOMPOSE_TOL = 1e-12  # symmetry, identity-term and off-diagonal cutoff of one_sparse_decompose
 
 
 @dataclass(frozen=True)
-class AmbientBasis:
-    """Sorted bit strings of weight k-1, k, k+1 with clique annotations."""
-
-    n: int
-    k: int
-    states: tuple[int, ...]
-    clique_flags: np.ndarray  # bool per state
+class CliqueBasis:
+    states: np.ndarray  # the Dirac basis as ascending uint64 clique masks
     weight_k_clique_indices: np.ndarray  # indices into states
-    dirac_indices: np.ndarray  # index into states of each row of dirac(cx, k)
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-
-def ambient_basis(g: Graph, k: int) -> AmbientBasis:
-    """The weight window's bit strings, annotated from the clique complex of g."""
-    if g.n > MAX_DEQUANT_QUBITS:
-        raise DeskScaleError(f"dequantizer supports n <= {MAX_DEQUANT_QUBITS}, got {g.n}")
-    if not 1 <= k <= g.n:
-        raise ValueError(f"weight k={k} outside 1..{g.n}")
-    # no weight-0 state at k = 1, as in the Dirac basis: the empty-simplex
-    # boundary would turn degree-0 homology into reduced homology
-    weight = np.bitwise_count(np.arange(1 << g.n))
-    states = np.flatnonzero((max(k - 1, 1) <= weight) & (weight <= k + 1))
-    rows = np.searchsorted(states, dirac_basis(build_clique_complex(g, k), k))
-    flags = np.zeros(states.size, dtype=bool)
-    flags[rows] = True
-    wk = np.flatnonzero(flags & (weight[states] == k))
-    return AmbientBasis(g.n, k, tuple(states.tolist()), flags, wk, rows)
 
 
 @dataclass(frozen=True)
 class PenalizedOperator:
-    basis: AmbientBasis
-    matrix: np.ndarray
+    basis: CliqueBasis
+    matrix: np.ndarray  # B_G^2 on the basis
     gamma_pen: float  # gamma_min, or 1 when B_G^2 has no nonzero mode
     gamma_min: float  # smallest nonzero eigenvalue of B_G^2
     gamma_max: float  # largest eigenvalue of the penalized operator
     d_k: int  # C(n, k), the normalization of the estimator
+    ghost: float | None  # gamma_pen when the window holds a non-clique state, else None
 
 
 def penalized_operator(g: Graph, k: int) -> PenalizedOperator:
-    """Build B_G^2 + gamma_pen (1-P) on the ambient weight window; B_G is ``homology.dirac``.
+    """B_G^2 on the mask-sorted Dirac basis, and the penalty; B_G is ``homology.dirac``.
 
     gamma_min, gamma_pen and gamma_max are read off one Laplacian spectrum
     (see the module docstring).  With no nonzero mode every clique state is
     in the kernel, and any positive penalty keeps the weight-k kernel.
     """
-    basis = ambient_basis(g, k)
-    if basis.weight_k_clique_indices.size == 0:
+    if not 1 <= k <= g.n:
+        raise ValueError(f"weight k={k} outside 1..{g.n}")
+    cx = build_clique_complex(g, k)
+    if cx.count(k) == 0:
         raise ValueError(f"graph has no {k}-cliques")
     summary = spectrum(g, k)
     pen = summary.gap if summary.gap > 0 else 1.0
-    b = dirac(build_clique_complex(g, k), k).matrix.astype(np.float64)
-    h = np.zeros((basis.dim, basis.dim))
-    h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
-    penalized = np.flatnonzero(~basis.clique_flags)
-    h[penalized, penalized] = pen
-    gamma_max = max(summary.top, pen) if penalized.size else summary.top
-    return PenalizedOperator(basis, h, pen, summary.gap, gamma_max, math.comb(g.n, k))
+    b = dirac(cx, k).matrix.astype(np.float64)
+    masks = dirac_basis(cx, k)
+    order = np.argsort(masks)
+    states = masks[order]
+    wk = np.flatnonzero(np.bitwise_count(states) == k)
+    window = sum(math.comb(g.n, s) for s in range(max(k - 1, 1), k + 2))
+    ghost = pen if window > states.size else None
+    gamma_max = summary.top if ghost is None else max(summary.top, pen)
+    h = (b @ b)[np.ix_(order, order)]
+    return PenalizedOperator(CliqueBasis(states, wk), h, pen, summary.gap, gamma_max, math.comb(g.n, k), ghost)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +175,11 @@ class OneSparseDecomposition:
         return float(sum(t.coeff for t in self.terms))
 
 
-def one_sparse_decompose(mat: np.ndarray) -> OneSparseDecomposition:
-    """Exact decomposition of a real symmetric matrix into weighted involutions."""
+def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSparseDecomposition:
+    """Exact decomposition of a real symmetric matrix into weighted involutions.
+
+    ``ghost`` is one more diagonal value, held by states outside the matrix.
+    """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
@@ -206,7 +193,7 @@ def one_sparse_decompose(mat: np.ndarray) -> OneSparseDecomposition:
     # grouped by exact float equality, which is safe because the operator
     # entries are integer sums plus a single repeated penalty float.
     diag = mat.diagonal().copy()
-    distinct = sorted({float(v) for v in diag if v != 0.0})
+    distinct = sorted({float(v) for v in diag if v != 0.0} | ({float(ghost)} if ghost else set()))
     ident = sum(distinct) / 2.0
     for v in distinct:
         values = np.where(diag == v, v / 2.0, -v / 2.0)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DeskScaleError
 from .operators import OneSparseDecomposition, OneSparseTerm
 
 
@@ -135,6 +136,8 @@ SIGNED = "signed"
 
 DEAD_END = "dead end during exact sampling (inconsistent messages)"
 
+MESSAGE_BUDGET = 1 << 30  # bytes of one measure's messages, (L-2) x dim x |anchors| floats
+
 
 @dataclass(frozen=True)
 class PathSample:
@@ -184,7 +187,7 @@ class PathSpace:
             raise ValueError("empty anchor set")
         self.terms = decomp.terms
         if not all(0 <= a < decomp.dim for a in self.anchor_states):
-            raise ValueError("anchor states must be basis states of the ambient space")
+            raise ValueError("anchor states must be basis states of the operator")
         # (p, q) -> overlap columns from term p's eigenvectors to term q's
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.columns: list[tuple[np.ndarray, np.ndarray]] = []
@@ -268,7 +271,9 @@ class PathSpace:
         the anchor's summed weight is ``start * exp(log_scale)``.  Each
         column of the messages is rescaled by its largest magnitude at every
         position.  Only the two measures are drawn from, so the signed pass
-        keeps no messages (``weighted`` is then all None).
+        keeps no messages (``weighted`` is then all None); a measure whose
+        messages would pass ``MESSAGE_BUDGET`` raises ``DeskScaleError``
+        before any is built.
         """
         weigh = {
             PATTERN: lambda v: (v != 0.0).astype(float),
@@ -278,6 +283,10 @@ class PathSpace:
         rate = self.t / self.r_t if kind == PATTERN else 0.5 * self.t / self.r_t
         sched = self.schedule
         last = self.length - 2
+        size = 8 * last * self.decomp.dim * len(self.anchor_states)
+        if kind != SIGNED and size > MESSAGE_BUDGET:
+            raise DeskScaleError(f"path messages need {size} bytes ({last} positions x dimension {self.decomp.dim}"
+                                 f" x {len(self.anchor_states)} anchors); the budget is {MESSAGE_BUDGET} bytes")
         anchors = np.array(self.anchor_states)
         cols = np.arange(anchors.size)
         # the closing link's row of each anchor: its nonzero columns at the last position, ascending

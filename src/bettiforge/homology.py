@@ -156,8 +156,8 @@ def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
 
 
 def dirac_basis(cx: CliqueComplex, k: int) -> np.ndarray:
-    """The rows of ``dirac(cx, k)`` as int64 clique masks: Cl_{k-1} (none at k = 1), Cl_k, Cl_{k+1}."""
-    return np.array([x for size in (k - 1, k, k + 1) if size >= 1 for x in cx.basis(size)], dtype=np.int64)
+    """The rows of ``dirac(cx, k)`` as uint64 clique masks: Cl_{k-1} (none at k = 1), Cl_k, Cl_{k+1}."""
+    return np.array([x for size in (k - 1, k, k + 1) if size >= 1 for x in cx.basis(size)], dtype=np.uint64)
 
 
 def check_weight(k: int) -> None:

@@ -346,8 +346,6 @@ def sweep(
     Entries with k not dividing n, or with a single vertex per cluster (Betti
     number zero), are skipped with a warning callback.
     """
-    if k < 1:
-        raise ValueError(f"clique size k must be >= 1, got {k}")
     _check_kpartite_k(k)
     rows = []
     for n in n_list:

@@ -9,8 +9,9 @@ hopping Hamiltonian, the dense block encoding V
 (Kronecker PREP around a block-diagonal SELECT), its projected block, the
 dense walk and its eigenphases, the filter half-width, and the filtered
 amplitude and Dirac gap from the eigendecomposition of the dense restricted
-Dirac operator.  Dequantizer oracles: the dense matrices of the one-sparse
-terms, the matching terms by element loops, the dense Trotter product, the dense overlap tables of every link,
+Dirac operator.  Dequantizer oracles: the operator on the whole weight
+window of 2^n bit strings and its terms restricted to the clique states,
+the dense matrices of the one-sparse terms, the matching terms by element loops, the dense Trotter product, the dense overlap tables of every link,
 exhaustive path enumeration and the checks built on it, the dense forward
 and backward transfer passes, the slice count and variance bounds, and the
 exact estimator drawing its chains' paths one chain at a time.  Then
@@ -58,7 +59,7 @@ from bettiforge.dequant.paths import (
     build_schedule,
 )
 from bettiforge.graphs import Graph, build_clique_complex, is_clique
-from bettiforge.homology import ZERO_TOL, DiracOperator, dirac, spectrum
+from bettiforge.homology import ZERO_TOL, DiracOperator, dirac, dirac_basis, spectrum
 from bettiforge.qsim.dicke import seed_modulus
 from bettiforge.qsim.filters import chebyshev_filter_response
 from bettiforge.qsim.kaiser import ALPHA_HI, _kernel_sq, first_zero_scaled, qae_outcome_distribution, tail_fraction
@@ -467,7 +468,72 @@ def trotterized_matrix(decomp: OneSparseDecomposition, t: float, r_t: int) -> np
     return math.exp(-shift * t) * out
 
 
-def ambient_gammas(g: Graph, op: PenalizedOperator) -> dict[str, float]:
+@dataclass(frozen=True)
+class AmbientBasis:
+    """Every bit string of weight k-1, k, k+1 (never the empty set), ascending, with clique annotations."""
+
+    states: np.ndarray  # uint64
+    clique_flags: np.ndarray  # bool per state
+    weight_k_clique_indices: np.ndarray  # indices into states
+    dirac_indices: np.ndarray  # index into states of each row of dirac(cx, k)
+
+    @property
+    def dim(self) -> int:
+        return int(self.states.size)
+
+
+def ambient_basis(g: Graph, k: int) -> AmbientBasis:
+    """The weight window, enumerated over all 2^n bit strings and annotated from the clique complex."""
+    weight = np.bitwise_count(np.arange(1 << g.n))
+    states = np.flatnonzero((max(k - 1, 1) <= weight) & (weight <= k + 1)).astype(np.uint64)
+    rows = np.searchsorted(states, dirac_basis(build_clique_complex(g, k), k))
+    flags = np.zeros(states.size, dtype=bool)
+    flags[rows] = True
+    wk = np.flatnonzero(flags & (weight[states] == k))
+    return AmbientBasis(states, flags, wk, rows)
+
+
+def ambient_operator(g: Graph, k: int, pen: float | None = None) -> PenalizedOperator:
+    """B_G^2 + gamma_pen (1 - P) as a dense matrix on the whole weight window.
+
+    The penalty is the clique-basis operator's unless ``pen`` is given; the
+    gammas are the clique-basis operator's.  Decomposed by
+    ``one_sparse_decompose`` with no ghost value, the window's non-clique
+    states carry the penalty themselves.
+    """
+    op = penalized_operator(g, k)
+    basis = ambient_basis(g, k)
+    pen = op.gamma_pen if pen is None else pen
+    b = dirac(build_clique_complex(g, k), k).matrix.astype(np.float64)
+    h = np.zeros((basis.dim, basis.dim))
+    h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
+    ghosts = np.flatnonzero(~basis.clique_flags)
+    h[ghosts, ghosts] = pen
+    return replace(op, basis=basis, matrix=h, gamma_pen=pen, ghost=None)
+
+
+def restrict_to_cliques(decomp: OneSparseDecomposition, clique_flags: np.ndarray) -> list[OneSparseTerm]:
+    """Each term of an ambient decomposition with its non-clique eigenvectors dropped.
+
+    Kept eigenvectors keep their order, and basis states and partners are
+    renumbered onto the kept ones.
+    """
+    new_state = np.cumsum(clique_flags) - 1
+    out = []
+    for term in decomp.terms:
+        keep = clique_flags[term.sup1]
+        new_eig = np.cumsum(keep) - 1
+        sup2 = term.sup2[keep]
+        partner = term.partner[keep]
+        out.append(OneSparseTerm(
+            term.coeff, term.kind, term.lam[keep], new_state[term.sup1[keep]],
+            np.where(sup2 >= 0, new_state[sup2], -1), term.amp1[keep], term.amp2[keep],
+            np.where(partner >= 0, new_eig[partner], -1),
+        ))
+    return out
+
+
+def ambient_gammas(g: Graph, k: int) -> dict[str, float]:
     """The operator's numbers from dense eigensolves of the whole ambient window.
 
     B_G^2 is placed at its clique states with zeros elsewhere; ``gamma_min``
@@ -475,8 +541,8 @@ def ambient_gammas(g: Graph, op: PenalizedOperator) -> dict[str, float]:
     ``top`` its largest, ``gamma_pen`` the gap or 1, and ``gamma_max`` the
     top of B_G^2 + gamma_pen (1 - P).
     """
-    basis = op.basis
-    b = dirac(build_clique_complex(g, basis.k), basis.k).matrix
+    basis = ambient_basis(g, k)
+    b = dirac(build_clique_complex(g, k), k).matrix
     h = np.zeros((basis.dim, basis.dim))
     h[np.ix_(basis.dirac_indices, basis.dirac_indices)] = b @ b
     evals = np.linalg.eigvalsh(h)
@@ -488,11 +554,9 @@ def ambient_gammas(g: Graph, op: PenalizedOperator) -> dict[str, float]:
     return {"gamma_min": gamma_min, "top": top, "gamma_pen": pen, "gamma_max": gamma_max}
 
 
-def larger_penalty(g: Graph, op: PenalizedOperator) -> PenalizedOperator:
-    """The operator with the top of B_G^2 as its penalty: op.matrix plus (top - gap) on the non-clique diagonal."""
-    gam = ambient_gammas(g, op)
-    extra = gam["top"] - gam["gamma_pen"]
-    return replace(op, matrix=op.matrix + extra * np.diag(1.0 - op.basis.clique_flags), gamma_pen=gam["top"])
+def larger_penalty(g: Graph, k: int) -> PenalizedOperator:
+    """The ambient operator with the top of B_G^2 as its penalty."""
+    return ambient_operator(g, k, ambient_gammas(g, k)["top"])
 
 
 def kernel_dim_weight_k(op: PenalizedOperator) -> int:
@@ -752,8 +816,9 @@ def variance_report(g: Graph, k: int, cfg: PIMCConfig, result: DequantResult | N
     if result is None:
         result = estimate_normalized_betti(g, k, cfg)
     emp_var = result.stderr**2 * result.n_samples
+    op = penalized_operator(g, k)
     bound_log2 = analytic_variance_log2_bound(
-        one_sparse_decompose(penalized_operator(g, k).matrix),
+        one_sparse_decompose(op.matrix, op.ghost),
         cfg.t,
         result.r_t,
         result.d_k,
@@ -831,7 +896,7 @@ def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult
     draws every chain's paths in one call and must match this bit for bit.
     """
     op = penalized_operator(g, k)
-    decomp = one_sparse_decompose(op.matrix)
+    decomp = one_sparse_decompose(op.matrix, op.ghost)
     anchors = op.basis.weight_k_clique_indices
     space = PathSpace(decomp, cfg.t, cfg.r_t, anchors)
     draw, counters = make_clique_sampler(g, k, op.basis)

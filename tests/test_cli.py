@@ -337,9 +337,10 @@ class TestExitCodes:
                     ("dequantize", [*DEQUANT_K22, "--t", "1"]),
                 )
             ],
-            pytest.param(["sweep", "--k", "0", "--n", "16:32:8"], "k must be >= 1", id="sweep-k0"),
-            pytest.param(["sweep", "--k", "-2", "--n", "16:32:8"], "k must be >= 1", id="sweep-k-neg"),
+            pytest.param(["sweep", "--k", "0", "--n", "16:32:8"], "k-partite family needs k >= 2", id="sweep-k0"),
+            pytest.param(["sweep", "--k", "-2", "--n", "16:32:8"], "k-partite family needs k >= 2", id="sweep-k-neg"),
             pytest.param(["sweep", "--k", "1", "--n", "2:6:1"], "k-partite family needs k >= 2", id="sweep-k1"),
+            pytest.param(["sweep", "--k", "0", "--n", "2:6:1"], "k-partite family needs k >= 2", id="sweep-k0-n2"),
             # the family check runs before the n loop, whatever range it covers
             pytest.param(["sweep", "--k", "1", "--n", "1:1:1"], "k-partite family needs k >= 2", id="sweep-k1-n1"),
             pytest.param(["sweep", "--k", "1", "--n", "3:3:1"], "k-partite family needs k >= 2", id="sweep-k1-n3"),
@@ -723,6 +724,34 @@ def test_pipeline_runs_past_eight_vertices(capsys):
     target = homology.betti_exact(g, 2) / len(graphs.enumerate_cliques(g, 2))
     assert data["target"] == pytest.approx(target, rel=1e-12)
     assert abs(data["estimate"] - target) <= data["config"]["r"] * target
+
+
+def test_dequantize_reaches_vertex_63(capsys, tmp_path):
+    # a 4-cycle on vertices 60-63: the clique masks need all 64 bits
+    from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
+    from bettiforge.graphs import Graph
+    from oracles import trotterized_matrix
+
+    g = Graph.from_edges(64, [(60, 61), (61, 63), (62, 63), (60, 62)])
+    path = tmp_path / "c4_high.json"
+    path.write_text(json.dumps({"n": 64, "edges": [list(e) for e in g.edges]}))
+    code, out, err = run_cli(capsys, "dequantize", "--graph", str(path), "--k", "2", "--t", "1", "--slices", "1",
+                             "--samples", "8")
+    assert code == 0, err
+    op = penalized_operator(g, 2)
+    idx = op.basis.weight_k_clique_indices
+    mat = trotterized_matrix(one_sparse_decompose(op.matrix, op.ghost), 1.0, 1)
+    assert json.loads(out)["exact_trotter_mean"] == pytest.approx(float(np.trace(mat[np.ix_(idx, idx)])) / op.d_k,
+                                                                  rel=1e-12)
+
+
+def test_dequantize_runs_past_eight_vertices():
+    # K(2,6) has 12 vertices: the operator holds no 2^n object, so only the
+    # dense cap and the message budget limit it
+    proc = _fresh_process(["dequantize", "--gen", "kpartite:2,6", "--k", "3", "--t", "1", "--slices", "1",
+                           "--samples", "2000"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["d_k"] == math.comb(12, 3)
 
 
 def test_perfbench_trace_targets_resolve():

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from bettiforge.graphs import build_clique_complex, gen_kpartite
-from bettiforge.homology import betti_exact, dirac
+from bettiforge.homology import betti_exact, dirac, dirac_basis
 from bettiforge.dequant.estimator import PIMCConfig, estimate_from_operator, estimate_normalized_betti
 from bettiforge.dequant.operators import (
     one_sparse_decompose,
@@ -25,7 +25,9 @@ from bettiforge.dequant.paths import (
 from bettiforge.graphs import Graph, enumerate_cliques, gen_erdos_renyi
 
 from oracles import (
+    ambient_basis,
     ambient_gammas,
+    ambient_operator,
     column_nonzeros,
     dense_backward_pass,
     dense_closing_rows,
@@ -43,6 +45,7 @@ from oracles import (
     mh_chain,
     overlap_table,
     per_chain_exact_estimate,
+    restrict_to_cliques,
     scalar_pattern_draw,
     stationary_log_prob,
     trotter_slices,
@@ -73,15 +76,18 @@ class TestPenalizedOperator:
         assert nonzero.min() >= min(op.gamma_min, op.gamma_pen) - 1e-8
 
     def test_complete_graph_penalty_only_off_weight(self):
-        # every subset of a complete graph is a clique: the penalty hits nothing
+        # every subset of a complete graph is a clique: the penalty hits
+        # nothing, so the window is the Dirac basis and there is no ghost value
         g = gen_kpartite(1, 4)
         op = penalized_operator(g, 2)
-        assert bool(np.all(op.basis.clique_flags))
+        window = ambient_basis(g, 2)
+        assert bool(np.all(window.clique_flags)) and op.ghost is None
+        assert op.basis.states.tobytes() == window.states.tobytes()
 
     def test_oracle_modes(self):
         g = gen_kpartite(2, 2)
         tight = penalized_operator(g, 2)
-        loose = larger_penalty(g, tight)
+        loose = larger_penalty(g, 2)
         assert loose.gamma_pen >= tight.gamma_pen
         assert kernel_dim_weight_k(loose) == kernel_dim_weight_k(tight)
 
@@ -99,17 +105,31 @@ class TestPenalizedOperator:
             op = penalized_operator(g, 1)
             assert kernel_dim_weight_k(op) == betti_exact(g, 1)
 
-    def test_size_limit(self):
-        from bettiforge.errors import DeskScaleError
-        from bettiforge.graphs import Graph
+    def test_message_budget_exits_3_before_any_pass(self, capsys, monkeypatch):
+        # messages past the budget: exit 3 naming their size, and no
+        # backward pass gets as far as building one
+        from bettiforge.cli import main
+        from bettiforge.dequant import paths
 
-        with pytest.raises(DeskScaleError):
-            penalized_operator(Graph(9, ()), 2)
+        g = gen_kpartite(2, 3)
+        op = penalized_operator(g, 2)
+        anchors = op.basis.weight_k_clique_indices
+        space = PathSpace(one_sparse_decompose(op.matrix, op.ghost), 1.0, 1, anchors)
+        size = (space.length - 2) * op.basis.states.size * anchors.size * 8
+        entered = []
+        backward_pass = PathSpace.backward_pass
+        monkeypatch.setattr(paths, "MESSAGE_BUDGET", size - 1)
+        monkeypatch.setattr(PathSpace, "backward_pass", lambda self, kind: entered.append(kind) or backward_pass(self, kind))
+        code = main(["dequantize", "--gen", "kpartite:2,3", "--k", "2", "--t", "1", "--slices", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert f"path messages need {size} bytes" in captured.err and f"budget is {size - 1} bytes" in captured.err
+        assert entered == [paths.MAGNITUDE]  # the first pass refused, so none completed
 
     def test_gammas_match_dense_ambient_eigensolve(self):
         for g, k in _oracle_cases() + [(Graph(4, ()), 1)]:
             op = penalized_operator(g, k)
-            want = ambient_gammas(g, op)
+            want = ambient_gammas(g, k)
             tol = 1e-10 * max(1.0, want["top"])
             assert (op.gamma_min > 0) == (want["gamma_min"] > 0)
             assert op.gamma_min == pytest.approx(want["gamma_min"], abs=tol)
@@ -121,8 +141,10 @@ class TestPenalizedOperator:
     def test_squared_dirac_block_is_the_integer_square(self):
         for g, k in _oracle_cases():
             op = penalized_operator(g, k)
-            b = dirac(build_clique_complex(g, k), k).matrix
-            idx = op.basis.dirac_indices
+            cx = build_clique_complex(g, k)
+            b = dirac(cx, k).matrix
+            assert np.all(np.diff(op.basis.states) > 0)
+            idx = np.searchsorted(op.basis.states, dirac_basis(cx, k))
             assert op.matrix[np.ix_(idx, idx)].tobytes() == (b @ b).astype(np.float64).tobytes()
 
     def test_only_the_laplacian_is_eigensolved(self, monkeypatch):
@@ -563,7 +585,7 @@ def _draw_cases():
 
 def _space(g, k, t, r_t):
     op = penalized_operator(g, k)
-    return op, PathSpace(one_sparse_decompose(op.matrix), t, r_t, op.basis.weight_k_clique_indices)
+    return op, PathSpace(one_sparse_decompose(op.matrix, op.ghost), t, r_t, op.basis.weight_k_clique_indices)
 
 
 class _Replay:
@@ -721,10 +743,11 @@ class TestSparseOverlaps:
                     assert got.tobytes() == ref.tobytes(), (g.n, g.edges, k, p, q)
 
     def test_set_up_builds_no_dense_table(self):
-        # one dense 154 x 154 table and its temporaries alone take about 0.8 MB
+        # on the ambient window of the oracle, one dense 154 x 154 table and
+        # its temporaries alone take about 0.8 MB
         import tracemalloc
 
-        op = penalized_operator(gen_erdos_renyi(8, 0.6, 1), 3)
+        op = ambient_operator(gen_erdos_renyi(8, 0.6, 1), 3)
         decomp = one_sparse_decompose(op.matrix)
         anchors = op.basis.weight_k_clique_indices
         PathSpace(decomp, 1.0, 2, anchors)
@@ -861,6 +884,49 @@ class TestMergedBatch:
             got = dataclasses.asdict(estimate_normalized_betti(g, k, cfg))
             want = dataclasses.asdict(per_chain_exact_estimate(g, k, cfg))
             assert got == want, (g.n, g.edges, k, cfg)
+
+
+class TestCliqueBasisOracle:
+    """The clique-basis operator against the ambient window's, decomposed with the penalty on its non-clique states."""
+
+    @staticmethod
+    def _cases():
+        # the oracle cases, k = 1 and K2-K8 among them, the 4-cycle 0-1-3-2,
+        # the edgeless graph at k = 1 and the single-reflection triangle
+        triangle = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        return _oracle_cases() + [(Graph(4, ()), 1), (triangle, 1)]
+
+    def test_terms_are_the_ambient_terms_restricted(self):
+        for g, k in self._cases():
+            window = ambient_operator(g, k)
+            op = penalized_operator(g, k)
+            flags = window.basis.clique_flags
+            assert op.basis.states.tobytes() == window.basis.states[flags].tobytes()
+            assert (op.ghost is None) == bool(flags.all())
+            assert op.basis.states.size + (~flags).sum() == window.basis.dim
+            got = one_sparse_decompose(op.matrix, op.ghost)
+            want = one_sparse_decompose(window.matrix)
+            assert got.bound_audit == want.bound_audit
+            for a, b in zip(got.terms, restrict_to_cliques(want, flags), strict=True):
+                assert (a.coeff, a.kind) == (b.coeff, b.kind)
+                for name in ("lam", "sup1", "sup2", "amp1", "amp2", "partner"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (g.n, g.edges, k, name)
+
+    @pytest.mark.parametrize("t,r_t", [(1.0, 1), (2.5, 2)])
+    def test_results_equal_on_both_bases(self, t, r_t):
+        for seed, (g, k) in enumerate(self._cases()):
+            cfg = PIMCConfig(t=t, r_t=r_t, n_samp=400, seed=seed)
+            got = estimate_normalized_betti(g, k, cfg)
+            window = ambient_operator(g, k)
+            want = estimate_from_operator(g, k, window, one_sparse_decompose(window.matrix), cfg)
+            assert dataclasses.asdict(got) == dataclasses.asdict(want), (g.n, g.edges, k)
+            # the ghost value's reflection is a scalar on the clique states,
+            # which the identity shift cancels
+            op = penalized_operator(g, k)
+            if op.ghost is not None and op.matrix.any():
+                mean = _trotter_mean(op, one_sparse_decompose(op.matrix), t, r_t)
+                assert mean == pytest.approx(got.diagnostics["exact_trotter_mean"], rel=1e-12)
 
 
 class TestEstimator:
