@@ -203,8 +203,6 @@ def _parse_range(spec: str) -> list[int]:
 def cmd_sweep(args) -> int:
     from . import resources
 
-    if args.family != "kpartite":
-        raise ValueError("only the kpartite family is implemented")
     rows = resources.sweep(
         args.k,
         _parse_range(args.n),
@@ -506,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="CSV cost table over the kpartite family")
-    p.add_argument("--family", default="kpartite")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", required=True, help="range start:stop:step")
     p.add_argument("--r", type=float, default=1 / 20)

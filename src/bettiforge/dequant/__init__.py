@@ -3,6 +3,7 @@
 Submodules:
     operators  penalized squared Dirac operator and one-sparse decomposition
     paths      closed eigenvector paths, the pattern and magnitude measures,
-               batched exact draws, Metropolis-Hastings
-    estimator  the sampling algorithm and the dense Trotterized reference
+               batched exact draws, and Metropolis-Hastings with its redraw
+               and anchor proposals taken from those draws in blocks
+    estimator  the batched clique draw and the sampling algorithm
 """

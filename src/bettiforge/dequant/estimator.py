@@ -3,13 +3,16 @@
 Implements the randomized trace estimation: draw a starting weight-k clique
 by rejection from the uniform weight-k strings, draw a closed eigenvector
 path, and average its value (see ``paths`` for the two path measures).
+Cliques are drawn in blocks, by one batched rejection sampler.
 
   * ``sampler="exact"`` draws each chain's anchors in blocks from the
     chain's generator, then every chain's paths exactly from the magnitude
     measure in one batched draw, each chain's uniforms from its own
     generator.  A sample's value is sign(W) |Cl_k| Z^abs_a exp(-shift t) / d_k.
-  * ``sampler="mh"`` runs Metropolis-Hastings chains on the pattern measure
-    and records E_q = (Z / d_k) W exp(beta E / 2) exp(-shift t).
+  * ``sampler="mh"`` runs Metropolis-Hastings chains on the pattern measure,
+    whose redraw and anchor proposals come from the same batched draws, and
+    records E_q = (Z / d_k) W exp(beta E / 2) exp(-shift t).  Z is read off
+    the per-anchor pattern partition functions that the redraws already use.
 
 At fixed Trotterization both estimators are exactly unbiased for
 (1/d_k) Tr_restricted(Trotterized exp(-H t)), which one signed transfer pass
@@ -32,7 +35,7 @@ from .operators import (
     one_sparse_decompose,
     penalized_operator,
 )
-from .paths import MAGNITUDE, ExactPathSampler, MetropolisPathSampler, PathSpace
+from .paths import MAGNITUDE, PATTERN, ExactPathSampler, MetropolisPathSampler, PathSpace, log_sum_exp
 
 LN2 = math.log(2.0)
 NO_CLOSED_PATH = "no valid closed path exists (disconnected eigenstructure)"
@@ -66,47 +69,43 @@ class PIMCConfig:
             raise ValueError("sampler must be 'exact' or 'mh'")
 
 
-def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
-    """Rejection sampler for uniform weight-k cliques, with try accounting.
+CLIQUE_CHUNK = 1 << 16  # uniforms drawn and sorted at a time by the clique sampler
 
-    ``draw(rng)`` draws a uniform k-subset of the vertices and retries until
-    it is a clique, returning its basis index.  ``draw(rng, count)`` returns
-    ``count`` of them, drawing the subsets in blocks (a row of uniforms per
-    subset, its k smallest entries name the vertices).  A drawn subset is
-    looked up among the sorted weight-k clique masks.  Every drawn subset
-    is counted, so the acceptance frequency estimates |Cl_k| / C(n, k).
+
+def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
+    """Batched rejection sampler for uniform weight-k cliques, with try accounting.
+
+    ``draw(rng, count)`` returns the basis indices of ``count`` uniform
+    cliques.  It draws uniform k-subsets of the vertices in blocks sized
+    from the acceptance rate (a row of uniforms per subset, its k smallest
+    entries name the vertices) and keeps those that are cliques, looked up
+    among the sorted weight-k clique masks, until it has ``count``.  A block
+    is drawn and sorted in chunks of about ``CLIQUE_CHUNK`` uniforms, and
+    every chunk of it is drawn, so the stream and the counts do not depend
+    on the chunk size.  Every drawn subset is counted, so the acceptance
+    frequency estimates |Cl_k| / C(n, k).
     """
     cliques = basis.weight_k_clique_indices
     masks = basis.states[cliques]
-    index_of = dict(zip(masks.tolist(), cliques.tolist()))
     accept_rate = cliques.size / math.comb(g.n, k)
+    chunk_rows = max(1, CLIQUE_CHUNK // g.n)
     counters = {"draws": 0, "accepts": 0}
 
-    def draw(rng: np.random.Generator, count: int | None = None):
-        if count is None:
-            while True:
-                counters["draws"] += 1
-                verts = rng.choice(g.n, size=k, replace=False)
-                mask = 0
-                for v in verts:
-                    mask |= 1 << int(v)
-                state = index_of.get(mask)
-                if state is not None:
-                    counters["accepts"] += 1
-                    return state
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
             block = math.ceil(1.25 * (count - filled) / accept_rate) + 16
-            verts = np.argsort(rng.random((block, g.n)), axis=1)[:, :k]
-            drawn = np.left_shift(np.uint64(1), verts.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
-            at = np.searchsorted(masks, drawn)
-            states = cliques[at[masks.take(at, mode="clip") == drawn]]
             counters["draws"] += block
-            counters["accepts"] += states.size
-            take = min(states.size, count - filled)
-            out[filled : filled + take] = states[:take]
-            filled += take
+            for rows in range(block, 0, -chunk_rows):
+                verts = np.argsort(rng.random((min(rows, chunk_rows), g.n)), axis=1)[:, :k]
+                drawn = np.left_shift(np.uint64(1), verts.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+                at = np.searchsorted(masks, drawn)
+                states = cliques[at[masks.take(at, mode="clip") == drawn]]
+                counters["accepts"] += states.size
+                take = min(states.size, count - filled)
+                out[filled : filled + take] = states[:take]
+                filled += take
         return out
 
     return draw, counters
@@ -203,7 +202,7 @@ def estimate_from_operator(
         arr = exact.draw(rngs, cols, MAGNITUDE, signed=True) * anchor_values[cols]
         acc_num = acc_den = arr.size
     else:
-        log_z = space.log_partition()
+        log_z = log_sum_exp(exact.log_z(PATTERN))
         if not math.isfinite(log_z):
             raise RuntimeError(NO_CLOSED_PATH)
         log_pref = log_z - math.log(op.d_k) - space.scalar_shift * cfg.t

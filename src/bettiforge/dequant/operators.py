@@ -1,8 +1,8 @@
 """Penalized squared Dirac operator and its one-sparse unitary decomposition.
 
-The problem is posed on the window of ALL bit strings of Hamming weight k-1,
-k, k+1 (never the empty set), where the clique projector P keeps the basis
-of ``homology.dirac`` and the complement is penalized:
+The problem is posed on the bit strings of Hamming weight k-1, k, k+1 (never
+the empty set), where the clique projector P keeps the basis of
+``homology.dirac`` and the complement is penalized:
 
     H = B_G^2 + gamma_pen (1 - P),   B_G = P B P the restricted Dirac operator.
 
@@ -10,7 +10,7 @@ Every term of H maps clique states to clique states, so an anchored path
 never leaves them: the operator is B_G^2 on the Dirac basis alone
 (``homology.dirac_basis``, sorted by mask), and the complement enters the
 decomposition only as one more distinct diagonal value, the ghost value
-gamma_pen.  It is there when the window holds a non-clique state, that is
+gamma_pen.  It is there when those weights hold a non-clique state, that is
 when the binomials C(n, s), s = max(k-1, 1) .. k+1, sum past the Dirac
 dimension.  B_G^2 has the nonzero spectrum of the Laplacian L_k, so gamma_min
 and the top are the gap and top of ``homology.spectrum``; gamma_pen is

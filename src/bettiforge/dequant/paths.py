@@ -28,22 +28,23 @@ identity term (see ``build_schedule``).
 
 One transfer pass, ``PathSpace.backward_pass``, computes every partition
 function: the per-anchor Z_a and Z^abs_a behind the draws, the pattern
-measure's Z (``log_partition``) and the signed restricted trace.  Every
+measure's Z (their ``log_sum_exp``) and the signed restricted trace.  Every
 reader takes the overlaps from one sparse store, ``PathSpace.columns`` (at
 most 4 nonzeros per eigenvector per link): that pass, the draws and the
 signs they return, and the per-column dicts that the Metropolis moves and
 path snapshots look single overlaps up in.
 
-Draws of many paths are array operations over the batch, one position at a
-time.  A single path, and every Metropolis move, reads Python lists and
-tuples built once per sampler (per-anchor cumulative weights, candidates,
-eigenvalues), since per-call array overhead would dominate at that size.
+Paths are drawn in batches, as array operations over the batch, one
+position at a time.  The Metropolis chain's redraw and anchor proposals do
+not depend on its state, so it takes them from such batches too,
+``PROPOSAL_BLOCK`` at a time; its local moves read Python lists built once
+per sampler (partners, eigenvalues), since per-call array overhead would
+dominate for one eigenvector.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,14 @@ class PathSample:
         return self.w_sign * 2.0**self.w_log2 if self.valid else 0.0
 
 
+def log_sum_exp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), taken from the largest value; -inf when every value is."""
+    top = float(values.max())
+    if top == -math.inf:
+        return -math.inf
+    return top + math.log(float(np.exp(values - top).sum()))
+
+
 class PathSpace:
     """Schedule, overlap columns and thermal bookkeeping for one decomposition.
 
@@ -253,11 +262,7 @@ class PathSpace:
         """
         _, _, start, log_scale = self.backward_pass(PATTERN)
         with np.errstate(divide="ignore"):
-            log_z = np.log(start) + log_scale
-        top = float(log_z.max())
-        if top == -math.inf:
-            return -math.inf
-        return top + math.log(float(np.exp(log_z - top).sum()))
+            return log_sum_exp(np.log(start) + log_scale)
 
     def backward_pass(self, kind: str) -> tuple[list, list, np.ndarray, np.ndarray]:
         """Backward messages of one path weight, per anchor column.
@@ -326,6 +331,8 @@ SIGN_PROB = 0.5
 BLOCK_PROB = 0.35
 REDRAW_PROB = 0.15
 
+PROPOSAL_BLOCK = 64  # redraw or anchor proposals drawn per refill
+
 
 class MetropolisPathSampler:
     """Metropolis-Hastings over valid anchored closed paths, pattern measure.
@@ -334,16 +341,21 @@ class MetropolisPathSampler:
       * sign flip: swap one middle eigenvector for its opposite-sign partner;
       * block flip: redraw one middle eigenvector uniformly over its term,
         allowing the chain to change which two-dimensional block it traverses;
-      * anchor move: redraw the anchor uniformly over the anchor set, via
-        rejection sampling from the weight-k strings (frequency recorded).
+      * anchor move: propose an anchor uniform over the anchor set.
 
     Local moves alone are not irreducible: the anchor is wedged between
     diagonal-term positions that must hold the same basis state, so anchor
     sectors cannot exchange.  A fourth move fixes this: an independence
     redraw proposing a whole path from the exact pattern-measure sampler,
     with acceptance min(1, Z_b / Z_a) in the per-anchor partition functions
-    (detailed balance holds exactly for the asymmetric proposal).  The chain
-    starts from one exact draw.
+    (detailed balance holds exactly for the asymmetric proposal).
+
+    Neither the redraw nor the anchor proposal depends on the chain's state
+    (an independence proposal), so both come from lists that refill
+    ``PROPOSAL_BLOCK`` at a time from the chain's generator: a block of
+    anchor columns (``draw_anchor_columns``), then for redraws one batched
+    ``draw`` of a path from each.  The chain starts from its first redraw
+    proposal.
     """
 
     def __init__(self, exact: ExactPathSampler, rng: np.random.Generator):
@@ -359,8 +371,23 @@ class MetropolisPathSampler:
         partner = {p: terms[p].partner.tolist() for p in set(sched)}
         self._partner = [partner[p] for p in sched]
         self._n_eigs = [terms[p].n_eigs for p in sched]
+        # pending proposals, the next one last
+        self._redraws: list[list[int]] = []
+        self._anchor_moves: list[int] = []
         exact.log_z(PATTERN)  # build the messages apart from the first draw
-        self.eig: list[int] = exact.draw_path(rng, PATTERN)
+        self.eig: list[int] = self._next_redraw()
+
+    def _next_redraw(self) -> list[int]:
+        if not self._redraws:
+            cols = self.exact.draw_anchor_columns(self.rng, PROPOSAL_BLOCK)
+            self._redraws = self.exact.draw([self.rng], cols, PATTERN).tolist()[::-1]
+        return self._redraws.pop()
+
+    def _next_anchor(self) -> int:
+        if not self._anchor_moves:
+            cols = self.exact.draw_anchor_columns(self.rng, PROPOSAL_BLOCK)
+            self._anchor_moves = self.exact._anchors[cols].tolist()[::-1]
+        return self._anchor_moves.pop()
 
     def _neighbors_ok(self, pos: int, new_eig: int) -> bool:
         maps, eig = self._maps, self.eig
@@ -386,7 +413,7 @@ class MetropolisPathSampler:
             weight = 1.0
         else:
             pos = 0
-            new_eig = self.exact.draw_anchor(self.rng)
+            new_eig = self._next_anchor()
             weight = 2.0
         if new_eig == self.eig[pos]:
             return False
@@ -402,7 +429,7 @@ class MetropolisPathSampler:
 
     def _redraw_step(self) -> bool:
         """Independence proposal from the exact pattern-measure sampler."""
-        eig = self.exact.draw_path(self.rng, PATTERN)
+        eig = self._next_redraw()
         log_ratio = self.exact.log_z_anchor(eig[0]) - self.exact.log_z_anchor(self.eig[0])
         if log_ratio >= 0.0 or self.rng.random() < math.exp(log_ratio):
             self.eig = eig
@@ -424,13 +451,8 @@ class ExactPathSampler:
     per-anchor log partition functions are a byproduct: ``log_z(PATTERN)``
     gives log Z_a and ``log_z(MAGNITUDE)`` log Z^abs_a.  The messages of a
     measure are built the first time it is used; each draw takes the
-    caller's generators.
-
-    A single path (``draw_path``, the Metropolis redraw) walks tables: the
-    first time an anchor column is drawn under a measure, the normalized
-    cumulative candidate weights of every live eigenvector at every position
-    are built as Python tuples (``cdf_rows``), and each position is then one
-    ``bisect_right``.
+    caller's generators.  Exact runs and the Metropolis chain's proposals
+    both draw through ``draw_anchor_columns`` and ``draw``.
     """
 
     def __init__(self, space: PathSpace, clique_sampler=None):
@@ -442,9 +464,6 @@ class ExactPathSampler:
         # measure -> (weighted messages, log Z per anchor column, per-link
         # weight of each padded candidate of ``space.columns``)
         self._messages: dict[str, tuple[list, np.ndarray, list]] = {}
-        self._rows: dict[tuple[str, int], list] = {}  # (measure, anchor column) -> ``cdf_rows``
-        self._shared_maps: dict[tuple, dict] = {}  # one copy of each distinct position map
-        self._candidates: list | None = None  # per link, each eigenvector's candidates as lists
         self._anchor_log_z: dict[int, float] | None = None  # anchor state -> pattern-measure log Z_a
 
     def _prepare_messages(self, measure: str) -> None:
@@ -473,19 +492,15 @@ class ExactPathSampler:
             self._anchor_log_z = dict(zip(self.space.anchor_states, self.log_z(PATTERN).tolist()))
         return self._anchor_log_z[state]
 
-    def draw_anchor(self, rng: np.random.Generator) -> int:
-        """An anchor state, uniform over the anchor set."""
-        if self.clique_sampler is not None:
-            return self.clique_sampler(rng)
-        return self.space.anchor_states[rng.integers(len(self.space.anchor_states))]
-
     def draw_anchor_columns(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` anchor columns, uniform over the cliques, from the clique sampler's blocks."""
-        return self._column_of[self.clique_sampler(rng, count)]
+        """``count`` anchor columns, uniform over the anchors.
 
-    def draw_path(self, rng: np.random.Generator, measure: str) -> list[int]:
-        """One anchor, then one path from it: the path's eigenvector indices."""
-        return self._draw_one(rng, int(self._column_of[self.draw_anchor(rng)]), measure)
+        Drawn in blocks by the clique sampler, or without one as ``count``
+        uniform integers.
+        """
+        if self.clique_sampler is None:
+            return rng.integers(len(self.space.anchor_states), size=count)
+        return self._column_of[self.clique_sampler(rng, count)]
 
     def draw(self, rngs, cols, measure: str, signed: bool = False) -> np.ndarray:
         """One path per anchor column: a (len(cols), L-1) array of eigenvector indices.
@@ -494,7 +509,8 @@ class ExactPathSampler:
         normalized cumulative candidate weights exactly as
         ``rng.choice(len(c), p=w / total)`` searches them, so each path
         consumes the same uniforms and picks the same eigenvectors as that
-        scalar draw and as the table walk of ``draw_path``.
+        scalar draw.  A path's picks depend only on its own uniforms, so a
+        batch picks what one-path batches on the same uniforms would.
 
         ``rngs`` is a sequence of Generators that splits ``cols`` into equal
         consecutive shares, one per chain: at each position each generator
@@ -540,66 +556,6 @@ class ExactPathSampler:
         index, value = space.columns[space.length - 2]
         closing = np.where(index[last] == first[:, None], value[last], 0.0).sum(axis=1)
         return np.where(negative ^ (closing < 0.0), -1.0, 1.0)
-
-    def cdf_rows(self, measure: str, col: int) -> list:
-        """Per position i >= 1, each eigenvector e's normalized cumulative candidate weights.
-
-        ``cdf_rows(measure, col)[i]`` maps e to the row the batched ``draw``
-        searches when a path from anchor column ``col`` holds e at position
-        i - 1, from the same float operations (``_cdf``), as a tuple.  Rows
-        whose candidates' total is not positive are left out, so a path that
-        reaches one is at a dead end.  Built the first time the column is
-        drawn under ``measure``; columns whose rows at a position are equal
-        share that position's map.
-        """
-        key = (measure, col)
-        if key not in self._rows:
-            self._rows[key] = self._build_rows(measure, col)
-        return self._rows[key]
-
-    def _build_rows(self, measure: str, col: int) -> list:
-        weighted, _, coefs = self.messages(measure)
-        shared = self._shared_maps
-        rows: list = [None]  # position 0 is the anchor
-        for i in range(1, self.space.length - 1):
-            index = self.space.columns[i - 1][0]
-            cdf, live = _cdf(coefs[i - 1] * weighted[i][index, col])
-            key = (live.tobytes(), cdf[live].tobytes())
-            if key not in shared:
-                shared[key] = dict(zip(np.flatnonzero(live).tolist(), map(tuple, cdf[live].tolist())))
-            rows.append(shared[key])
-        return rows
-
-    def _candidate_lists(self) -> list:
-        """Per link, each eigenvector's candidates as lists.
-
-        Shared like the columns: one list per direction of a term pair.
-        """
-        if self._candidates is None:
-            lists = {}
-            for index, _ in self.space.columns:
-                if id(index) not in lists:
-                    lists[id(index)] = index.tolist()
-            self._candidates = [lists[id(index)] for index, _ in self.space.columns]
-        return self._candidates
-
-    def _draw_one(self, rng, col: int, measure: str) -> list[int]:
-        """One path from anchor column ``col``: its eigenvector indices.
-
-        Takes the path's L - 2 uniforms in one call, the values that one
-        call per position would give.
-        """
-        rows = self.cdf_rows(measure, col)
-        candidates = self._candidate_lists()
-        e = int(self._anchors[col])
-        eig = [e]
-        for i, u in enumerate(rng.random(self.space.length - 2).tolist(), 1):
-            row = rows[i].get(e)
-            if row is None:
-                raise RuntimeError(DEAD_END)
-            e = candidates[i - 1][e][bisect_right(row, u)]
-            eig.append(e)
-        return eig
 
 
 def _cdf(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -873,9 +873,8 @@ def scalar_pattern_draw(exact: ExactPathSampler, rng: np.random.Generator) -> li
     space = exact.space
     links = dense_links(space)
     weighted = exact.messages(PATTERN)[0]
-    anchor = exact.draw_anchor(rng)
-    col = space.anchor_states.index(anchor)
-    eig = [anchor] + [0] * (space.length - 2)
+    col = int(exact.draw_anchor_columns(rng, 1)[0])
+    eig = [space.anchor_states[col]] + [0] * (space.length - 2)
     for i in range(1, space.length - 1):
         cands = np.flatnonzero(links[i - 1][:, eig[i - 1]])
         weights = weighted[i][cands, col]

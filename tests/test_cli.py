@@ -115,7 +115,7 @@ class TestSubcommands:
     def test_sweep_csv(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, _, err = run_cli(
-            capsys, "sweep", "--family", "kpartite", "--k", "8", "--n", "8:32:4",
+            capsys, "sweep", "--k", "8", "--n", "8:32:4",
             "--out", str(out),
         )
         assert code == 0
@@ -125,6 +125,11 @@ class TestSubcommands:
         assert "skipping" in err
         ns = [int(line.split(",")[0]) for line in lines[1:]]
         assert ns == [16, 24, 32]
+
+    def test_sweep_has_no_family_option(self, capsys):
+        # the k-partite family is the only one, so there is nothing to choose
+        code, _, err = run_cli(capsys, "sweep", "--family", "kpartite", "--k", "8", "--n", "8:32:4")
+        assert code == 2 and "--family" in err
 
     def test_sweep_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -505,17 +510,36 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def _child_peaks(runs):
+    """(exit status, peak RSS in MiB) of each argv list of ``runs``, each run as a fresh CLI child."""
+    src = str(Path(bettiforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, json.dumps(runs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(map(float, line.split())) for line in proc.stdout.splitlines()]
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the children's peak RSS")
+def test_clique_draw_peak_memory_does_not_grow_with_samples(tmp_path):
+    # 4 cliques among C(64, 2) pairs: a block of subsets for 1600 anchors
+    # holds over 10^5 rows of 64 uniforms, drawn CLIQUE_CHUNK uniforms at a
+    # time, so 400 and 1600 samples peak within a few MB of each other
+    path = tmp_path / "c4_high.json"
+    path.write_text(json.dumps({"n": 64, "edges": [[60, 61], [60, 62], [61, 63], [62, 63]]}))
+    runs = [["dequantize", "--graph", str(path), "--k", "2", "--t", "1", "--slices", "1", "--samples", samples]
+            for samples in ("1600", "400")]
+    (code_big, peak_big), (code_small, peak_small) = _child_peaks(runs)
+    assert code_big == code_small == 0
+    assert abs(peak_big - peak_small) < 8, (peak_big, peak_small)
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the children's peak RSS")
 def test_dicke_peak_memory_does_not_grow_with_trials():
     # the Monte Carlo draws CHUNK_SEEDS seeds at a time, so 2 and 200000
     # trials peak within a few MB of each other
-    src = str(Path(bettiforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = [["simulate", "dicke", "--n", "32", "--k", "8", "--trials", trials] for trials in ("200000", "2")]
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, json.dumps(runs)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    (code_big, peak_big), (code_small, peak_small) = (map(float, line.split()) for line in proc.stdout.splitlines())
+    (code_big, peak_big), (code_small, peak_small) = _child_peaks(runs)
     assert code_big == code_small == 0
     assert abs(peak_big - peak_small) < 8, (peak_big, peak_small)
 
@@ -768,9 +792,9 @@ def test_perfbench_trace_targets_resolve():
         assert callable(owner), f"{module_name}.{attr}"
 
 
-def test_metropolis_runs_the_pattern_pass_twice(capsys, monkeypatch):
-    # the chains share one set of pattern messages, and log_partition, which
-    # the benchmark's tracer times, reads Z off one more pattern pass
+def test_metropolis_runs_the_pattern_pass_once(capsys, monkeypatch):
+    # the chains share one set of pattern messages, and Z is read off their
+    # per-anchor partition functions, with no second pass through log_partition
     from bettiforge.dequant.paths import PATTERN, PathSpace
 
     calls = {"log_partition": 0, "pattern_passes": 0}
@@ -789,7 +813,7 @@ def test_metropolis_runs_the_pattern_pass_twice(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "200", "--sampler", "mh",
                              "--burn-in", "10")
     assert code == 0 and json.loads(out)["config"]["chains"] == 4, err
-    assert calls == {"log_partition": 1, "pattern_passes": 2}
+    assert calls == {"log_partition": 0, "pattern_passes": 1}
 
 
 def test_exact_run_draws_every_chain_in_one_call(capsys, monkeypatch):
@@ -810,23 +834,35 @@ def test_exact_run_draws_every_chain_in_one_call(capsys, monkeypatch):
     assert calls == [200]
 
 
-def test_metropolis_builds_each_cdf_table_once(capsys, monkeypatch):
-    # the redraw move walks per-anchor tables, built the first time an
-    # anchor column is drawn and shared by every chain
-    from bettiforge.dequant.paths import ExactPathSampler
+def test_metropolis_draws_its_proposals_in_blocks(capsys, monkeypatch):
+    # the redraw and anchor proposals come PROPOSAL_BLOCK at a time from the
+    # batched path draw and the batched clique draw, never one at a time
+    from bettiforge.dequant import estimator
+    from bettiforge.dequant.paths import PROPOSAL_BLOCK, ExactPathSampler
 
-    built = []
-    build_rows = ExactPathSampler._build_rows
+    draws, clique_calls = [], []
+    draw, make_clique_sampler = ExactPathSampler.draw, estimator.make_clique_sampler
 
-    def count_build(self, measure, col):
-        built.append((measure, col))
-        return build_rows(self, measure, col)
+    def count_draw(self, rngs, cols, *args, **kwargs):
+        draws.append(len(cols))
+        return draw(self, rngs, cols, *args, **kwargs)
 
-    monkeypatch.setattr(ExactPathSampler, "_build_rows", count_build)
+    def count_clique_sampler(*args):
+        clique_draw, counters = make_clique_sampler(*args)
+
+        def counted(rng, *rest):
+            clique_calls.append(rest)
+            return clique_draw(rng, *rest)
+
+        return counted, counters
+
+    monkeypatch.setattr(ExactPathSampler, "draw", count_draw)
+    monkeypatch.setattr(estimator, "make_clique_sampler", count_clique_sampler)
     code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "200", "--sampler", "mh",
                              "--burn-in", "10")
     assert code == 0 and json.loads(out)["config"]["chains"] == 4, err
-    assert built and len(built) == len(set(built))
+    assert draws and set(draws) == {PROPOSAL_BLOCK}
+    assert len(clique_calls) > len(draws) and set(clique_calls) == {(PROPOSAL_BLOCK,)}
 
 
 def test_betti_builds_one_clique_complex(capsys, monkeypatch):

@@ -612,12 +612,13 @@ class TestDrawRoutine:
             exact = ExactPathSampler(space)
             rng_batch, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(25):
-                assert exact.draw_path(rng_batch, PATTERN) == scalar_pattern_draw(exact, rng_scalar)
+                path = exact.draw([rng_batch], exact.draw_anchor_columns(rng_batch, 1), PATTERN)[0]
+                assert path.tolist() == scalar_pattern_draw(exact, rng_scalar)
             assert rng_batch.random() == rng_scalar.random()
 
     @pytest.mark.parametrize("measure", [PATTERN, MAGNITUDE])
     def test_batch_matches_single_paths_on_the_same_uniforms(self, measure):
-        # a batch takes its uniforms position by position, a single path
+        # a batch takes its uniforms position by position, a one-path batch
         # takes its own column of them; both must pick the same eigenvectors
         for seed, (g, k, t, r_t) in enumerate(_draw_cases()):
             _, space = _space(g, k, t, r_t)
@@ -627,15 +628,15 @@ class TestDrawRoutine:
             uniforms = rng.random((space.length - 2, cols.size))
             batch = exact.draw([_Replay(uniforms.ravel())], cols, measure)
             for b, col in enumerate(cols):
-                assert batch[b].tolist() == exact._draw_one(_Replay(uniforms[:, b]), int(col), measure)
+                assert batch[b].tolist() == exact.draw([_Replay(uniforms[:, b])], [col], measure)[0].tolist()
 
     @pytest.mark.parametrize("measure", [PATTERN, MAGNITUDE])
     def test_zeroed_message_column_dead_ends_both_ways(self, measure):
-        # one anchor column with no completions from a middle position: the
-        # single-path table walk and the merged batch raise the same dead end
+        # one anchor column with no completions from a middle position: a
+        # one-path batch and a merged batch raise the same dead end
         _, space = _space(gen_kpartite(2, 3), 3, 1.0, 2)
         draws = (
-            lambda exact, col: exact._draw_one(np.random.default_rng(0), col, measure),
+            lambda exact, col: exact.draw([np.random.default_rng(0)], [col], measure),
             lambda exact, col: exact.draw([np.random.default_rng(0), np.random.default_rng(1)], [0, col, 1, col], measure),
         )
         raised = []
@@ -1026,7 +1027,7 @@ class TestEstimator:
         rng = np.random.default_rng(0)
         n_anchor = len(space.anchor_states)
         for _ in range(100):
-            snap = space.snapshot(sampler.draw_path(rng, PATTERN))
+            snap = space.snapshot(sampler.draw([rng], sampler.draw_anchor_columns(rng, 1), PATTERN)[0].tolist())
             z_a = math.exp(sampler.log_z_anchor(snap.anchor_state))
             e_q = n_anchor * z_a / op.d_k * snap.weight  # exponent factors ~ 1
             full = (
