@@ -3,7 +3,9 @@
 Implements the randomized trace estimation: draw a starting weight-k clique
 by rejection from the uniform weight-k strings, draw a closed eigenvector
 path, and average its value (see ``paths`` for the two path measures).
-Cliques are drawn in blocks, by one batched rejection sampler.
+Cliques are drawn in blocks, by one batched rejection sampler.  Paths run on
+the decomposition restricted to the weight-k sector, where each clique's
+sector position is its anchor; both samplers share that one path space.
 
   * ``sampler="exact"`` draws each chain's anchors in blocks from the
     chain's generator, then every chain's paths exactly from the magnitude
@@ -34,6 +36,7 @@ from .operators import (
     PenalizedOperator,
     one_sparse_decompose,
     penalized_operator,
+    restrict,
 )
 from .paths import MAGNITUDE, PATTERN, ExactPathSampler, MetropolisPathSampler, PathSpace, log_sum_exp
 
@@ -75,19 +78,19 @@ CLIQUE_CHUNK = 1 << 16  # uniforms drawn and sorted at a time by the clique samp
 def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
     """Batched rejection sampler for uniform weight-k cliques, with try accounting.
 
-    ``draw(rng, count)`` returns the basis indices of ``count`` uniform
-    cliques.  It draws uniform k-subsets of the vertices in blocks sized
-    from the acceptance rate (a row of uniforms per subset, its k smallest
-    entries name the vertices) and keeps those that are cliques, looked up
-    among the sorted weight-k clique masks, until it has ``count``.  A block
+    ``draw(rng, count)`` returns the positions of ``count`` uniform cliques
+    among the ascending weight-k clique masks, which are the sector's basis
+    states and so its anchors.  It draws uniform k-subsets of the vertices
+    in blocks sized from the acceptance rate (a row of uniforms per subset,
+    its k smallest entries name the vertices) and keeps those that are
+    cliques, looked up among the masks, until it has ``count``.  A block
     is drawn and sorted in chunks of about ``CLIQUE_CHUNK`` uniforms, and
     every chunk of it is drawn, so the stream and the counts do not depend
     on the chunk size.  Every drawn subset is counted, so the acceptance
     frequency estimates |Cl_k| / C(n, k).
     """
-    cliques = basis.weight_k_clique_indices
-    masks = basis.states[cliques]
-    accept_rate = cliques.size / math.comb(g.n, k)
+    masks = basis.states[basis.weight_k_clique_indices]
+    accept_rate = masks.size / math.comb(g.n, k)
     chunk_rows = max(1, CLIQUE_CHUNK // g.n)
     counters = {"draws": 0, "accepts": 0}
 
@@ -101,10 +104,10 @@ def make_clique_sampler(g: Graph, k: int, basis) -> tuple:
                 verts = np.argsort(rng.random((min(rows, chunk_rows), g.n)), axis=1)[:, :k]
                 drawn = np.left_shift(np.uint64(1), verts.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
                 at = np.searchsorted(masks, drawn)
-                states = cliques[at[masks.take(at, mode="clip") == drawn]]
-                counters["accepts"] += states.size
-                take = min(states.size, count - filled)
-                out[filled : filled + take] = states[:take]
+                found = at[masks.take(at, mode="clip") == drawn]
+                counters["accepts"] += found.size
+                take = min(found.size, count - filled)
+                out[filled : filled + take] = found[:take]
                 filled += take
         return out
 
@@ -171,7 +174,7 @@ def estimate_from_operator(
     cfg: PIMCConfig,
 ) -> DequantResult:
     anchors = op.basis.weight_k_clique_indices
-    space = PathSpace(decomp, cfg.t, cfg.r_t, anchors)
+    space = PathSpace(restrict(decomp, anchors), cfg.t, cfg.r_t)
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)
 

@@ -12,12 +12,15 @@ never leaves them: the operator is B_G^2 on the Dirac basis alone
 decomposition only as one more distinct diagonal value, the ghost value
 gamma_pen.  It is there when those weights hold a non-clique state, that is
 when the binomials C(n, s), s = max(k-1, 1) .. k+1, sum past the Dirac
-dimension.  B_G^2 has the nonzero spectrum of the Laplacian L_k, so gamma_min
-and the top are the gap and top of ``homology.spectrum``; gamma_pen is
-gamma_min, or 1 when L_k has no nonzero mode.  The weight-k kernel has
-dimension beta_{k-1}, and every nonzero eigenvalue is at least gamma_min.
-Limits: the dense cap of ``homology``, ``graphs.MAX_VERTICES`` and the
-message budget of ``paths``; past each a ``DeskScaleError`` names the size.
+dimension.  B_G^2 = blockdiag(d d^T, L_k, d^T d) keeps each weight too, so
+``restrict`` cuts the decomposition down to the weight-k clique states: the
+sector the paths run on, whose every basis state is an anchor.  B_G^2 has
+the nonzero spectrum of the Laplacian L_k, so gamma_min and the top are the
+gap and top of ``homology.spectrum``; gamma_pen is gamma_min, or 1 when L_k
+has no nonzero mode.  The weight-k kernel has dimension beta_{k-1}, and
+every nonzero eigenvalue is at least gamma_min.  Limits: the dense cap of
+``homology``, ``graphs.MAX_VERTICES`` and the message budget of ``paths``;
+past each a ``DeskScaleError`` names the size.
 
 The decomposition H = sum_p c_p H_p uses terms of two shapes, both one-sparse
 Hermitian with eigenvalues +-c_p on their support:
@@ -246,3 +249,29 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
     # diagonal terms first so the path anchor is a computational basis state
     terms.sort(key=lambda t: {"reflection": 0, "identity": 1, "matching": 2}[t.kind])
     return OneSparseDecomposition(dim, tuple(terms), audit)
+
+
+def restrict(decomp: OneSparseDecomposition, states) -> OneSparseDecomposition:
+    """The decomposition on the ascending basis indices ``states`` alone.
+
+    Each term keeps its eigenvectors supported in ``states``, in order, with
+    basis states, eigenvectors and partners renumbered onto the kept ones.
+    Kinds, coefficients and the audit stay, so D and the schedule do not
+    change.  An eigenvector with one support state inside and one outside
+    raises ``ValueError``: such a term does not leave the states invariant.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    new_state = np.full(decomp.dim, -1, dtype=np.int64)
+    new_state[states] = np.arange(states.size)
+    terms = []
+    for term in decomp.terms:
+        paired = term.sup2 >= 0
+        sup1, sup2 = new_state[term.sup1], np.where(paired, new_state[term.sup2], -1)
+        keep = sup1 >= 0
+        if np.any(paired & (keep != (sup2 >= 0))):
+            raise ValueError(f"a {term.kind} eigenvector straddles the restricted states")
+        new_eig = np.cumsum(keep) - 1
+        partner = term.partner[keep]
+        terms.append(OneSparseTerm(term.coeff, term.kind, term.lam[keep], sup1[keep], sup2[keep], term.amp1[keep],
+                                   term.amp2[keep], np.where(partner >= 0, new_eig[partner], -1)))
+    return OneSparseDecomposition(states.size, tuple(terms), decomp.bound_audit)

@@ -4,8 +4,10 @@ A path visits one eigenvector of each scheduled one-sparse term.  With L =
 2 * r_T * D_sched steps per closed loop, positions 0..L-2 are free and the
 closing position reuses position 0 (the symmetric ordering makes the first
 and last scheduled terms identical).  Position 0 ("the anchor") is pinned to
-a computational basis state of the first term, drawn from the weight-k clique
-set, which makes the restricted-trace closure exact.
+a computational basis state of the first term, which makes the
+restricted-trace closure exact.  The estimator runs paths on the weight-k
+sector (``operators.restrict``), so every basis state is an anchor, and an
+anchor's state, eigenvector and message column are one number.
 
 A path is valid when every consecutive overlap (including the closing one)
 is nonzero.  With beta = t/r, W the product of the 2 r D - 1 consecutive
@@ -137,7 +139,7 @@ SIGNED = "signed"
 
 DEAD_END = "dead end during exact sampling (inconsistent messages)"
 
-MESSAGE_BUDGET = 1 << 30  # bytes of one measure's messages, (L-2) x dim x |anchors| floats
+MESSAGE_BUDGET = 1 << 30  # bytes of one measure's messages, (L-2) x dimension^2 floats
 
 
 @dataclass(frozen=True)
@@ -172,18 +174,12 @@ class PathSpace:
     row e lists the eigenvectors f at position i + 1 that overlap
     eigenvector e at position i.  Each distinct pair of adjacent terms is
     joined once for both directions, so every link of one direction shares
-    one pair of arrays of at most 4 entries per eigenvector.  The first
-    scheduled term is diagonal, so the anchor's eigenvector index is its
-    basis state.
+    one pair of arrays of at most 4 entries per eigenvector.  Every basis
+    state of ``decomp`` is an anchor; the first scheduled term is diagonal,
+    so an anchor's eigenvector index and message column are its basis state.
     """
 
-    def __init__(
-        self,
-        decomp: OneSparseDecomposition,
-        t: float,
-        r_t: int,
-        anchor_states,
-    ):
+    def __init__(self, decomp: OneSparseDecomposition, t: float, r_t: int):
         if t < 0:
             raise ValueError("imaginary time must be nonnegative")
         self.decomp = decomp
@@ -191,12 +187,7 @@ class PathSpace:
         self.r_t = int(r_t)
         self.schedule, self.scalar_shift = build_schedule(decomp, r_t)
         self.length = len(self.schedule)  # 2 r D_sched
-        self.anchor_states = tuple(int(a) for a in anchor_states)
-        if not self.anchor_states:
-            raise ValueError("empty anchor set")
         self.terms = decomp.terms
-        if not all(0 <= a < decomp.dim for a in self.anchor_states):
-            raise ValueError("anchor states must be basis states of the operator")
         # (p, q) -> overlap columns from term p's eigenvectors to term q's
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.columns: list[tuple[np.ndarray, np.ndarray]] = []
@@ -265,15 +256,15 @@ class PathSpace:
             return log_sum_exp(np.log(start) + log_scale)
 
     def backward_pass(self, kind: str) -> tuple[list, list, np.ndarray, np.ndarray]:
-        """Backward messages of one path weight, per anchor column.
+        """Backward messages of one path weight, one column per anchor.
 
         ``kind`` is PATTERN ([valid] exp(-beta E)), MAGNITUDE (|W| exp(-beta
         E / 2)) or SIGNED (W exp(-beta E / 2)).  Returns ``weighted``, where
         ``weighted[i][f, col]`` is the weight of eigenvector f at position i
-        (its damping times the completions from there back to anchor column
-        col); ``coefs``, the weight of each padded candidate of
-        ``columns[i]``; and per anchor column the start value and log scale:
-        the anchor's summed weight is ``start * exp(log_scale)``.  Each
+        (its damping times the completions from there back to anchor col);
+        ``coefs``, the weight of each padded candidate of ``columns[i]``;
+        and per anchor the start value and log scale: the anchor's summed
+        weight is ``start * exp(log_scale)``.  Each
         column of the messages is rescaled by its largest magnitude at every
         position.  Only the two measures are drawn from, so the signed pass
         keeps no messages (``weighted`` is then all None); a measure whose
@@ -287,34 +278,32 @@ class PathSpace:
         }[kind]
         rate = self.t / self.r_t if kind == PATTERN else 0.5 * self.t / self.r_t
         sched = self.schedule
-        last = self.length - 2
-        size = 8 * last * self.decomp.dim * len(self.anchor_states)
+        last, dim = self.length - 2, self.decomp.dim
+        size = 8 * last * dim * dim
         if kind != SIGNED and size > MESSAGE_BUDGET:
-            raise DeskScaleError(f"path messages need {size} bytes ({last} positions x dimension {self.decomp.dim}"
-                                 f" x {len(self.anchor_states)} anchors); the budget is {MESSAGE_BUDGET} bytes")
-        anchors = np.array(self.anchor_states)
-        cols = np.arange(anchors.size)
+            raise DeskScaleError(f"path messages need {size} bytes ({last} positions x dimension {dim} squared);"
+                                 f" the budget is {MESSAGE_BUDGET} bytes")
         # the closing link's row of each anchor: its nonzero columns at the last position, ascending
         index, value = self._pairs[sched[0], sched[last]]
-        m = np.zeros((self.terms[sched[last]].n_eigs, anchors.size))
-        np.add.at(m, (index[anchors], cols[:, None]), value[anchors])  # padding adds 0.0
+        m = np.zeros((self.terms[sched[last]].n_eigs, dim))
+        np.add.at(m, (index, np.arange(dim)[:, None]), value)  # padding adds 0.0
         m = weigh(m)
         coefs = [weigh(value) for _, value in self.columns[:last]]
-        log_scale = np.zeros(anchors.size)
+        log_scale = np.zeros(dim)
         weighted: list = [None] * (last + 1)
         for i in range(last, 0, -1):
             damped = np.exp(-rate * self.terms[sched[i]].lam)[:, None] * m
             if kind != SIGNED:
                 weighted[i] = damped
             index = self.columns[i - 1][0]
-            m = np.zeros((index.shape[0], anchors.size))
+            m = np.zeros((index.shape[0], dim))
             for j in range(index.shape[1]):
                 m += coefs[i - 1][:, j, None] * damped[index[:, j]]
             peak = np.abs(m).max(axis=0)
             scale = np.where(peak > 0, peak, 1.0)
             m /= scale
             log_scale += np.log(scale)
-        start = np.exp(-2.0 * rate * self.terms[sched[0]].lam[anchors]) * m[anchors, cols]
+        start = np.exp(-2.0 * rate * self.terms[sched[0]].lam) * m.diagonal()
         return weighted, coefs, start, log_scale
 
     def restricted_trace(self) -> float:
@@ -341,7 +330,7 @@ class MetropolisPathSampler:
       * sign flip: swap one middle eigenvector for its opposite-sign partner;
       * block flip: redraw one middle eigenvector uniformly over its term,
         allowing the chain to change which two-dimensional block it traverses;
-      * anchor move: propose an anchor uniform over the anchor set.
+      * anchor move: propose an anchor uniform over the anchors.
 
     Local moves alone are not irreducible: the anchor is wedged between
     diagonal-term positions that must hold the same basis state, so anchor
@@ -353,9 +342,10 @@ class MetropolisPathSampler:
     Neither the redraw nor the anchor proposal depends on the chain's state
     (an independence proposal), so both come from lists that refill
     ``PROPOSAL_BLOCK`` at a time from the chain's generator: a block of
-    anchor columns (``draw_anchor_columns``), then for redraws one batched
-    ``draw`` of a path from each.  The chain starts from its first redraw
-    proposal.
+    anchors (``draw_anchor_columns``), then for redraws one batched ``draw``
+    of a path from each.  The chain starts from its first redraw proposal.
+    The redraw's acceptance reads ``log_z(PATTERN)`` as a list indexed by
+    anchor.
     """
 
     def __init__(self, exact: ExactPathSampler, rng: np.random.Generator):
@@ -374,7 +364,7 @@ class MetropolisPathSampler:
         # pending proposals, the next one last
         self._redraws: list[list[int]] = []
         self._anchor_moves: list[int] = []
-        exact.log_z(PATTERN)  # build the messages apart from the first draw
+        self._log_z = exact.log_z(PATTERN).tolist()  # builds the messages apart from the first draw
         self.eig: list[int] = self._next_redraw()
 
     def _next_redraw(self) -> list[int]:
@@ -385,8 +375,7 @@ class MetropolisPathSampler:
 
     def _next_anchor(self) -> int:
         if not self._anchor_moves:
-            cols = self.exact.draw_anchor_columns(self.rng, PROPOSAL_BLOCK)
-            self._anchor_moves = self.exact._anchors[cols].tolist()[::-1]
+            self._anchor_moves = self.exact.draw_anchor_columns(self.rng, PROPOSAL_BLOCK).tolist()[::-1]
         return self._anchor_moves.pop()
 
     def _neighbors_ok(self, pos: int, new_eig: int) -> bool:
@@ -430,7 +419,7 @@ class MetropolisPathSampler:
     def _redraw_step(self) -> bool:
         """Independence proposal from the exact pattern-measure sampler."""
         eig = self._next_redraw()
-        log_ratio = self.exact.log_z_anchor(eig[0]) - self.exact.log_z_anchor(self.eig[0])
+        log_ratio = self._log_z[eig[0]] - self._log_z[self.eig[0]]
         if log_ratio >= 0.0 or self.rng.random() < math.exp(log_ratio):
             self.eig = eig
             self.accepted += 1
@@ -458,13 +447,9 @@ class ExactPathSampler:
     def __init__(self, space: PathSpace, clique_sampler=None):
         self.space = space
         self.clique_sampler = clique_sampler
-        self._anchors = np.array(space.anchor_states, dtype=np.int64)
-        self._column_of = np.full(space.decomp.dim, -1, dtype=np.int64)
-        self._column_of[self._anchors] = np.arange(self._anchors.size)
-        # measure -> (weighted messages, log Z per anchor column, per-link
-        # weight of each padded candidate of ``space.columns``)
+        # measure -> (weighted messages, log Z per anchor, per-link weight
+        # of each padded candidate of ``space.columns``)
         self._messages: dict[str, tuple[list, np.ndarray, list]] = {}
-        self._anchor_log_z: dict[int, float] | None = None  # anchor state -> pattern-measure log Z_a
 
     def _prepare_messages(self, measure: str) -> None:
         if measure not in (PATTERN, MAGNITUDE):
@@ -474,7 +459,7 @@ class ExactPathSampler:
             self._messages[measure] = (weighted, np.log(start) + log_scale, coefs)
 
     def messages(self, measure: str) -> tuple[list, np.ndarray, list]:
-        """(weighted messages, log Z per anchor column, candidate weights) of ``measure``.
+        """(weighted messages, log Z per anchor, candidate weights) of ``measure``.
 
         Built the first time the measure is used.
         """
@@ -483,27 +468,21 @@ class ExactPathSampler:
         return self._messages[measure]
 
     def log_z(self, measure: str) -> np.ndarray:
-        """Log partition function of each anchor column under ``measure``."""
+        """Log partition function of each anchor under ``measure``."""
         return self.messages(measure)[1]
 
-    def log_z_anchor(self, state: int) -> float:
-        """Pattern-measure log Z of one anchor state."""
-        if self._anchor_log_z is None:
-            self._anchor_log_z = dict(zip(self.space.anchor_states, self.log_z(PATTERN).tolist()))
-        return self._anchor_log_z[state]
-
     def draw_anchor_columns(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` anchor columns, uniform over the anchors.
+        """``count`` anchors, uniform over the basis states.
 
-        Drawn in blocks by the clique sampler, or without one as ``count``
-        uniform integers.
+        Drawn in blocks by the clique sampler, whose sector positions are
+        the anchors, or without one as ``count`` uniform integers.
         """
         if self.clique_sampler is None:
-            return rng.integers(len(self.space.anchor_states), size=count)
-        return self._column_of[self.clique_sampler(rng, count)]
+            return rng.integers(self.space.decomp.dim, size=count)
+        return self.clique_sampler(rng, count)
 
     def draw(self, rngs, cols, measure: str, signed: bool = False) -> np.ndarray:
-        """One path per anchor column: a (len(cols), L-1) array of eigenvector indices.
+        """One path per anchor of ``cols``: a (len(cols), L-1) array of eigenvector indices.
 
         Each position takes one uniform per path, searched against the
         normalized cumulative candidate weights exactly as
@@ -528,7 +507,7 @@ class ExactPathSampler:
         share, rest = divmod(cols.size, len(rngs))
         if rest:
             raise ValueError("the generators must split the anchor columns into equal shares")
-        first = last = self._anchors[cols]
+        first = last = cols
         eig = [first]
         negative = np.zeros(cols.size, dtype=bool)
         for i in range(1, space.length - 1):
@@ -536,7 +515,7 @@ class ExactPathSampler:
             # each candidate's message entry in its path's column, read
             # through one flat index so that no broadcast index is built
             at = index[last]
-            at *= len(space.anchor_states)
+            at *= space.decomp.dim
             at += cols[:, None]
             weights = weighted[i].take(at)
             del at

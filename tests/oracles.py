@@ -47,6 +47,7 @@ from bettiforge.dequant.operators import (
     PenalizedOperator,
     one_sparse_decompose,
     penalized_operator,
+    restrict,
 )
 from bettiforge.dequant.paths import (
     MAGNITUDE,
@@ -677,16 +678,19 @@ def dense_path_signs(links: list[np.ndarray], eig: np.ndarray) -> np.ndarray:
 
 
 def dense_closing_rows(space: PathSpace, links: list[np.ndarray]) -> np.ndarray:
-    """The closing link's anchor rows, transposed: [e, col] is the overlap of e with anchor col."""
-    return np.ascontiguousarray(links[-1][np.array(space.anchor_states), :].T)
+    """The closing link's anchor rows, transposed: [e, a] is the overlap of e with anchor a."""
+    return np.ascontiguousarray(links[-1].T)
 
 
-def dense_log_partition(space: PathSpace, links: list[np.ndarray]) -> float:
-    """Log Z of the pattern measure by dense products of each link's nonzero pattern."""
+def dense_log_partition(space: PathSpace, links: list[np.ndarray], anchors=None) -> float:
+    """Log Z of the pattern measure over ``anchors`` (every basis state by default), by dense products.
+
+    Each link contributes the product with its nonzero pattern.
+    """
     beta = space.t / space.r_t
     sched = space.schedule
     first = space.terms[sched[0]]
-    anchors = np.array(space.anchor_states)
+    anchors = np.arange(space.decomp.dim) if anchors is None else np.asarray(anchors)
     vec = np.zeros((first.n_eigs, anchors.size))
     vec[anchors, np.arange(anchors.size)] = 1.0
     w1 = np.exp(-2.0 * beta * first.lam[anchors])
@@ -701,7 +705,7 @@ def dense_log_partition(space: PathSpace, links: list[np.ndarray]) -> float:
         log_scale += math.log(peak)
     close = np.ascontiguousarray(links[-1] != 0.0)
     total = 0.0
-    for col, a in enumerate(space.anchor_states):
+    for col, a in enumerate(anchors.tolist()):
         total += w1[col] * float(close[a, :] @ vec[:, col])
     if total <= 0.0:
         return -math.inf
@@ -737,8 +741,7 @@ def dense_backward_pass(space: PathSpace, links: list[np.ndarray], kind: str) ->
         scale = np.where(peak > 0, peak, 1.0)
         m /= scale
         log_scale += np.log(scale)
-    anchors = np.array(space.anchor_states)
-    start = np.exp(-2.0 * rate * space.terms[sched[0]].lam[anchors]) * m[anchors, np.arange(anchors.size)]
+    start = np.exp(-2.0 * rate * space.terms[sched[0]].lam) * m.diagonal()
     return weighted, start, log_scale
 
 
@@ -761,7 +764,7 @@ def enumerate_paths(space: PathSpace, max_paths: int = 1 << 14) -> list[PathSamp
             eig[pos] = int(f)
             rec(pos + 1)
 
-    for a in space.anchor_states:
+    for a in range(space.decomp.dim):
         eig[0] = a
         rec(1)
     return out
@@ -776,7 +779,7 @@ def exhaustive_check(
     restricted trace, and the matrix-product value it must equal.
     """
     anchors = op.basis.weight_k_clique_indices
-    space = PathSpace(decomp, t, r_t, anchors)
+    space = PathSpace(restrict(decomp, anchors), t, r_t)
     paths = enumerate_paths(space, max_paths=max_paths)
     beta = t / r_t
     z = 0.0
@@ -843,18 +846,9 @@ def stationary_log_prob(path: PathSample, t: float, r_t: int) -> float:
     return -(t / r_t) * path.energy
 
 
-def mh_chain(
-    decomp,
-    t: float,
-    r_t: int,
-    steps: int,
-    seed: int,
-    anchor_states=None,
-) -> list[PathSample]:
-    """Run a Metropolis chain and return one PathSample snapshot per step."""
-    if anchor_states is None:
-        anchor_states = range(decomp.dim)
-    space = PathSpace(decomp, t, r_t, anchor_states)
+def mh_chain(decomp, t: float, r_t: int, steps: int, seed: int) -> list[PathSample]:
+    """Run a Metropolis chain anchored on every basis state; one PathSample snapshot per step."""
+    space = PathSpace(decomp, t, r_t)
     sampler = MetropolisPathSampler(ExactPathSampler(space), np.random.default_rng(seed))
     out = []
     for _ in range(steps):
@@ -874,7 +868,7 @@ def scalar_pattern_draw(exact: ExactPathSampler, rng: np.random.Generator) -> li
     links = dense_links(space)
     weighted = exact.messages(PATTERN)[0]
     col = int(exact.draw_anchor_columns(rng, 1)[0])
-    eig = [space.anchor_states[col]] + [0] * (space.length - 2)
+    eig = [col] + [0] * (space.length - 2)
     for i in range(1, space.length - 1):
         cands = np.flatnonzero(links[i - 1][:, eig[i - 1]])
         weights = weighted[i][cands, col]
@@ -897,7 +891,7 @@ def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult
     op = penalized_operator(g, k)
     decomp = one_sparse_decompose(op.matrix, op.ghost)
     anchors = op.basis.weight_k_clique_indices
-    space = PathSpace(decomp, cfg.t, cfg.r_t, anchors)
+    space = PathSpace(restrict(decomp, anchors), cfg.t, cfg.r_t)
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)
     log_z = exact.log_z(MAGNITUDE)
@@ -912,7 +906,7 @@ def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult
     for chain in range(cfg.chains):
         rng = np.random.default_rng((cfg.seed, chain))
         cols = exact.draw_anchor_columns(rng, per_chain)
-        first = prev = np.array(space.anchor_states)[cols]
+        first = prev = cols
         negative = np.zeros(per_chain, dtype=bool)
         for i in range(1, space.length - 1):
             index, value = space.columns[i - 1]

@@ -27,8 +27,8 @@ from bettiforge import homology
 from bettiforge import resources
 from bettiforge.qsim import dicke, filters, kaiser, walkenc
 from bettiforge.dequant import estimator as deq
-from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
-from bettiforge.dequant.paths import ExactPathSampler, PathSpace
+from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator, restrict
+from bettiforge.dequant.paths import PATTERN, ExactPathSampler, PathSpace
 from oracles import (
     amplitude_estimate_trials,
     asymptotic_tail_bound,
@@ -276,16 +276,16 @@ def test_criterion_08_dequantizer():
             failures.append("exhaustive path sum not equal to restricted trace")
         # (c) detailed balance of the Metropolis redraw move (pattern measure)
         # on 100 random pairs
-        space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
         paths = enumerate_paths(space)
-        exact = ExactPathSampler(space)
+        log_z = ExactPathSampler(space).log_z(PATTERN)
         rng = np.random.default_rng(1)
         for _ in range(100):
             a = paths[rng.integers(len(paths))]
             b = paths[rng.integers(len(paths))]
             pa, pb = math.exp(-a.energy), math.exp(-b.energy)
-            za = math.exp(exact.log_z_anchor(a.anchor_state))
-            zb = math.exp(exact.log_z_anchor(b.anchor_state))
+            za = math.exp(log_z[a.anchor_state])
+            zb = math.exp(log_z[b.anchor_state])
             lhs = pa * (pb / zb) * min(1.0, zb / za)
             rhs = pb * (pa / za) * min(1.0, za / zb)
             if not math.isclose(lhs, rhs, rel_tol=1e-12):

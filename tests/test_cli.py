@@ -544,6 +544,16 @@ def test_dicke_peak_memory_does_not_grow_with_trials():
     assert abs(peak_big - peak_small) < 8, (peak_big, peak_small)
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the children's peak RSS")
+def test_dequantize_messages_span_the_weight_k_sector_only():
+    # K(2,8) at k = 3 has 1680 Dirac states, of which 448 are 3-cliques; its
+    # 92 positions of messages over the whole Dirac dimension alone take over
+    # 500 MB per measure, over the sector 148 MB
+    [(code, peak)] = _child_peaks([["dequantize", "--gen", "kpartite:2,8", "--k", "3", "--t", "1", "--slices", "1",
+                                    "--samples", "2000"]])
+    assert code == 0 and peak < 300, peak
+
+
 class TestParserReuse:
     BETTI = ["betti", "--gen", "er:12,0.6", "--seed", "2", "--k", "2"]
 

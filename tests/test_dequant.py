@@ -13,6 +13,7 @@ from bettiforge.dequant.estimator import PIMCConfig, estimate_from_operator, est
 from bettiforge.dequant.operators import (
     one_sparse_decompose,
     penalized_operator,
+    restrict,
 )
 from bettiforge.dequant.paths import (
     MAGNITUDE,
@@ -114,8 +115,8 @@ class TestPenalizedOperator:
         g = gen_kpartite(2, 3)
         op = penalized_operator(g, 2)
         anchors = op.basis.weight_k_clique_indices
-        space = PathSpace(one_sparse_decompose(op.matrix, op.ghost), 1.0, 1, anchors)
-        size = (space.length - 2) * op.basis.states.size * anchors.size * 8
+        space = PathSpace(restrict(one_sparse_decompose(op.matrix, op.ghost), anchors), 1.0, 1)
+        size = (space.length - 2) * anchors.size**2 * 8
         entered = []
         backward_pass = PathSpace.backward_pass
         monkeypatch.setattr(paths, "MESSAGE_BUDGET", size - 1)
@@ -273,7 +274,7 @@ class TestPathMachinery:
     def test_expectation_of_estimator_is_restricted_trace(self, k22):
         # E[E_q] under the thermal law: sum Pr * E_q == trace / d_k, exactly
         _, op, decomp = k22
-        space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
         paths = enumerate_paths(space)
         beta = 1.0
         z = sum(math.exp(-beta * p.energy) for p in paths)
@@ -297,7 +298,7 @@ class TestPathMachinery:
         kinds = {t.kind for t in decomp.terms}
         assert kinds == {"identity", "reflection", "matching"}
         t, r_t = 0.8, 1
-        space = PathSpace(decomp, t, r_t, anchor_states=(0, 1))
+        space = PathSpace(decomp, t, r_t)
         # the uniform half of the diagonal is factored out as a scalar; the
         # scheduled loop is [reflection, matching, matching, reflection] and
         # its partition function takes the cosh product form
@@ -308,8 +309,8 @@ class TestPathMachinery:
 
     def test_endpoint_closure_enforced(self, k22):
         _, op, decomp = k22
-        space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
-        first = decomp.terms[space.schedule[0]]
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
+        first = space.terms[space.schedule[0]]
         for p in enumerate_paths(space):
             # the loop closes on the anchor eigenvector by construction, and
             # the closing overlap is nonzero for every enumerated path
@@ -319,7 +320,7 @@ class TestPathMachinery:
 
     def test_stationary_log_prob(self, k22):
         _, op, decomp = k22
-        space = PathSpace(decomp, 1.0, 1, op.basis.weight_k_clique_indices)
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
         p = enumerate_paths(space)[0]
         assert stationary_log_prob(p, 1.0, 1) == pytest.approx(-p.energy)
         bad = p.__class__(p.eig_indices, p.anchor_state, p.energy, 0.0, -math.inf, False)
@@ -330,7 +331,7 @@ class TestPathMachinery:
         decomp = one_sparse_decompose(mat)
         # no diagonal part at all: paths cannot anchor on basis states
         with pytest.raises(ValueError):
-            PathSpace(decomp, 1.0, 1, anchor_states=(0,))
+            PathSpace(decomp, 1.0, 1)
 
 
 def test_matching_terms_match_the_element_loops():
@@ -394,23 +395,25 @@ class TestPartitionConsistency:
     """
 
     @staticmethod
-    def _three_ways(decomp, t, r_t, anchors, max_paths=1 << 14):
-        space = PathSpace(decomp, t, r_t, anchors)
+    def _three_ways(decomp, t, r_t, anchors=None, max_paths=1 << 14):
+        # the anchors are columns of the space on every basis state of decomp
+        space = PathSpace(decomp, t, r_t)
+        anchors = list(range(decomp.dim)) if anchors is None else [int(a) for a in anchors]
         beta = t / r_t
-        paths = enumerate_paths(space, max_paths)
+        paths = [p for p in enumerate_paths(space, max_paths) if p.anchor_state in anchors]
         z = sum(math.exp(-beta * p.energy) for p in paths)
         log_z_enum = math.log(z) if z > 0 else -math.inf
         exact = ExactPathSampler(space)
-        log_z_msgs = float(logsumexp(exact.log_z(PATTERN)))
+        log_z_msgs = float(logsumexp(exact.log_z(PATTERN)[anchors]))
         # magnitude measure: Z^abs_a sums |W| exp(-beta E / 2) over the paths from a
-        z_abs = dict.fromkeys(space.anchor_states, 0.0)
+        z_abs = dict.fromkeys(anchors, 0.0)
         for p in paths:
             z_abs[p.anchor_state] += 2.0**p.w_log2 * math.exp(-0.5 * beta * p.energy)
-        z_abs_msgs = np.exp(exact.log_z(MAGNITUDE))
-        assert z_abs_msgs == pytest.approx([z_abs[a] for a in space.anchor_states], rel=1e-9, abs=1e-300)
+        z_abs_msgs = np.exp(exact.log_z(MAGNITUDE))[anchors]
+        assert z_abs_msgs == pytest.approx([z_abs[a] for a in anchors], rel=1e-9, abs=1e-300)
         # the pattern measure's Z is the sum of the per-anchor Z_a of its one backward pass
-        assert space.log_partition() == pytest.approx(log_z_msgs, rel=1e-12)
-        return log_z_msgs, dense_log_partition(space, dense_links(space)), log_z_enum
+        assert space.log_partition() == pytest.approx(float(logsumexp(exact.log_z(PATTERN))), rel=1e-12)
+        return log_z_msgs, dense_log_partition(space, dense_links(space), anchors), log_z_enum
 
     def test_random_symmetric_matrices(self):
         rng = np.random.default_rng(2024)
@@ -450,7 +453,7 @@ class TestPartitionConsistency:
             decomp = one_sparse_decompose(op.matrix)
             try:
                 msgs, transfer, enum = self._three_ways(
-                    decomp, 1.0, 1, op.basis.weight_k_clique_indices, max_paths=1 << 11
+                    restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1, max_paths=1 << 11
                 )
             except RuntimeError:
                 continue
@@ -467,7 +470,7 @@ class TestMetropolis:
     def test_detailed_balance_local_moves(self, k22):
         # p_a p_ab == p_b p_ba for sign flips across 100 random valid pairs
         _, op, decomp = k22
-        space = PathSpace(decomp, 1.2, 1, op.basis.weight_k_clique_indices)
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.2, 1)
         paths = enumerate_paths(space)
         by_key = {p.eig_indices: p for p in paths}
         rng = np.random.default_rng(0)
@@ -476,7 +479,7 @@ class TestMetropolis:
         while checked < 100:
             p = paths[rng.integers(len(paths))]
             pos = int(rng.integers(1, space.length - 1))
-            term = decomp.terms[space.schedule[pos]]
+            term = space.terms[space.schedule[pos]]
             partner = int(term.partner[p.eig_indices[pos]])
             if partner < 0:
                 continue
@@ -496,16 +499,16 @@ class TestMetropolis:
         # independence proposal from the pattern measure, q(x) = therm(x) /
         # (|A| Z_anchor(x)): p_a q(b) min(1, Zb/Za) == p_b q(a) min(1, Za/Zb)
         _, op, decomp = k22
-        space = PathSpace(decomp, 1.2, 1, op.basis.weight_k_clique_indices)
-        sampler = ExactPathSampler(space)
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.2, 1)
+        log_z = ExactPathSampler(space).log_z(PATTERN)
         paths = enumerate_paths(space)
         rng = np.random.default_rng(2)
         beta = 1.2
         for _ in range(100):
             p = paths[rng.integers(len(paths))]
             q = paths[rng.integers(len(paths))]
-            za = math.exp(sampler.log_z_anchor(p.anchor_state))
-            zb = math.exp(sampler.log_z_anchor(q.anchor_state))
+            za = math.exp(log_z[p.anchor_state])
+            zb = math.exp(log_z[q.anchor_state])
             pa, pb = math.exp(-beta * p.energy), math.exp(-beta * q.energy)
             lhs = pa * (pb / zb) * min(1.0, zb / za)
             rhs = pb * (pa / za) * min(1.0, za / zb)
@@ -513,7 +516,7 @@ class TestMetropolis:
 
     def test_stationary_distribution_tv(self, k22):
         _, op, decomp = k22
-        space = PathSpace(decomp, 0.6, 1, op.basis.weight_k_clique_indices)
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 0.6, 1)
         paths = enumerate_paths(space)
         beta = 0.6
         weights = {p.eig_indices: math.exp(-beta * p.energy) for p in paths}
@@ -535,7 +538,7 @@ class TestMetropolis:
         # equal eigenvalues: every valid proposal is accepted
         mat = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         decomp = one_sparse_decompose(mat)
-        space = PathSpace(decomp, 0.9, 1, anchor_states=(0, 1, 2))
+        space = PathSpace(decomp, 0.9, 1)
         sampler = MetropolisPathSampler(ExactPathSampler(space), np.random.default_rng(3))
         # uniform diagonal means reflections vanish; remaining lam spread is
         # the matching signs, so acceptance is not literally 1; check instead
@@ -548,7 +551,7 @@ class TestMetropolis:
 
     def test_mh_chain_api(self, k22):
         _, op, decomp = k22
-        chain = mh_chain(decomp, 0.8, 1, 50, seed=4, anchor_states=op.basis.weight_k_clique_indices)
+        chain = mh_chain(restrict(decomp, op.basis.weight_k_clique_indices), 0.8, 1, 50, seed=4)
         assert len(chain) == 50
         assert all(p.valid for p in chain)
 
@@ -585,7 +588,7 @@ def _draw_cases():
 
 def _space(g, k, t, r_t):
     op = penalized_operator(g, k)
-    return op, PathSpace(one_sparse_decompose(op.matrix, op.ghost), t, r_t, op.basis.weight_k_clique_indices)
+    return op, PathSpace(restrict(one_sparse_decompose(op.matrix, op.ghost), op.basis.weight_k_clique_indices), t, r_t)
 
 
 class _Replay:
@@ -624,7 +627,7 @@ class TestDrawRoutine:
             _, space = _space(g, k, t, r_t)
             exact = ExactPathSampler(space)
             rng = np.random.default_rng(seed)
-            cols = rng.integers(len(space.anchor_states), size=16)
+            cols = rng.integers(space.decomp.dim, size=16)
             uniforms = rng.random((space.length - 2, cols.size))
             batch = exact.draw([_Replay(uniforms.ravel())], cols, measure)
             for b, col in enumerate(cols):
@@ -667,7 +670,7 @@ class TestDrawRoutine:
         _, space = _space(graph, k, 1.0, 1)
         exact = ExactPathSampler(space)
         per_anchor = 4000
-        cols = np.repeat(np.arange(len(space.anchor_states)), per_anchor)
+        cols = np.repeat(np.arange(space.decomp.dim), per_anchor)
         eig = exact.draw([np.random.default_rng(5)], cols, MAGNITUDE)
         rows, counts = np.unique(eig, axis=0, return_counts=True)
         observed = {tuple(row.tolist()): int(c) for row, c in zip(rows, counts)}
@@ -675,20 +678,20 @@ class TestDrawRoutine:
         paths = enumerate_paths(space)
         chi2 = 0.0
         for p in paths:
-            col = space.anchor_states.index(p.anchor_state)
-            expected = per_anchor * 2.0**p.w_log2 * math.exp(-0.5 * p.energy) / z_abs[col]
+            expected = per_anchor * 2.0**p.w_log2 * math.exp(-0.5 * p.energy) / z_abs[p.anchor_state]
             chi2 += (observed.pop(p.eig_indices, 0) - expected) ** 2 / expected
         assert not observed, "drew a path that is not a valid closed path"
-        df = len(paths) - len(space.anchor_states)
+        df = len(paths) - space.decomp.dim
         assert chi2 <= df + 5.0 * math.sqrt(2.0 * df)
 
     def test_exact_sample_values_bounded(self):
         # |value| <= |Cl_k| exp(-shift t) max_a Z^abs_a / d_k for every sample
         for g, k, t, r_t in _draw_cases()[:12]:
             op, space = _space(g, k, t, r_t)
-            res = estimate_from_operator(g, k, op, space.decomp, PIMCConfig(t=t, r_t=r_t, n_samp=400, chains=2))
+            decomp = one_sparse_decompose(op.matrix, op.ghost)
+            res = estimate_from_operator(g, k, op, decomp, PIMCConfig(t=t, r_t=r_t, n_samp=400, chains=2))
             log_bound = (
-                math.log(len(space.anchor_states)) - math.log(op.d_k) - space.scalar_shift * t
+                math.log(space.decomp.dim) - math.log(op.d_k) - space.scalar_shift * t
                 + float(ExactPathSampler(space).log_z(MAGNITUDE).max())
             )
             assert res.diagnostics["samples_max_abs"] <= math.exp(log_bound) * (1.0 + 1e-12)
@@ -750,11 +753,11 @@ class TestSparseOverlaps:
 
         op = ambient_operator(gen_erdos_renyi(8, 0.6, 1), 3)
         decomp = one_sparse_decompose(op.matrix)
-        anchors = op.basis.weight_k_clique_indices
-        PathSpace(decomp, 1.0, 2, anchors)
+        sector = restrict(decomp, op.basis.weight_k_clique_indices)
+        PathSpace(sector, 1.0, 2)
         tracemalloc.start()
         try:
-            PathSpace(decomp, 1.0, 2, anchors)
+            PathSpace(sector, 1.0, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -885,6 +888,82 @@ class TestMergedBatch:
             got = dataclasses.asdict(estimate_normalized_betti(g, k, cfg))
             want = dataclasses.asdict(per_chain_exact_estimate(g, k, cfg))
             assert got == want, (g.n, g.edges, k, cfg)
+
+
+class TestRestrict:
+    """The decomposition on the weight-k sector, and the path space on it against the all-states space."""
+
+    FIELDS = ("lam", "sup1", "sup2", "amp1", "amp2", "partner")
+
+    def test_matches_the_oracle_restriction(self):
+        # onto the weight-k sector of the clique basis, and from the ambient
+        # window onto its clique states
+        for g, k in _oracle_cases():
+            op = penalized_operator(g, k)
+            window = ambient_operator(g, k)
+            sector = np.zeros(op.basis.states.size, dtype=bool)
+            sector[op.basis.weight_k_clique_indices] = True
+            for decomp, flags in ((one_sparse_decompose(op.matrix, op.ghost), sector),
+                                  (one_sparse_decompose(window.matrix), window.basis.clique_flags)):
+                got = restrict(decomp, np.flatnonzero(flags))
+                assert got.dim == flags.sum() and got.bound_audit == decomp.bound_audit
+                for a, b in zip(got.terms, restrict_to_cliques(decomp, flags), strict=True):
+                    assert (a.coeff, a.kind) == (b.coeff, b.kind)
+                    for name in self.FIELDS:
+                        x, y = getattr(a, name), getattr(b, name)
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (g.n, g.edges, k, name)
+
+    def test_straddling_pair_raises(self):
+        decomp = one_sparse_decompose(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+        for states in ([0], [1, 2], [0, 2]):
+            with pytest.raises(ValueError, match="straddles"):
+                restrict(decomp, states)
+        assert restrict(decomp, [2]).dim == 1 and restrict(decomp, [0, 1]).dim == 2
+
+    @staticmethod
+    def _cases():
+        """(graph, k): k = 1, K4, K5, the edgeless graph, the single-reflection 4-cycle and seeded G(n, p)."""
+        cases = [(gen_kpartite(1, 4), 2), (gen_kpartite(1, 5), 3), (Graph(4, ()), 1), (CYCLE4, 1),
+                 (gen_kpartite(2, 2), 1), (gen_kpartite(2, 3), 3)]
+        rng = np.random.default_rng(27)
+        while len(cases) < 20:
+            n, k = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+            g = gen_erdos_renyi(n, float(rng.uniform(0.3, 0.9)), int(rng.integers(1000)))
+            if enumerate_cliques(g, k):
+                cases.append((g, k))
+        return cases
+
+    @staticmethod
+    def _trace_at(space, anchors):
+        """``restricted_trace`` of the signed pass read at the given anchor columns only."""
+        _, _, start, log_scale = space.backward_pass(SIGNED)
+        start, log_scale = start[anchors], log_scale[anchors]
+        top = float(log_scale.max())
+        return math.exp(top - space.scalar_shift * space.t) * float(start @ np.exp(log_scale - top))
+
+    @pytest.mark.parametrize("t,r_t", [(1.0, 1), (2.5, 2)])
+    def test_sector_space_reads_the_all_states_space(self, t, r_t):
+        for seed, (g, k) in enumerate(self._cases()):
+            op = penalized_operator(g, k)
+            decomp = one_sparse_decompose(op.matrix, op.ghost)
+            wk = op.basis.weight_k_clique_indices
+            sector, full = PathSpace(restrict(decomp, wk), t, r_t), PathSpace(decomp, t, r_t)
+            assert sector.schedule == full.schedule and sector.scalar_shift == full.scalar_shift
+            small, big = ExactPathSampler(sector), ExactPathSampler(full)
+            for measure in (MAGNITUDE, PATTERN):
+                assert small.log_z(measure).tobytes() == big.log_z(measure)[wk].tobytes(), (g.n, g.edges, k)
+            assert sector.restricted_trace() == self._trace_at(full, wk)
+            # each sector eigenvector is the kept eigenvector of its rank in its term
+            kept = [np.flatnonzero(np.isin(decomp.terms[p].sup1, wk)) for p in full.schedule[:-1]]
+            live = np.flatnonzero(np.isfinite(small.log_z(MAGNITUDE)))
+            if live.size == 0:
+                continue
+            cols = np.random.default_rng(seed).choice(live, size=64)
+            for measure in (MAGNITUDE, PATTERN):
+                got = small.draw([np.random.default_rng(seed)], cols, measure)
+                want = big.draw([np.random.default_rng(seed)], wk[cols], measure)
+                mapped = np.column_stack([kept[i][got[:, i]] for i in range(got.shape[1])])
+                assert np.array_equal(mapped, want), (g.n, g.edges, k, measure)
 
 
 class TestCliqueBasisOracle:
@@ -1022,13 +1101,13 @@ class TestEstimator:
         # constants
         g, op, decomp = k22
         t = 1e-12
-        space = PathSpace(decomp, t, 1, op.basis.weight_k_clique_indices)
+        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), t, 1)
         sampler = ExactPathSampler(space)
         rng = np.random.default_rng(0)
-        n_anchor = len(space.anchor_states)
+        n_anchor = space.decomp.dim
         for _ in range(100):
             snap = space.snapshot(sampler.draw([rng], sampler.draw_anchor_columns(rng, 1), PATTERN)[0].tolist())
-            z_a = math.exp(sampler.log_z_anchor(snap.anchor_state))
+            z_a = math.exp(sampler.log_z(PATTERN)[snap.anchor_state])
             e_q = n_anchor * z_a / op.d_k * snap.weight  # exponent factors ~ 1
             full = (
                 n_anchor
