@@ -747,17 +747,15 @@ class TestSparseOverlaps:
                     assert got.tobytes() == ref.tobytes(), (g.n, g.edges, k, p, q)
 
     def test_set_up_builds_no_dense_table(self):
-        # on the ambient window of the oracle, one dense 154 x 154 table and
-        # its temporaries alone take about 0.8 MB
+        # on all 154 states of the oracle's ambient window, one dense
+        # 154 x 154 table and its temporaries alone take about 0.8 MB
         import tracemalloc
 
-        op = ambient_operator(gen_erdos_renyi(8, 0.6, 1), 3)
-        decomp = one_sparse_decompose(op.matrix)
-        sector = restrict(decomp, op.basis.weight_k_clique_indices)
-        PathSpace(sector, 1.0, 2)
+        decomp = one_sparse_decompose(ambient_operator(gen_erdos_renyi(8, 0.6, 1), 3).matrix)
+        PathSpace(decomp, 1.0, 2)
         tracemalloc.start()
         try:
-            PathSpace(sector, 1.0, 2)
+            PathSpace(decomp, 1.0, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
