@@ -1,14 +1,14 @@
 """Penalized squared Dirac operator and its one-sparse unitary decomposition.
 
 The problem is posed on the bit strings of Hamming weight k-1, k, k+1 (never
-the empty set), where the clique projector P keeps the basis of
-``homology.dirac`` and the complement is penalized:
+the empty set), where the clique projector P keeps the clique states and
+the complement is penalized:
 
     H = B_G^2 + gamma_pen (1 - P),   B_G = P B P the restricted Dirac operator.
 
 Every term of H maps clique states to clique states, so an anchored path
-never leaves them: the operator is B_G^2 on the Dirac basis alone
-(``homology.dirac_basis``, sorted by mask), and the complement enters the
+never leaves them: the operator is B_G^2 on the clique states alone, sorted
+by mask (``homology.dirac_square``), and the complement enters the
 decomposition only as one more distinct diagonal value, the ghost value
 gamma_pen.  It is there when those weights hold a non-clique state, that is
 when the binomials C(n, s), s = max(k-1, 1) .. k+1, sum past the Dirac
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs import Graph, build_clique_complex
-from ..homology import dirac, dirac_basis, spectrum
+from ..homology import dirac_square, spectrum
 
 DECOMPOSE_TOL = 1e-12  # symmetry, identity-term and off-diagonal cutoff of one_sparse_decompose
 
@@ -71,7 +71,7 @@ class PenalizedOperator:
 
 
 def penalized_operator(g: Graph, k: int) -> PenalizedOperator:
-    """B_G^2 on the mask-sorted Dirac basis, and the penalty; B_G is ``homology.dirac``.
+    """B_G^2 on the mask-sorted clique states (``homology.dirac_square``), and the penalty.
 
     gamma_min, gamma_pen and gamma_max are read off one Laplacian spectrum
     (see the module docstring).  With no nonzero mode every clique state is
@@ -84,16 +84,13 @@ def penalized_operator(g: Graph, k: int) -> PenalizedOperator:
         raise ValueError(f"graph has no {k}-cliques")
     summary = spectrum(g, k)
     pen = summary.gap if summary.gap > 0 else 1.0
-    b = dirac(cx, k).matrix.astype(np.float64)
-    masks = dirac_basis(cx, k)
-    order = np.argsort(masks)
-    states = masks[order]
+    states, square = dirac_square(cx, k)
     wk = np.flatnonzero(np.bitwise_count(states) == k)
     window = sum(math.comb(g.n, s) for s in range(max(k - 1, 1), k + 2))
     ghost = pen if window > states.size else None
     gamma_max = summary.top if ghost is None else max(summary.top, pen)
-    h = (b @ b)[np.ix_(order, order)]
-    return PenalizedOperator(CliqueBasis(states, wk), h, pen, summary.gap, gamma_max, math.comb(g.n, k), ghost)
+    return PenalizedOperator(CliqueBasis(states, wk), square.astype(np.float64), pen, summary.gap, gamma_max,
+                             math.comb(g.n, k), ghost)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +198,6 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
     for v in distinct:
         values = np.where(diag == v, v / 2.0, -v / 2.0)
         terms.append(_diag_term(abs(v) / 2.0, values, "reflection"))
-    if abs(ident) > DECOMPOSE_TOL:
-        terms.append(_diag_term(abs(ident), np.full(dim, ident), "identity"))
 
     # off-diagonal part: split by magnitude, then greedy edge coloring of
     # the edges in (u, v) order, the row-major order np.nonzero lists them in
@@ -233,6 +228,9 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
         n_colors_total += len(colors)
         for matching in colors:
             terms.append(_matching_term(mag, matching, dim))
+    # the zero matrix with no ghost value keeps its zero identity term, so a path has a term
+    if abs(ident) > DECOMPOSE_TOL or not terms:
+        terms.append(_diag_term(abs(ident), np.full(dim, ident), "identity"))
 
     audit = {
         "n_terms": len(terms),

@@ -269,7 +269,8 @@ class PathSpace:
         position.  Only the two measures are drawn from, so the signed pass
         keeps no messages (``weighted`` is then all None); a measure whose
         messages would pass ``MESSAGE_BUDGET`` raises ``DeskScaleError``
-        before any is built.
+        before any is built, and a damping factor past the float range
+        raises ``ValueError``.
         """
         weigh = {
             PATTERN: lambda v: (v != 0.0).astype(float),
@@ -283,6 +284,12 @@ class PathSpace:
         if kind != SIGNED and size > MESSAGE_BUDGET:
             raise DeskScaleError(f"path messages need {size} bytes ({last} positions x dimension {dim} squared);"
                                  f" the budget is {MESSAGE_BUDGET} bytes")
+        with np.errstate(over="ignore"):
+            damping = {p: np.exp(-rate * self.terms[p].lam) for p in set(sched[1 : last + 1])}
+            closing = np.exp(-2.0 * rate * self.terms[sched[0]].lam)
+        if not all(np.isfinite(d).all() for d in (closing, *damping.values())):
+            raise ValueError(f"the Trotter step t/slices = {self.t / self.r_t:g} overflows a path damping factor;"
+                             " use more --slices")
         # the closing link's row of each anchor: its nonzero columns at the last position, ascending
         index, value = self._pairs[sched[0], sched[last]]
         m = np.zeros((self.terms[sched[last]].n_eigs, dim))
@@ -292,7 +299,7 @@ class PathSpace:
         log_scale = np.zeros(dim)
         weighted: list = [None] * (last + 1)
         for i in range(last, 0, -1):
-            damped = np.exp(-rate * self.terms[sched[i]].lam)[:, None] * m
+            damped = damping[sched[i]][:, None] * m
             if kind != SIGNED:
                 weighted[i] = damped
             index = self.columns[i - 1][0]
@@ -303,7 +310,7 @@ class PathSpace:
             scale = np.where(peak > 0, peak, 1.0)
             m /= scale
             log_scale += np.log(scale)
-        start = np.exp(-2.0 * rate * self.terms[sched[0]].lam) * m.diagonal()
+        start = closing * m.diagonal()
         return weighted, coefs, start, log_scale
 
     def restricted_trace(self) -> float:
@@ -390,6 +397,8 @@ class MetropolisPathSampler:
         if u < REDRAW_PROB:
             return self._redraw_step()
         u = (u - REDRAW_PROB) / (1.0 - REDRAW_PROB)
+        if u < SIGN_PROB + BLOCK_PROB and self.space.length < 3:
+            return False  # a loop of two positions has no middle one to move
         if u < SIGN_PROB:
             pos = int(self.rng.integers(1, self.space.length - 1))
             new_eig = self._partner[pos][self.eig[pos]]

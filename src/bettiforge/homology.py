@@ -7,12 +7,12 @@ weight k of the basis states, i.e. the CLIQUE SIZE, and quantities like
 
 Every boundary map has one representation, its face table, and one owner,
 the graph's clique complex, which builds it (``CliqueComplex.faces``) and its
-transpose, the coboundary (``cofaces``), once.  The Laplacian is scattered
-from them as sign products, and the Dirac operator scatters its blocks from
-them, so only the torsion fallback of the rank builds a dense boundary matrix.
-The dense Dirac operator and its basis (``dirac_basis``) serve the walk
-(``qsim.walkenc``) and the dequantizer's operator (``dequant.operators``);
-its spectrum is +-sqrt of the Laplacian spectrum, which ``spectrum`` owns.
+transpose, the coboundary (``cofaces``), once.  The Laplacian and the
+squared Dirac operator (``dirac_square``), the Gram blocks of the boundary
+maps, are scattered from them as sign products, and so are the blocks of the
+Dirac operator, which with ``dirac_basis`` serves the walk (``qsim.walkenc``)
+alone; only the rank's torsion fallback builds a dense boundary matrix.  The
+Dirac spectrum is +-sqrt of the Laplacian's, which ``spectrum`` owns.
 
 Betti numbers come from exact ranks, not from floating point: sparse column
 reduction of the coboundaries over F_p for two primes, with the columns that
@@ -104,35 +104,50 @@ def boundary_matrix(cx: CliqueComplex, k: int) -> BoundaryMatrix:
     return BoundaryMatrix(k, rows, cols, mat)
 
 
-def laplacian(cx: CliqueComplex, k: int) -> np.ndarray:
-    """Combinatorial Laplacian of dimension k-1, as an integer matrix over Cl_k.
+def _gram(cx: CliqueComplex, k: int, sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gram blocks of the boundary maps on the cliques of ``sizes``: (ascending uint64 masks, int64 matrix).
 
-    Equals d_{k-1}^T d_{k-1} + d_k d_k^T where d_k is boundary_matrix(cx, k);
-    the down-term vanishes for k = 1 (regular homology, no empty simplex).
-    Both terms are scattered from the face tables: the up term gets the
-    (k+1)^2 sign products of each size-(k+1) clique's faces, the down term
-    the sign products of every ordered pair of k-cliques that share a face
-    (each clique paired with itself included), read off the coboundary of
-    d_{k-1}.
+    Size s gets the up term d_s d_s^T if s <= k and the down term d_{s-1}^T
+    d_{s-1} if s >= max(k, 2) (no d_0: regular homology).  The up term is the
+    (s+1)^2 sign products of each (s+1)-clique's faces, the down term the sign
+    products of every ordered pair of s-cliques that share a face (each clique
+    paired with itself included), read off the coboundary of d_{s-1}.
     """
-    dim = cx.count(k)
-    lap = np.zeros(dim * dim, dtype=np.int64)
-    if cx.count(k + 1):
-        faces = cx.faces(k)
-        pos = np.arange(k + 1)
-        sign = np.tile(_parity_sign(pos[:, None] + pos[None, :]).ravel(), faces.shape[0])
-        np.add.at(lap, (faces[:, :, None] * dim + faces[:, None, :]).ravel(), sign)
-    if k >= 2:
-        cob = cx.cofaces(k - 1)
-        # every ordered pair (s, t) of entries in one column of the coboundary:
-        # entry s repeats once per entry of its column, and t runs over it
-        deg = np.diff(cob.indptr)
-        per_entry = np.repeat(deg, deg)
-        left = np.repeat(np.arange(cob.rows.size), per_entry)
-        run = np.cumsum(per_entry) - per_entry  # where the run of each s starts
-        right = np.repeat(np.repeat(cob.indptr[:-1], deg) - run, per_entry) + np.arange(left.size)
-        np.add.at(lap, cob.rows[left] * dim + cob.rows[right], _parity_sign(cob.pos[left] + cob.pos[right]))
-    return lap.reshape(dim, dim)
+    bases = [np.array(cx.basis(s), dtype=np.uint64) for s in sizes]
+    masks = np.sort(np.concatenate(bases))
+    dim = masks.size
+    gram = np.zeros(dim * dim, dtype=np.int64)
+    for s, basis in zip(sizes, bases):
+        at = np.searchsorted(masks, basis)  # each s-clique's row
+        if s <= k and cx.count(s + 1):
+            faces = at[cx.faces(s)]
+            pos = np.arange(s + 1)
+            sign = np.tile(_parity_sign(pos[:, None] + pos[None, :]).ravel(), faces.shape[0])
+            np.add.at(gram, (faces[:, :, None] * dim + faces[:, None, :]).ravel(), sign)
+        if s >= max(k, 2):
+            cob = cx.cofaces(s - 1)
+            # every ordered pair (a, b) of entries in one column of the
+            # coboundary: entry a repeats once per entry of its column, and b runs over it
+            deg = np.diff(cob.indptr)
+            per_entry = np.repeat(deg, deg)
+            left = np.repeat(np.arange(cob.rows.size), per_entry)
+            run = np.cumsum(per_entry) - per_entry  # where the run of each a starts
+            right = np.repeat(np.repeat(cob.indptr[:-1], deg) - run, per_entry) + np.arange(left.size)
+            rows = at[cob.rows]
+            np.add.at(gram, rows[left] * dim + rows[right], _parity_sign(cob.pos[left] + cob.pos[right]))
+    return masks, gram.reshape(dim, dim)
+
+
+def laplacian(cx: CliqueComplex, k: int) -> np.ndarray:
+    """Combinatorial Laplacian of dimension k-1, d_{k-1}^T d_{k-1} + d_k d_k^T, as an integer matrix over Cl_k."""
+    return _gram(cx, k, (k,))[1]
+
+
+def dirac_square(cx: CliqueComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``dirac(cx, k)`` squared, blockdiag(d d^T, L_k, d^T d), by ascending mask: (uint64 masks, int64 matrix)."""
+    sizes = tuple(s for s in (k - 1, k, k + 1) if s >= 1)
+    _check_desk_scale(sum(cx.count(s) for s in sizes), f"dirac(k={k})")
+    return _gram(cx, k, sizes)
 
 
 def dirac(cx: CliqueComplex, k: int) -> DiracOperator:

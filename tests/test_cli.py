@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -719,11 +720,12 @@ def _assert_built_once(built, k):
     ["simulate", "filter", "--gen", "er:12,0.6", "--seed", "2", "--k", "3", "--epsilon", "0.1"],
 ])
 def test_walk_and_dequantizer_read_one_clique_complex(capsys, monkeypatch, argv):
-    # the restricted Dirac operator and the Laplacian come from the graph's
-    # one clique complex: no subset test per bit string, each clique size
-    # enumerated once, each face table and coboundary built at most once, and
-    # one Dirac operator for the walk and the dequantizer.  The modules are
-    # imported first, so that none binds a patched function at import
+    # the restricted Dirac operator, its square and the Laplacian come from
+    # the graph's one clique complex: no subset test per bit string, each
+    # clique size enumerated once, each face table and coboundary built at
+    # most once, one Dirac operator for the walk and none for the dequantizer,
+    # which reads the scattered square.  The modules are imported first, so
+    # that none binds a patched function at import
     from bettiforge import graphs, homology
     from bettiforge.dequant import estimator, operators  # noqa: F401
     from bettiforge.qsim import pipeline, walkenc  # noqa: F401
@@ -744,7 +746,28 @@ def test_walk_and_dequantizer_read_one_clique_complex(capsys, monkeypatch, argv)
     assert code == 0 and json.loads(out), err
     k = int(argv[argv.index("--k") + 1])
     _assert_built_once(built, k)
-    assert len(operators) == (argv[0] == "dequantize" or argv[1] == "walk")
+    assert len(operators) == (argv[1] == "walk")
+
+
+@pytest.mark.parametrize("sampler,t", [("exact", "1000"), ("mh", "400")])
+def test_trotter_step_past_the_float_range_exits_2(capsys, monkeypatch, sampler, t):
+    # a damping factor exp(-rate x eigenvalue) past the float range: exit 2
+    # naming the step, with no NumPy warning, and no pass gets past its
+    # start.  The chain's pattern pass damps at twice the rate, so it
+    # overflows at a smaller step; two slices halve the step
+    from bettiforge.dequant.paths import PathSpace
+
+    entered = []
+    passes = PathSpace.backward_pass
+    monkeypatch.setattr(PathSpace, "backward_pass", lambda self, kind: entered.append(kind) or passes(self, kind))
+    argv = [*DEQUANT_K22, "--t", t, "--sampler", sampler, "--burn-in", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and len(entered) == 1
+    assert f"error: the Trotter step t/slices = {t} overflows a path damping factor; use more --slices" in err
+    code, out, err = run_cli(capsys, *argv, "--slices", "2")
+    assert code == 0 and json.loads(out)["estimate"] == pytest.approx(1 / 6, rel=1e-6), err
 
 
 def test_pipeline_runs_past_eight_vertices(capsys):

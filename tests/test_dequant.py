@@ -16,8 +16,11 @@ from bettiforge.dequant.operators import (
     restrict,
 )
 from bettiforge.dequant.paths import (
+    BLOCK_PROB,
     MAGNITUDE,
     PATTERN,
+    REDRAW_PROB,
+    SIGN_PROB,
     SIGNED,
     ExactPathSampler,
     MetropolisPathSampler,
@@ -202,6 +205,13 @@ class TestOneSparseDecomposition:
     def test_d_within_bound_audit(self, k22):
         _, _, decomp = k22
         assert decomp.D <= decomp.bound_audit["coloring_bound"]
+
+    def test_zero_matrix_keeps_its_identity_term(self):
+        # with no value to reflect and nothing off the diagonal, the zero
+        # identity term is the one term a path can anchor on
+        decomp = one_sparse_decompose(np.zeros((1, 1)))
+        assert [(t.kind, t.coeff) for t in decomp.terms] == [("identity", 0.0)]
+        assert [t.kind for t in one_sparse_decompose(np.zeros((2, 2)), ghost=1.0).terms] == ["reflection", "identity"]
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
@@ -467,6 +477,28 @@ class TestPartitionConsistency:
 class TestMetropolis:
     """The Metropolis sampler and its redraw move, on the pattern measure it targets."""
 
+    def test_two_position_loop_has_no_middle_moves(self):
+        # the edgeless graph at k = 1 schedules one term, so one slice makes a
+        # loop of two positions: a sign or block move is rejected on its
+        # first uniform, and the chain runs on redraws and anchor moves
+        g = Graph(4, ())
+        _, space = _space(g, 1, 1.0, 1)
+        assert space.length == 2
+        rng = np.random.default_rng(5)
+        sampler = MetropolisPathSampler(ExactPathSampler(space), rng)
+        rejected = 0
+        for _ in range(200):
+            twin = copy.deepcopy(rng)
+            u = (twin.random() - REDRAW_PROB) / (1.0 - REDRAW_PROB)
+            if 0.0 <= u < SIGN_PROB + BLOCK_PROB:
+                assert not sampler.step() and rng.bit_generator.state == twin.bit_generator.state
+                rejected += 1
+            else:
+                sampler.step()
+        assert rejected > 100
+        cfg = PIMCConfig(t=1.0, r_t=1, n_samp=100, burn_in=10, sampler="mh")
+        assert estimate_normalized_betti(g, 1, cfg).estimate == pytest.approx(1.0, rel=1e-12)
+
     def test_detailed_balance_local_moves(self, k22):
         # p_a p_ab == p_b p_ba for sign flips across 100 random valid pairs
         _, op, decomp = k22
@@ -725,9 +757,9 @@ def _sparse_cases():
 
 
 def _oracle_cases():
-    """(graph, k) with k-cliques: the 4-cycle at k = 1, K2-K8, K(2,2..4) and 24 random G(n <= 8, p), k = 1-3."""
+    """(graph, k) with k-cliques: the 4-cycle at k = 1, K1-K8, K(2,2..4) and 24 random G(n <= 8, p), k = 1-3."""
     rng = np.random.default_rng(17)
-    graphs = [gen_kpartite(1, n) for n in range(2, 9)] + [gen_kpartite(2, p) for p in (2, 3, 4)]
+    graphs = [gen_kpartite(1, n) for n in range(1, 9)] + [gen_kpartite(2, p) for p in (2, 3, 4)]
     graphs += [gen_erdos_renyi(int(rng.integers(2, 9)), float(rng.uniform(0.3, 0.9)), int(rng.integers(1000)))
                for _ in range(24)]
     return [(CYCLE4, 1)] + [(g, k) for g in graphs for k in (1, 2, 3) if k <= g.n and enumerate_cliques(g, k)]
@@ -1084,6 +1116,14 @@ class TestEstimator:
         rep = variance_report(g, 2, cfg)
         assert rep["empirical_variance_log2"] <= rep["analytic_bound_log2"]
         assert rep["autocorr_time"] >= 0.5
+
+    @pytest.mark.parametrize("sampler", ["exact", "mh"])
+    def test_one_vertex_graph(self, sampler):
+        # B_G^2 is the 1 x 1 zero matrix and the window holds no other
+        # state, so the one term is the zero identity: beta_0 / C(1, 1) = 1
+        cfg = PIMCConfig(t=1.0, r_t=1, n_samp=100, burn_in=10, sampler=sampler)
+        res = estimate_normalized_betti(Graph(1, ()), 1, cfg)
+        assert res.D == 1 and res.estimate == pytest.approx(1.0, rel=1e-12)
 
     def test_no_cliques_rejected(self):
         from bettiforge.graphs import Graph

@@ -22,6 +22,8 @@ from bettiforge.homology import (
     betti_exact,
     boundary_matrix,
     dirac,
+    dirac_basis,
+    dirac_square,
     laplacian,
     spectrum,
 )
@@ -358,6 +360,31 @@ class TestLaplacianDirac:
     @pytest.mark.parametrize("g,k", _edge_cases())
     def test_laplacian_matches_int64_product_on_edge_cases(self, g, k):
         self._check_int64_product(build_clique_complex(g, k), k)
+
+    @staticmethod
+    def _check_dirac_square(cx, k):
+        # the scattered square against the dense Dirac product permuted to
+        # mask order, bit for bit, and its weight-k block against laplacian
+        masks, square = dirac_square(cx, k)
+        b = dirac(cx, k).matrix
+        order = np.argsort(dirac_basis(cx, k))
+        assert masks.dtype == np.uint64 and masks.tobytes() == dirac_basis(cx, k)[order].tobytes()
+        assert square.dtype == np.int64 and square.shape == b.shape
+        assert square.tobytes() == (b @ b)[np.ix_(order, order)].tobytes()
+        weight_k = np.bitwise_count(masks) == k
+        assert np.array_equal(square[np.ix_(weight_k, weight_k)], laplacian(cx, k))
+
+    @pytest.mark.parametrize("g,k", _property_cases() + _edge_cases() + [
+        pytest.param(Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), 1, id="C4,k1")])
+    def test_dirac_square_matches_dense_product(self, g, k):
+        self._check_dirac_square(build_clique_complex(g, k), k)
+
+    def test_dirac_square_keeps_the_dirac_cap(self, monkeypatch):
+        cx = build_clique_complex(gen_kpartite(2, 3), 2)  # 6 + 12 + 8 states
+        monkeypatch.setattr(homology, "MAX_DENSE_DIM", 25)
+        for build in (dirac, dirac_square):
+            with pytest.raises(DeskScaleError, match=r"^dirac\(k=2\) needs dimension 26; desk-scale cap is 25$"):
+                build(cx, 2)
 
     def test_dirac_square_block_diagonal(self):
         g = gen_kpartite(2, 3)
