@@ -31,14 +31,18 @@ def _pin_threads() -> None:
 def _write(text: str, path: str | None) -> None:
     """Write text to the file ``path`` (LF newlines), or to stdout when no path is given."""
     if path:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _json_dump(payload: dict, path: str | None) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    # NaN and Infinity are not JSON: refused (exit 2), never printed
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
 
 
 # per generator family: its fields as the grammar names them, their types,

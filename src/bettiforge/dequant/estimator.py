@@ -42,6 +42,7 @@ from .paths import MAGNITUDE, PATTERN, ExactPathSampler, MetropolisPathSampler, 
 
 LN2 = math.log(2.0)
 NO_CLOSED_PATH = "no valid closed path exists (disconnected eigenstructure)"
+PATH_OVERFLOW = "the path values overflow the float range (the sign problem); use fewer --slices or a smaller --t"
 
 
 @dataclass(frozen=True)
@@ -160,10 +161,19 @@ def _batch_stderr(samples: np.ndarray, n_batches: int = 32) -> float:
 
 
 def estimate_normalized_betti(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult:
-    """Run the full estimator on a graph; see the module docstring."""
+    """Run the full estimator on a graph; see the module docstring.
+
+    A path value or a statistic past the float range raises ``ValueError``:
+    each slice adds basis resolutions between terms that do not commute, so
+    the magnitudes grow with the slice count while the sign averages out.
+    """
     op = penalized_operator(g, k)
     decomp = one_sparse_decompose(op.matrix, op.ghost)
-    return estimate_from_operator(g, k, op, decomp, cfg)
+    try:
+        with np.errstate(over="raise"):
+            return estimate_from_operator(g, k, op, decomp, cfg)
+    except (FloatingPointError, OverflowError):
+        raise ValueError(PATH_OVERFLOW) from None
 
 
 def estimate_from_operator(

@@ -15,9 +15,10 @@ when the binomials C(n, s), s = max(k-1, 1) .. k+1, sum past the Dirac
 dimension.  B_G^2 = blockdiag(d d^T, L_k, d^T d) keeps each weight too, so
 ``restrict`` cuts the decomposition down to the weight-k clique states: the
 sector the paths run on, whose every basis state is an anchor.  B_G^2 has
-the nonzero spectrum of the Laplacian L_k, so gamma_min and the top are the
-gap and top of ``homology.spectrum``; gamma_pen is gamma_min, or 1 when L_k
-has no nonzero mode.  The weight-k kernel has dimension beta_{k-1}, and
+the nonzero spectrum of its weight-k block, the Laplacian L_k, so gamma_min
+and the top are read off that block (``homology.laplacian_spectrum``, the
+summary of ``homology.spectrum``): L_k is scattered once per operator.
+gamma_pen is gamma_min, or 1 when L_k has no nonzero mode.  The weight-k kernel has dimension beta_{k-1}, and
 every nonzero eigenvalue is at least gamma_min.  Limits: the dense cap of
 ``homology``, ``graphs.MAX_VERTICES`` and the message budget of ``paths``;
 past each a ``DeskScaleError`` names the size.
@@ -29,9 +30,10 @@ Hermitian with eigenvalues +-c_p on their support:
     term), obtained from indicator = (I - reflection)/2.  On the clique
     states the ghost value's reflection is the scalar -gamma_pen/2, which the
     identity term cancels: it shapes the schedule, not the Trotterized trace;
-  * off-diagonal matchings: the nonzero off-diagonal graph is split by entry
-    magnitude and greedily edge-colored, so each term is a partial matching
-    with entries of a single magnitude.
+  * off-diagonal matchings: the off-diagonal nonzeros are split by entry
+    magnitude and edge-colored first fit, each state holding the colors
+    already at it as the bits of one integer, so each term is a partial
+    matching with entries of a single magnitude.
 
 Matching terms act as zero outside their support ("involution on support");
 their eigenvector catalogs below list those fixed basis states with
@@ -43,12 +45,12 @@ trace closure of the path integral exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..graphs import Graph, build_clique_complex
-from ..homology import dirac_square, spectrum
+from ..homology import check_desk_scale, dirac_square, laplacian_spectrum
 
 DECOMPOSE_TOL = 1e-12  # symmetry, identity-term and off-diagonal cutoff of one_sparse_decompose
 
@@ -73,7 +75,7 @@ class PenalizedOperator:
 def penalized_operator(g: Graph, k: int) -> PenalizedOperator:
     """B_G^2 on the mask-sorted clique states (``homology.dirac_square``), and the penalty.
 
-    gamma_min, gamma_pen and gamma_max are read off one Laplacian spectrum
+    gamma_min, gamma_pen and gamma_max are read off its weight-k block L_k
     (see the module docstring).  With no nonzero mode every clique state is
     in the kernel, and any positive penalty keeps the weight-k kernel.
     """
@@ -82,15 +84,16 @@ def penalized_operator(g: Graph, k: int) -> PenalizedOperator:
     cx = build_clique_complex(g, k)
     if cx.count(k) == 0:
         raise ValueError(f"graph has no {k}-cliques")
-    summary = spectrum(g, k)
-    pen = summary.gap if summary.gap > 0 else 1.0
+    check_desk_scale(cx.count(k), f"spectrum(k={k})")  # the weight-k block is eigensolved
     states, square = dirac_square(cx, k)
+    matrix = square.astype(np.float64)
     wk = np.flatnonzero(np.bitwise_count(states) == k)
+    summary = laplacian_spectrum(matrix[np.ix_(wk, wk)])
+    pen = summary.gap if summary.gap > 0 else 1.0
     window = sum(math.comb(g.n, s) for s in range(max(k - 1, 1), k + 2))
     ghost = pen if window > states.size else None
     gamma_max = summary.top if ghost is None else max(summary.top, pen)
-    return PenalizedOperator(CliqueBasis(states, wk), square.astype(np.float64), pen, summary.gap, gamma_max,
-                             math.comb(g.n, k), ghost)
+    return PenalizedOperator(CliqueBasis(states, wk), matrix, pen, summary.gap, gamma_max, math.comb(g.n, k), ghost)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +167,6 @@ def _matching_term(coeff: float, pairs: list[tuple[int, int, float]], dim: int) 
 class OneSparseDecomposition:
     dim: int
     terms: tuple[OneSparseTerm, ...]
-    bound_audit: dict = field(repr=False)
 
     @property
     def D(self) -> int:
@@ -183,7 +185,11 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(mat - mat.T).max(initial=0.0) > DECOMPOSE_TOL:
+    # the matrix is read through its nonzeros; every pair with a nonzero side
+    # is listed, so the symmetry check is the dense one
+    iu, ju = np.nonzero(mat)
+    entries = mat[iu, ju]
+    if np.abs(entries - mat[ju, iu]).max(initial=0.0) > DECOMPOSE_TOL:
         raise ValueError("matrix is not symmetric")
     dim = mat.shape[0]
     terms: list[OneSparseTerm] = []
@@ -192,61 +198,41 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
     # indicator(S) = (1 + reflection(S))/2 makes the split exact.  Values are
     # grouped by exact float equality, which is safe because the operator
     # entries are integer sums plus a single repeated penalty float.
-    diag = mat.diagonal().copy()
+    diag = mat.diagonal()
     distinct = sorted({float(v) for v in diag if v != 0.0} | ({float(ghost)} if ghost else set()))
     ident = sum(distinct) / 2.0
     for v in distinct:
         values = np.where(diag == v, v / 2.0, -v / 2.0)
         terms.append(_diag_term(abs(v) / 2.0, values, "reflection"))
 
-    # off-diagonal part: split by magnitude, then greedy edge coloring of
-    # the edges in (u, v) order, the row-major order np.nonzero lists them in
-    iu, ju = np.nonzero(np.triu(np.abs(mat), k=1) > DECOMPOSE_TOL)
-    entries = mat[iu, ju]
+    # off-diagonal part: split by magnitude, then greedy edge coloring of the
+    # upper-triangle edges in row-major (u, v) order.  used[x] holds the colors
+    # already at state x as bits; an edge takes the lowest color free at both ends
+    upper = (ju > iu) & (np.abs(entries) > DECOMPOSE_TOL)
+    iu, ju, entries = iu[upper], ju[upper], entries[upper]
     by_mag: dict[float, list[tuple[int, int, float]]] = {}
     for u, v, mag, sgn in zip(iu.tolist(), ju.tolist(), np.abs(entries).tolist(), np.copysign(1.0, entries).tolist()):
         by_mag.setdefault(mag, []).append((u, v, sgn))
-    max_degree = 0
-    n_colors_total = 0
     for mag in sorted(by_mag):
         colors: list[list[tuple[int, int, float]]] = []
-        color_used: list[bytearray] = []
-        degree = [0] * dim
+        used = [0] * dim
         for u, v, sgn in by_mag[mag]:
-            degree[u] += 1
-            degree[v] += 1
-            for ci, used in enumerate(color_used):
-                if not used[u] and not used[v]:
-                    break
-            else:
+            free = ~(used[u] | used[v])
+            bit = free & -free
+            color = bit.bit_length() - 1
+            if color == len(colors):
                 colors.append([])
-                color_used.append(bytearray(dim))
-                ci = len(colors) - 1
-            colors[ci].append((u, v, sgn))
-            color_used[ci][u] = color_used[ci][v] = 1
-        max_degree = max(max_degree, *degree)
-        n_colors_total += len(colors)
+            colors[color].append((u, v, sgn))
+            used[u] |= bit
+            used[v] |= bit
         for matching in colors:
             terms.append(_matching_term(mag, matching, dim))
     # the zero matrix with no ghost value keeps its zero identity term, so a path has a term
     if abs(ident) > DECOMPOSE_TOL or not terms:
         terms.append(_diag_term(abs(ident), np.full(dim, ident), "identity"))
-
-    audit = {
-        "n_terms": len(terms),
-        "n_diag_terms": sum(1 for t in terms if t.kind != "matching"),
-        "n_matchings": n_colors_total,
-        "max_offdiag_degree": max_degree,
-        "distinct_diag_values": len(distinct),
-        "distinct_offdiag_magnitudes": len(by_mag),
-        # greedy coloring uses at most 2*Delta - 1 colors per magnitude class
-        "coloring_bound": len(by_mag) * max(2 * max_degree - 1, 0)
-        + len(distinct)
-        + 1,
-    }
     # diagonal terms first so the path anchor is a computational basis state
     terms.sort(key=lambda t: {"reflection": 0, "identity": 1, "matching": 2}[t.kind])
-    return OneSparseDecomposition(dim, tuple(terms), audit)
+    return OneSparseDecomposition(dim, tuple(terms))
 
 
 def restrict(decomp: OneSparseDecomposition, states) -> OneSparseDecomposition:
@@ -254,9 +240,9 @@ def restrict(decomp: OneSparseDecomposition, states) -> OneSparseDecomposition:
 
     Each term keeps its eigenvectors supported in ``states``, in order, with
     basis states, eigenvectors and partners renumbered onto the kept ones.
-    Kinds, coefficients and the audit stay, so D and the schedule do not
-    change.  An eigenvector with one support state inside and one outside
-    raises ``ValueError``: such a term does not leave the states invariant.
+    Kinds and coefficients stay, so D and the schedule do not change.  An
+    eigenvector with one support state inside and one outside raises
+    ``ValueError``: such a term does not leave the states invariant.
     """
     states = np.asarray(states, dtype=np.int64)
     new_state = np.full(decomp.dim, -1, dtype=np.int64)
@@ -272,4 +258,4 @@ def restrict(decomp: OneSparseDecomposition, states) -> OneSparseDecomposition:
         partner = term.partner[keep]
         terms.append(OneSparseTerm(term.coeff, term.kind, term.lam[keep], sup1[keep], sup2[keep], term.amp1[keep],
                                    term.amp2[keep], np.where(partner >= 0, new_eig[partner], -1)))
-    return OneSparseDecomposition(states.size, tuple(terms), decomp.bound_audit)
+    return OneSparseDecomposition(states.size, tuple(terms))

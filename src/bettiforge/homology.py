@@ -12,7 +12,8 @@ squared Dirac operator (``dirac_square``), the Gram blocks of the boundary
 maps, are scattered from them as sign products, and so are the blocks of the
 Dirac operator, which with ``dirac_basis`` serves the walk (``qsim.walkenc``)
 alone; only the rank's torsion fallback builds a dense boundary matrix.  The
-Dirac spectrum is +-sqrt of the Laplacian's, which ``spectrum`` owns.
+Dirac spectrum is +-sqrt of the Laplacian's, which ``laplacian_spectrum``
+summarizes for ``spectrum`` and for the weight-k block of ``dirac_square``.
 
 Betti numbers come from exact ranks, not from floating point: sparse column
 reduction of the coboundaries over F_p for two primes, with the columns that
@@ -44,7 +45,7 @@ ZERO_TOL = 1e-8
 MAX_DENSE_DIM = 4096
 
 
-def _check_desk_scale(dim: int, what: str) -> None:
+def check_desk_scale(dim: int, what: str) -> None:
     if dim > MAX_DENSE_DIM:
         raise DeskScaleError(f"{what} needs dimension {dim}; desk-scale cap is {MAX_DENSE_DIM}")
 
@@ -146,7 +147,7 @@ def laplacian(cx: CliqueComplex, k: int) -> np.ndarray:
 def dirac_square(cx: CliqueComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``dirac(cx, k)`` squared, blockdiag(d d^T, L_k, d^T d), by ascending mask: (uint64 masks, int64 matrix)."""
     sizes = tuple(s for s in (k - 1, k, k + 1) if s >= 1)
-    _check_desk_scale(sum(cx.count(s) for s in sizes), f"dirac(k={k})")
+    check_desk_scale(sum(cx.count(s) for s in sizes), f"dirac(k={k})")
     return _gram(cx, k, sizes)
 
 
@@ -159,7 +160,7 @@ def dirac(cx: CliqueComplex, k: int) -> DiracOperator:
     """
     sizes = (cx.count(k - 1) if k >= 2 else 0, cx.count(k), cx.count(k + 1))
     total = sum(sizes)
-    _check_desk_scale(total, f"dirac(k={k})")
+    check_desk_scale(total, f"dirac(k={k})")
     mat = np.zeros((total, total), dtype=np.int64)
     a, b, c = sizes
     if k >= 2 and a and b:
@@ -186,7 +187,7 @@ def _exact_rank(cx: CliqueComplex, k: int, ranks: set[int]) -> int:
     if len(ranks) == 1:
         return ranks.pop()
     # one prime divides a torsion coefficient, so only the integer rank is exact
-    _check_desk_scale(max(cx.count(k), cx.count(k + 1)), f"betti_exact torsion fallback (k={k})")
+    check_desk_scale(max(cx.count(k), cx.count(k + 1)), f"betti_exact torsion fallback (k={k})")
     return integer_rank(boundary_matrix(cx, k).matrix)
 
 
@@ -214,33 +215,34 @@ def betti_exact(g: Graph, k: int) -> int:
     return cx.count(k) - rank_down - _exact_rank(cx, k, {r for _, r in ranks})
 
 
-def _zero_tol(eigenvalues: np.ndarray) -> float:
-    top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    return ZERO_TOL * max(1.0, top)
-
-
 def spectrum(g: Graph, k: int) -> SpectralSummary:
-    """Dense symmetric eigensolve of the (k-1)-Laplacian over Cl_k.
-
-    ``gap`` is the smallest eigenvalue above the zero tolerance (0.0 when the
-    whole spectrum is zero), ``kappa`` = top/gap (NaN when gap is 0).  The
-    restricted Dirac operator's gap is sqrt(gap) and its spectrum is +-sqrt
-    of this one (see ``qsim.filters``), so the filter and the pipeline read
-    their spectral numbers from here.
-    """
+    """Dense symmetric eigensolve of the (k-1)-Laplacian over Cl_k (see ``laplacian_spectrum``)."""
     check_weight(k)
     cx = build_clique_complex(g, k)
     dim = cx.count(k)
     if dim == 0:
         raise ValueError(f"graph has no {k}-cliques; spectrum undefined")
-    _check_desk_scale(dim, f"spectrum(k={k})")
+    check_desk_scale(dim, f"spectrum(k={k})")
     # the int64 Laplacian is dropped as soon as its float copy exists
-    evals = np.linalg.eigvalsh(laplacian(cx, k).astype(np.float64))
+    return laplacian_spectrum(laplacian(cx, k).astype(np.float64))
+
+
+def laplacian_spectrum(lap: np.ndarray) -> SpectralSummary:
+    """Spectral summary of an integer Laplacian, given as float64.
+
+    ``gap`` is the smallest eigenvalue above the zero tolerance (0.0 when the
+    whole spectrum is zero), ``kappa`` = top/gap (NaN when gap is 0).  The
+    restricted Dirac operator's gap is sqrt(gap) and its spectrum is +-sqrt
+    of this one (see ``qsim.filters``), so the filter and the pipeline read
+    their spectral numbers from here, and the dequantizer reads its gammas
+    off the weight-k block of ``dirac_square``.
+    """
+    evals = np.linalg.eigvalsh(lap)
     evals.sort()
-    tol = _zero_tol(evals)
+    top = float(evals[-1])
+    tol = ZERO_TOL * max(1.0, top)
     nullity = int(np.count_nonzero(evals < tol))
     nonzero = evals[evals >= tol]
     gap = float(nonzero[0]) if nonzero.size else 0.0
-    top = float(evals[-1])
     kappa = top / gap if gap > 0 else math.nan
     return SpectralSummary(evals, nullity, gap, top, kappa)

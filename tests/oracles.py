@@ -11,10 +11,12 @@ dense walk and its eigenphases, the filter half-width, and the filtered
 amplitude and Dirac gap from the eigendecomposition of the dense restricted
 Dirac operator.  Dequantizer oracles: the operator on the whole weight
 window of 2^n bit strings and its terms restricted to the clique states,
-the dense matrices of the one-sparse terms, the matching terms by element loops, the dense Trotter product, the dense overlap tables of every link,
-exhaustive path enumeration and the checks built on it, the dense forward
-and backward transfer passes, the slice count and variance bounds, and the
-exact estimator drawing its chains' paths one chain at a time.  Then
+the dense matrices of the one-sparse terms, the matching terms by element
+loops and the greedy coloring's bound on the term count, the dense Trotter
+product, the dense overlap tables of every link, exhaustive path
+enumeration and the checks built on it, the dense forward and backward
+transfer passes, the slice count and variance bounds, and the exact
+estimator drawing its chains' paths one chain at a time.  Then
 the continuum Kaiser phase-error law with the repeated amplitude-estimation
 draws that the window sizing is checked with, and the evaluating bisection
 that the refined window shape replays.
@@ -426,6 +428,26 @@ def loop_matching_terms(mat: np.ndarray) -> list[OneSparseTerm]:
                 np.array(amp1), np.array(amp2), np.array(partner, dtype=np.int64),
             ))
     return terms
+
+
+def coloring_bound(mat: np.ndarray, ghost: float | None = None) -> int:
+    """Largest term count D that ``one_sparse_decompose(mat, ghost)`` may return, from the matrix alone.
+
+    One reflection per distinct nonzero diagonal value (the ghost value
+    included), one identity term, and per off-diagonal magnitude class at
+    most 2 Delta - 1 matchings, Delta that class's largest degree: greedy
+    coloring gives an edge a color its two ends do not yet hold.
+    """
+    dim = mat.shape[0]
+    distinct = {float(mat[i, i]) for i in range(dim) if mat[i, i] != 0.0} | ({float(ghost)} if ghost else set())
+    degree: dict[float, list[int]] = {}
+    for u in range(dim):
+        for v in range(u + 1, dim):
+            if abs(mat[u, v]) > 1e-12:
+                counts = degree.setdefault(float(abs(mat[u, v])), [0] * dim)
+                counts[u] += 1
+                counts[v] += 1
+    return len(distinct) + 1 + sum(2 * max(counts) - 1 for counts in degree.values())
 
 
 def dense_decomposition(decomp: OneSparseDecomposition) -> np.ndarray:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import bettiforge
 from bettiforge import cli
 from bettiforge.cli import _pin_threads, main, parse_generator_spec
+from bettiforge.resources import SWEEP_COLUMNS
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -770,6 +771,53 @@ def test_trotter_step_past_the_float_range_exits_2(capsys, monkeypatch, sampler,
     assert code == 0 and json.loads(out)["estimate"] == pytest.approx(1 / 6, rel=1e-6), err
 
 
+@pytest.mark.parametrize("sampler", ["exact", "mh"])
+def test_path_values_past_the_float_range_exit_2(capsys, sampler):
+    # at 500 slices the sign problem drives the path magnitudes past the
+    # float range: exit 2 naming the overflow, with no NumPy warning, where
+    # the exact sampler printed NaN and the chain raised OverflowError
+    argv = [*DEQUANT_K22, "--t", "1", "--slices", "500", "--sampler", sampler, "--burn-in", "10", "--thin", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: the path values overflow the float range (the sign problem);"
+                   " use fewer --slices or a smaller --t\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--props"],
+    ["estimate", "--gen", "kpartite:2,2", "--r", "0.1", "--delta", "0.1"],
+    ["generate", "--gen", "er:5,0.5"],
+    ["sweep", "--k", "2", "--n", "4:8:2"],
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    # a directory, or a file in a missing directory: exit 2 with the reason, as for an unreadable --graph
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and err.startswith("error: cannot write output file: ") and str(out) in err
+
+
+def test_dequantize_scatters_the_laplacian_once(capsys, monkeypatch):
+    # the gammas are read off the weight-k block of the one scattered
+    # square, so L_k is not scattered a second time for the spectrum
+    from bettiforge import homology
+
+    sizes = []
+    gram = homology._gram
+    monkeypatch.setattr(homology, "_gram", lambda cx, k, s: sizes.append(s) or gram(cx, k, s))
+    code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1")
+    assert code == 0 and json.loads(out), err
+    assert sizes == [(1, 2, 3)]
+
+
+def test_dequantize_checks_the_spectrum_cap_first(capsys):
+    # K20 at k = 4: |Cl_4| = 4845 is over the cap, and it is checked before the Dirac window's 21489
+    code, out, err = run_cli(capsys, "dequantize", "--gen", "er:20,1.0", "--k", "4", "--t", "1", "--slices", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: spectrum(k=4) needs dimension 4845; desk-scale cap is 4096\n"
+
+
 def test_pipeline_runs_past_eight_vertices(capsys):
     # the pipeline holds no 2^n object; only the spectrum's dense cap limits it
     from bettiforge import graphs, homology
@@ -924,8 +972,24 @@ def _flags(**values) -> list[str]:
 
 
 def _exit_code(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    # a run that exits 0 must print what it promises: finite JSON, or for
+    # sweep a CSV whose every cell is a finite number
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code == 0 and argv[0] == "sweep":
+        header, *rows = out.getvalue().splitlines()
+        assert header.split(",") == list(SWEEP_COLUMNS)
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(SWEEP_COLUMNS) and all(math.isfinite(float(cell)) for cell in cells), row
+    elif code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    return code
+
+
+def _refuse_constant(name: str):
+    raise AssertionError(f"{name} printed as a JSON number")
 
 
 @FUZZ

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from bettiforge.graphs import build_clique_complex, gen_kpartite
-from bettiforge.homology import betti_exact, dirac, dirac_basis
+from bettiforge.homology import betti_exact, dirac, dirac_basis, spectrum
 from bettiforge.dequant.estimator import PIMCConfig, estimate_from_operator, estimate_normalized_betti
 from bettiforge.dequant.operators import (
     one_sparse_decompose,
@@ -32,6 +32,7 @@ from oracles import (
     ambient_basis,
     ambient_gammas,
     ambient_operator,
+    coloring_bound,
     column_nonzeros,
     dense_backward_pass,
     dense_closing_rows,
@@ -142,6 +143,18 @@ class TestPenalizedOperator:
         # no nonzero mode on the edgeless graph: the penalty is 1
         assert (op.gamma_min, op.gamma_pen, op.gamma_max) == (0.0, 1.0, 1.0)
 
+    def test_gammas_are_the_spectrum_bit_for_bit(self):
+        # read off the square's weight-k block, the gammas are spectrum(g, k)'s
+        # gap and top: k = 1, the complete graphs K1-K8, the 4-cycle at k = 1
+        # with its single reflection term, and the edgeless graph among them
+        for g, k in _oracle_cases() + [(Graph(4, ()), 1)]:
+            op = penalized_operator(g, k)
+            summary = spectrum(g, k)
+            pen = summary.gap if summary.gap > 0 else 1.0
+            top = summary.top if op.ghost is None else max(summary.top, pen)
+            got = np.array([op.gamma_min, op.gamma_pen, op.gamma_max])
+            assert got.tobytes() == np.array([summary.gap, pen, top]).tobytes(), (g.n, g.edges, k)
+
     def test_squared_dirac_block_is_the_integer_square(self):
         for g, k in _oracle_cases():
             op = penalized_operator(g, k)
@@ -202,9 +215,19 @@ class TestOneSparseDecomposition:
                 assert np.linalg.norm(vec) == pytest.approx(1.0)
                 assert np.abs(dense @ vec - term.lam[e] * vec).max() < 1e-12
 
-    def test_d_within_bound_audit(self, k22):
-        _, _, decomp = k22
-        assert decomp.D <= decomp.bound_audit["coloring_bound"]
+    def test_d_within_coloring_bound(self):
+        # the oracle cases with and without their ghost value, the random
+        # symmetric matrices, and larger ones with several magnitude classes
+        mats = [(op.matrix, ghost) for op in (penalized_operator(g, k) for g, k in _oracle_cases())
+                for ghost in (None, op.ghost)]
+        rng = np.random.default_rng(41)
+        mats += [(_random_symmetric(rng), None) for _ in range(60)]
+        for _ in range(40):
+            dim = int(rng.integers(2, 30))
+            mat = np.round(rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.3), 1)
+            mats.append((mat + mat.T, None))
+        for mat, ghost in mats:
+            assert one_sparse_decompose(mat, ghost).D <= coloring_bound(mat, ghost)
 
     def test_zero_matrix_keeps_its_identity_term(self):
         # with no value to reflect and nothing off the diagonal, the zero
@@ -214,8 +237,13 @@ class TestOneSparseDecomposition:
         assert [t.kind for t in one_sparse_decompose(np.zeros((2, 2)), ghost=1.0).terms] == ["reflection", "identity"]
 
     def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            one_sparse_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # an entry whose mirror is exactly 0, on either side of the diagonal,
+        # is caught; an asymmetry below the tolerance passes
+        for mat in ([[0.0, 1.0], [0.0, 0.0]], [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 1.0]]):
+            with pytest.raises(ValueError, match="matrix is not symmetric"):
+                one_sparse_decompose(np.array(mat))
+        for mat in ([[0.0, 1.0], [1.0 + 1e-13, 0.0]], [[1.0, 1e-13], [0.0, 1.0]]):
+            assert one_sparse_decompose(np.array(mat)).D >= 1
 
     def test_diagonal_terms_first(self, k22):
         _, _, decomp = k22
@@ -936,7 +964,7 @@ class TestRestrict:
             for decomp, flags in ((one_sparse_decompose(op.matrix, op.ghost), sector),
                                   (one_sparse_decompose(window.matrix), window.basis.clique_flags)):
                 got = restrict(decomp, np.flatnonzero(flags))
-                assert got.dim == flags.sum() and got.bound_audit == decomp.bound_audit
+                assert got.dim == flags.sum()
                 for a, b in zip(got.terms, restrict_to_cliques(decomp, flags), strict=True):
                     assert (a.coeff, a.kind) == (b.coeff, b.kind)
                     for name in self.FIELDS:
@@ -1016,7 +1044,6 @@ class TestCliqueBasisOracle:
             assert op.basis.states.size + (~flags).sum() == window.basis.dim
             got = one_sparse_decompose(op.matrix, op.ghost)
             want = one_sparse_decompose(window.matrix)
-            assert got.bound_audit == want.bound_audit
             for a, b in zip(got.terms, restrict_to_cliques(want, flags), strict=True):
                 assert (a.coeff, a.kind) == (b.coeff, b.kind)
                 for name in ("lam", "sup1", "sup2", "amp1", "amp2", "partner"):
