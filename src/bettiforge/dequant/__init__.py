@@ -1,9 +1,9 @@
 """Classical randomized estimation of normalized Betti numbers.
 
 Submodules:
-    operators  penalized squared Dirac operator, its one-sparse decomposition
-               and the restriction of that to the weight-k sector, whose
-               basis states are the path anchors
+    operators  penalized squared Dirac operator and its one-sparse
+               decomposition, built on the weight-k sector, whose basis
+               states are the path anchors
     paths      closed eigenvector paths, the pattern and magnitude measures,
                batched exact draws, and Metropolis-Hastings with its redraw
                and anchor proposals taken from those draws in blocks

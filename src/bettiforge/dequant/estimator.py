@@ -4,8 +4,8 @@ Implements the randomized trace estimation: draw a starting weight-k clique
 by rejection from the uniform weight-k strings, draw a closed eigenvector
 path, and average its value (see ``paths`` for the two path measures).
 Cliques are drawn in blocks, by one batched rejection sampler.  Paths run on
-the decomposition restricted to the weight-k sector, where each clique's
-sector position is its anchor; both samplers share that one path space.
+the decomposition built on the weight-k sector, where each clique's sector
+position is its anchor; both samplers share that one path space.
 
   * ``sampler="exact"`` draws each chain's anchors in blocks from the
     chain's generator, then every chain's paths exactly from the magnitude
@@ -30,24 +30,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import DeskScaleError
 from ..graphs import Graph
-from .operators import (
-    OneSparseDecomposition,
-    PenalizedOperator,
-    one_sparse_decompose,
-    penalized_operator,
-    restrict,
-)
+from .operators import OneSparseDecomposition, PenalizedOperator, one_sparse_decompose, penalized_operator
 from .paths import MAGNITUDE, PATTERN, ExactPathSampler, MetropolisPathSampler, PathSpace, log_sum_exp
 
 LN2 = math.log(2.0)
 NO_CLOSED_PATH = "no valid closed path exists (disconnected eigenstructure)"
 PATH_OVERFLOW = "the path values overflow the float range (the sign problem); use fewer --slices or a smaller --t"
+DRAW_BUDGET = 1 << 30  # bytes of one run's per-sample draw buffers
+DRAW_BYTES = 128  # per drawn path: anchors, candidate weights and cdf, uniforms, picks and values
 
 
 @dataclass(frozen=True)
 class PIMCConfig:
-    """Knobs of one estimation run; seeds make runs reproducible."""
+    """Knobs of one estimation run; seeds make runs reproducible.
+
+    Sample paths whose draw buffers would pass ``DRAW_BUDGET`` raise
+    ``DeskScaleError`` here, before anything is built.
+    """
 
     t: float
     r_t: int
@@ -71,6 +72,10 @@ class PIMCConfig:
             raise ValueError("need at least one chain")
         if self.sampler not in ("exact", "mh"):
             raise ValueError("sampler must be 'exact' or 'mh'")
+        paths = -(-self.n_samp // self.chains) * self.chains
+        if paths * DRAW_BYTES > DRAW_BUDGET:
+            raise DeskScaleError(f"{paths} sample paths need {paths * DRAW_BYTES} bytes of draw buffers;"
+                                 f" the budget is {DRAW_BUDGET} bytes")
 
 
 CLIQUE_CHUNK = 1 << 16  # uniforms drawn and sorted at a time by the clique sampler
@@ -168,7 +173,7 @@ def estimate_normalized_betti(g: Graph, k: int, cfg: PIMCConfig) -> DequantResul
     the magnitudes grow with the slice count while the sign averages out.
     """
     op = penalized_operator(g, k)
-    decomp = one_sparse_decompose(op.matrix, op.ghost)
+    decomp = one_sparse_decompose(op.matrix, op.ghost, op.basis.weight_k_clique_indices)
     try:
         with np.errstate(over="raise"):
             return estimate_from_operator(g, k, op, decomp, cfg)
@@ -183,8 +188,11 @@ def estimate_from_operator(
     decomp: OneSparseDecomposition,
     cfg: PIMCConfig,
 ) -> DequantResult:
+    """The estimator on ``decomp``, the decomposition of ``op`` on its weight-k sector."""
     anchors = op.basis.weight_k_clique_indices
-    space = PathSpace(restrict(decomp, anchors), cfg.t, cfg.r_t)
+    if decomp.dim != anchors.size:
+        raise ValueError(f"the decomposition has dimension {decomp.dim}, not the {anchors.size} weight-k cliques")
+    space = PathSpace(decomp, cfg.t, cfg.r_t)
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)
 

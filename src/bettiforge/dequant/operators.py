@@ -13,9 +13,9 @@ decomposition only as one more distinct diagonal value, the ghost value
 gamma_pen.  It is there when those weights hold a non-clique state, that is
 when the binomials C(n, s), s = max(k-1, 1) .. k+1, sum past the Dirac
 dimension.  B_G^2 = blockdiag(d d^T, L_k, d^T d) keeps each weight too, so
-``restrict`` cuts the decomposition down to the weight-k clique states: the
-sector the paths run on, whose every basis state is an anchor.  B_G^2 has
-the nonzero spectrum of its weight-k block, the Laplacian L_k, so gamma_min
+``one_sparse_decompose`` can build every term on the weight-k clique states
+alone: the sector the paths run on, whose every basis state is an anchor.
+B_G^2 has the nonzero spectrum of its weight-k block, the Laplacian L_k, so gamma_min
 and the top are read off that block (``homology.laplacian_spectrum``, the
 summary of ``homology.spectrum``): L_k is scattered once per operator.
 gamma_pen is gamma_min, or 1 when L_k has no nonzero mode.  The weight-k kernel has dimension beta_{k-1}, and
@@ -136,7 +136,7 @@ def _diag_term(coeff: float, values: np.ndarray, kind: str) -> OneSparseTerm:
 
 
 def _matching_term(coeff: float, pairs: list[tuple[int, int, float]], dim: int) -> OneSparseTerm:
-    """Pairs (u, v, sign) all of magnitude ``coeff``; other states are fixed.
+    """Pairs (u, v, sign) all of magnitude ``coeff``, perhaps none; other states are fixed.
 
     Pair j gives eigenvectors 2j and 2j + 1, (|u> +- |v>)/sqrt(2) with
     eigenvalues +-sign coeff, each the other's partner; the fixed states
@@ -144,7 +144,7 @@ def _matching_term(coeff: float, pairs: list[tuple[int, int, float]], dim: int) 
     """
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     paired = 2 * len(pairs)
-    pair = np.array(pairs).repeat(2, axis=0)  # rows (u, v, sign), each pair twice
+    pair = np.array(pairs, dtype=float).reshape(-1, 3).repeat(2, axis=0)  # rows (u, v, sign), each pair twice
     ends = pair[:, :2].astype(np.int64)
     plus_minus = np.array([1.0, -1.0] * len(pairs))
     lam, amp1, amp2 = np.zeros(dim), np.ones(dim), np.zeros(dim)
@@ -177,10 +177,17 @@ class OneSparseDecomposition:
         return float(sum(t.coeff for t in self.terms))
 
 
-def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSparseDecomposition:
+def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None, states=None) -> OneSparseDecomposition:
     """Exact decomposition of a real symmetric matrix into weighted involutions.
 
     ``ghost`` is one more diagonal value, held by states outside the matrix.
+    With ``states``, ascending basis indices, each term's eigenvectors are
+    built on those states alone, renumbered in order.  The distinct values
+    and the colors are still read off the whole matrix, so D, the kinds,
+    the coefficients and the term order do not change; a color with no pair
+    among the states fixes every one of them.  A pair with one end inside
+    and one outside raises ``ValueError``: such a term does not leave the
+    states invariant.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -191,7 +198,10 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
     entries = mat[iu, ju]
     if np.abs(entries - mat[ju, iu]).max(initial=0.0) > DECOMPOSE_TOL:
         raise ValueError("matrix is not symmetric")
-    dim = mat.shape[0]
+    states = np.arange(mat.shape[0]) if states is None else np.asarray(states, dtype=np.int64)
+    dim = states.size
+    new_state = np.full(mat.shape[0], -1, dtype=np.int64)
+    new_state[states] = np.arange(dim)
     terms: list[OneSparseTerm] = []
 
     # diagonal part: one reflection per distinct value plus one identity term;
@@ -202,27 +212,33 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
     distinct = sorted({float(v) for v in diag if v != 0.0} | ({float(ghost)} if ghost else set()))
     ident = sum(distinct) / 2.0
     for v in distinct:
-        values = np.where(diag == v, v / 2.0, -v / 2.0)
+        values = np.where(diag[states] == v, v / 2.0, -v / 2.0)
         terms.append(_diag_term(abs(v) / 2.0, values, "reflection"))
 
     # off-diagonal part: split by magnitude, then greedy edge coloring of the
     # upper-triangle edges in row-major (u, v) order.  used[x] holds the colors
-    # already at state x as bits; an edge takes the lowest color free at both ends
+    # already at state x as bits; an edge takes the lowest color free at both
+    # ends, and its pair is kept, renumbered, when both ends are among the states
     upper = (ju > iu) & (np.abs(entries) > DECOMPOSE_TOL)
     iu, ju, entries = iu[upper], ju[upper], entries[upper]
-    by_mag: dict[float, list[tuple[int, int, float]]] = {}
-    for u, v, mag, sgn in zip(iu.tolist(), ju.tolist(), np.abs(entries).tolist(), np.copysign(1.0, entries).tolist()):
-        by_mag.setdefault(mag, []).append((u, v, sgn))
+    new_u, new_v = new_state[iu], new_state[ju]
+    if np.any((new_u < 0) != (new_v < 0)):
+        raise ValueError("a matching eigenvector straddles the restricted states")
+    by_mag: dict[float, list[tuple[int, int, int, int, float]]] = {}
+    for u, v, su, sv, mag, sgn in zip(iu.tolist(), ju.tolist(), new_u.tolist(), new_v.tolist(),
+                                      np.abs(entries).tolist(), np.copysign(1.0, entries).tolist()):
+        by_mag.setdefault(mag, []).append((u, v, su, sv, sgn))
     for mag in sorted(by_mag):
         colors: list[list[tuple[int, int, float]]] = []
-        used = [0] * dim
-        for u, v, sgn in by_mag[mag]:
+        used = [0] * mat.shape[0]
+        for u, v, su, sv, sgn in by_mag[mag]:
             free = ~(used[u] | used[v])
             bit = free & -free
             color = bit.bit_length() - 1
             if color == len(colors):
                 colors.append([])
-            colors[color].append((u, v, sgn))
+            if su >= 0:
+                colors[color].append((su, sv, sgn))
             used[u] |= bit
             used[v] |= bit
         for matching in colors:
@@ -233,29 +249,3 @@ def one_sparse_decompose(mat: np.ndarray, ghost: float | None = None) -> OneSpar
     # diagonal terms first so the path anchor is a computational basis state
     terms.sort(key=lambda t: {"reflection": 0, "identity": 1, "matching": 2}[t.kind])
     return OneSparseDecomposition(dim, tuple(terms))
-
-
-def restrict(decomp: OneSparseDecomposition, states) -> OneSparseDecomposition:
-    """The decomposition on the ascending basis indices ``states`` alone.
-
-    Each term keeps its eigenvectors supported in ``states``, in order, with
-    basis states, eigenvectors and partners renumbered onto the kept ones.
-    Kinds and coefficients stay, so D and the schedule do not change.  An
-    eigenvector with one support state inside and one outside raises
-    ``ValueError``: such a term does not leave the states invariant.
-    """
-    states = np.asarray(states, dtype=np.int64)
-    new_state = np.full(decomp.dim, -1, dtype=np.int64)
-    new_state[states] = np.arange(states.size)
-    terms = []
-    for term in decomp.terms:
-        paired = term.sup2 >= 0
-        sup1, sup2 = new_state[term.sup1], np.where(paired, new_state[term.sup2], -1)
-        keep = sup1 >= 0
-        if np.any(paired & (keep != (sup2 >= 0))):
-            raise ValueError(f"a {term.kind} eigenvector straddles the restricted states")
-        new_eig = np.cumsum(keep) - 1
-        partner = term.partner[keep]
-        terms.append(OneSparseTerm(term.coeff, term.kind, term.lam[keep], sup1[keep], sup2[keep], term.amp1[keep],
-                                   term.amp2[keep], np.where(partner >= 0, new_eig[partner], -1)))
-    return OneSparseDecomposition(states.size, tuple(terms))

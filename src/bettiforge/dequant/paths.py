@@ -5,9 +5,10 @@ A path visits one eigenvector of each scheduled one-sparse term.  With L =
 closing position reuses position 0 (the symmetric ordering makes the first
 and last scheduled terms identical).  Position 0 ("the anchor") is pinned to
 a computational basis state of the first term, which makes the
-restricted-trace closure exact.  The estimator runs paths on the weight-k
-sector (``operators.restrict``), so every basis state is an anchor, and an
-anchor's state, eigenvector and message column are one number.
+restricted-trace closure exact.  The estimator runs paths on the
+decomposition built on the weight-k sector (``operators.one_sparse_decompose``
+with its states), so every basis state is an anchor, and an anchor's state,
+eigenvector and message column are one number.
 
 A path is valid when every consecutive overlap (including the closing one)
 is nonzero.  With beta = t/r, W the product of the 2 r D - 1 consecutive

@@ -24,6 +24,7 @@ from .exactrank import Coboundary, coboundary
 # Bit-mask encodings cap the exact/simulation paths; the resource estimator
 # works from plain counts and has no such limit.
 MAX_VERTICES = 64
+MAX_CLIQUES = 1 << 20  # cliques of one size that enumerate_cliques lists before it refuses
 
 
 def _check_vertices(n: int) -> None:
@@ -263,7 +264,8 @@ def enumerate_cliques(g: Graph, s: int) -> list[int]:
 
     Recursive extension over sorted candidate sets: each clique is grown only
     by vertices larger than its current maximum, so every clique is produced
-    exactly once and the output order is deterministic.
+    exactly once and the output order is deterministic.  Past ``MAX_CLIQUES``
+    cliques it raises ``DeskScaleError``.
     """
     if s < 1:
         raise ValueError("clique size must be >= 1")
@@ -276,6 +278,9 @@ def enumerate_cliques(g: Graph, s: int) -> list[int]:
     def extend(mask: int, cand: int, size: int) -> None:
         if size == s:
             out.append(mask)
+            if len(out) > MAX_CLIQUES:
+                raise DeskScaleError(f"graph has more than {MAX_CLIQUES} cliques of {s} vertices;"
+                                     f" desk-scale enumeration lists at most {MAX_CLIQUES} of one size")
             return
         rest = cand
         while rest:

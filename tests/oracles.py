@@ -49,7 +49,6 @@ from bettiforge.dequant.operators import (
     PenalizedOperator,
     one_sparse_decompose,
     penalized_operator,
-    restrict,
 )
 from bettiforge.dequant.paths import (
     MAGNITUDE,
@@ -792,16 +791,17 @@ def enumerate_paths(space: PathSpace, max_paths: int = 1 << 14) -> list[PathSamp
     return out
 
 
-def exhaustive_check(
-    op: PenalizedOperator, decomp: OneSparseDecomposition, t: float, r_t: int, max_paths: int = 1 << 14
-) -> dict:
+def exhaustive_check(op: PenalizedOperator, t: float, r_t: int, max_paths: int = 1 << 14) -> dict:
     """Exact path-sum identities on a toy instance (exponentially many paths).
 
-    Returns the exhaustive partition function, the path-sum estimate of the
-    restricted trace, and the matrix-product value it must equal.
+    ``op.matrix`` is decomposed with no ghost value, on its weight-k sector
+    for the paths and whole for the dense Trotterized product.  Returns the
+    exhaustive partition function, the path-sum estimate of the restricted
+    trace, and the matrix-product value it must equal.
     """
     anchors = op.basis.weight_k_clique_indices
-    space = PathSpace(restrict(decomp, anchors), t, r_t)
+    decomp = one_sparse_decompose(op.matrix)
+    space = PathSpace(one_sparse_decompose(op.matrix, states=anchors), t, r_t)
     paths = enumerate_paths(space, max_paths=max_paths)
     beta = t / r_t
     z = 0.0
@@ -902,6 +902,31 @@ def scalar_pattern_draw(exact: ExactPathSampler, rng: np.random.Generator) -> li
 
 
 
+def scalar_clique_draw(g: Graph, k: int, rng: np.random.Generator, count: int) -> tuple[list[int], int, int]:
+    """``count`` uniform k-cliques drawn row by row on the uniforms of ``make_clique_sampler``.
+
+    Each row of g.n uniforms names the k vertices of its k smallest entries;
+    a subset that ``is_clique`` accepts is kept as its position among the
+    ``brute_force_cliques`` masks.  Blocks are sized from the acceptance
+    rate as the batched sampler sizes them, and every row of a block is
+    drawn.  Returns the positions, the rows drawn and the cliques found.
+    """
+    position = {mask: i for i, mask in enumerate(brute_force_cliques(g, k))}
+    accept_rate = len(position) / math.comb(g.n, k)
+    out: list[int] = []
+    draws = accepts = 0
+    while len(out) < count:
+        block = math.ceil(1.25 * (count - len(out)) / accept_rate) + 16
+        draws += block
+        for _ in range(block):
+            mask = sum(1 << int(v) for v in np.argsort(rng.random(g.n))[:k])
+            if is_clique(g, mask):
+                accepts += 1
+                if len(out) < count:
+                    out.append(position[mask])
+    return out, draws, accepts
+
+
 def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult:
     """The exact estimator with one batch per chain, in chain order.
 
@@ -911,9 +936,8 @@ def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult
     draws every chain's paths in one call and must match this bit for bit.
     """
     op = penalized_operator(g, k)
-    decomp = one_sparse_decompose(op.matrix, op.ghost)
     anchors = op.basis.weight_k_clique_indices
-    space = PathSpace(restrict(decomp, anchors), cfg.t, cfg.r_t)
+    space = PathSpace(one_sparse_decompose(op.matrix, op.ghost, anchors), cfg.t, cfg.r_t)
     draw, counters = make_clique_sampler(g, k, op.basis)
     exact = ExactPathSampler(space, clique_sampler=draw)
     log_z = exact.log_z(MAGNITUDE)
@@ -956,7 +980,7 @@ def per_chain_exact_estimate(g: Graph, k: int, cfg: PIMCConfig) -> DequantResult
         acceptance_rate=1.0,
         clique_acceptance=counters["accepts"] / max(counters["draws"], 1),
         autocorr_time=integrated_autocorr_time(arr),
-        D=decomp.D,
+        D=space.decomp.D,
         D_scheduled=len(space.schedule) // (2 * cfg.r_t),
         r_t=cfg.r_t,
         t=cfg.t,

@@ -27,7 +27,7 @@ from bettiforge import homology
 from bettiforge import resources
 from bettiforge.qsim import dicke, filters, kaiser, walkenc
 from bettiforge.dequant import estimator as deq
-from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator, restrict
+from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
 from bettiforge.dequant.paths import PATTERN, ExactPathSampler, PathSpace
 from oracles import (
     amplitude_estimate_trials,
@@ -268,15 +268,14 @@ def test_criterion_08_dequantizer():
         # (b) exhaustive unbiasedness on a toy with < 2^12 paths
         g = gen_kpartite(2, 2)
         op = penalized_operator(g, 2)
-        decomp = one_sparse_decompose(op.matrix)
-        chk = exhaustive_check(op, decomp, t=1.0, r_t=1)
+        chk = exhaustive_check(op, t=1.0, r_t=1)
         if chk["n_paths"] > 1 << 12:
             failures.append("toy too large")
         if not math.isclose(chk["trace_pathsum"], chk["trace_matrix"], rel_tol=1e-10):
             failures.append("exhaustive path sum not equal to restricted trace")
         # (c) detailed balance of the Metropolis redraw move (pattern measure)
         # on 100 random pairs
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
+        space = PathSpace(one_sparse_decompose(op.matrix, states=op.basis.weight_k_clique_indices), 1.0, 1)
         paths = enumerate_paths(space)
         log_z = ExactPathSampler(space).log_z(PATTERN)
         rng = np.random.default_rng(1)

@@ -310,6 +310,48 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, *command, "--gen", "kpartite:1,16", "--k", "8")
             assert code == 3 and "spectrum(k=8) needs dimension 12870" in err and out == "", command
 
+    def test_clique_budget_is_3(self, capsys, monkeypatch):
+        # K11 has 55 edges and 165 triangles: at a budget of 55 per size the
+        # edges are listed and the triangles refused
+        from bettiforge import graphs
+
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 55)
+        code, out, err = run_cli(capsys, "betti", "--gen", "kpartite:1,11", "--k", "2")
+        assert code == 3 and out == "" and "more than 55 cliques of 3 vertices" in err
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 165)
+        code, out, _ = run_cli(capsys, "betti", "--gen", "kpartite:1,11", "--k", "2")
+        assert code == 0 and json.loads(out)["cl_k"] == 55
+
+    def test_clique_count_past_desk_scale_is_3(self, capsys):
+        # k = 12 on K40 asks for C(40, 13) ~ 1.2e10 cliques; the enumeration
+        # stops on the C(40, 6) = 3838380 cliques of 6 vertices
+        code, out, err = run_cli(capsys, "betti", "--gen", "kpartite:1,40", "--k", "12")
+        assert code == 3 and out == "" and "more than 1048576 cliques of 6 vertices" in err
+
+    def test_sample_draw_budget_is_3(self, capsys, monkeypatch):
+        # a budget of 402 paths: 400 samples fit, and 401 samples would too,
+        # but 4 chains draw 404 paths for them, refused before any clique is
+        # enumerated
+        from bettiforge import graphs
+        from bettiforge.dequant import estimator
+
+        enumerated = []
+        enumerate_cliques = graphs.enumerate_cliques
+        monkeypatch.setattr(graphs, "enumerate_cliques", lambda g, s: enumerated.append(s) or enumerate_cliques(g, s))
+        monkeypatch.setattr(estimator, "DRAW_BUDGET", 402 * estimator.DRAW_BYTES)
+        code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "400")
+        assert code == 0 and json.loads(out)["n_samples"] == 400 and enumerated, err
+        enumerated.clear()
+        for sampler in ("exact", "mh"):
+            code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "401", "--sampler", sampler)
+            assert code == 3 and out == "" and "404 sample paths need 51712 bytes of draw buffers" in err
+        assert enumerated == []
+
+    def test_sample_count_past_desk_scale_is_3(self, capsys):
+        code, out, err = run_cli(capsys, *DEQUANT_K22, "--t", "1", "--samples", "1000000000")
+        assert code == 3 and out == ""
+        assert "1000000000 sample paths need 128000000000 bytes of draw buffers; the budget is 1073741824" in err
+
     def test_walk_past_twelve_vertices_is_3(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "walk", "--gen", "kpartite:1,13", "--k", "6")
         assert code == 3 and "simulator supports n <= 12 qubits, got 13" in err and out == ""

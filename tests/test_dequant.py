@@ -9,12 +9,14 @@ from scipy.special import logsumexp
 
 from bettiforge.graphs import build_clique_complex, gen_kpartite
 from bettiforge.homology import betti_exact, dirac, dirac_basis, spectrum
-from bettiforge.dequant.estimator import PIMCConfig, estimate_from_operator, estimate_normalized_betti
-from bettiforge.dequant.operators import (
-    one_sparse_decompose,
-    penalized_operator,
-    restrict,
+from bettiforge.dequant import estimator
+from bettiforge.dequant.estimator import (
+    PIMCConfig,
+    estimate_from_operator,
+    estimate_normalized_betti,
+    make_clique_sampler,
 )
+from bettiforge.dequant.operators import one_sparse_decompose, penalized_operator
 from bettiforge.dequant.paths import (
     BLOCK_PROB,
     MAGNITUDE,
@@ -51,6 +53,7 @@ from oracles import (
     overlap_table,
     per_chain_exact_estimate,
     restrict_to_cliques,
+    scalar_clique_draw,
     scalar_pattern_draw,
     stationary_log_prob,
     trotter_slices,
@@ -66,6 +69,11 @@ def k22():
     g = gen_kpartite(2, 2)
     op = penalized_operator(g, 2)
     return g, op, one_sparse_decompose(op.matrix)
+
+
+def _sector(op, ghost=None):
+    """``op.matrix`` decomposed on its weight-k sector."""
+    return one_sparse_decompose(op.matrix, ghost, op.basis.weight_k_clique_indices)
 
 
 class TestPenalizedOperator:
@@ -119,7 +127,7 @@ class TestPenalizedOperator:
         g = gen_kpartite(2, 3)
         op = penalized_operator(g, 2)
         anchors = op.basis.weight_k_clique_indices
-        space = PathSpace(restrict(one_sparse_decompose(op.matrix, op.ghost), anchors), 1.0, 1)
+        space = PathSpace(_sector(op, op.ghost), 1.0, 1)
         size = (space.length - 2) * anchors.size**2 * 8
         entered = []
         backward_pass = PathSpace.backward_pass
@@ -294,8 +302,8 @@ class TestTrotter:
 
 class TestPathMachinery:
     def test_partition_function_matches_exhaustive(self, k22):
-        _, op, decomp = k22
-        res = exhaustive_check(op, decomp, t=1.0, r_t=1)
+        _, op, _ = k22
+        res = exhaustive_check(op, t=1.0, r_t=1)
         assert res["log_partition_exhaustive"] == pytest.approx(
             res["log_partition_transfer"], abs=1e-10
         )
@@ -303,16 +311,16 @@ class TestPathMachinery:
     def test_pathsum_unbiased_for_restricted_trace(self, k22):
         # exact identity: sum over all valid closed paths equals the
         # restricted trace of the Trotterized product (toy has < 2^12 paths)
-        _, op, decomp = k22
+        _, op, _ = k22
         for t in (0.5, 1.5):
-            res = exhaustive_check(op, decomp, t=t, r_t=1)
+            res = exhaustive_check(op, t=t, r_t=1)
             assert res["n_paths"] <= 1 << 12
             assert res["trace_pathsum"] == pytest.approx(res["trace_matrix"], rel=1e-10)
 
     def test_expectation_of_estimator_is_restricted_trace(self, k22):
         # E[E_q] under the thermal law: sum Pr * E_q == trace / d_k, exactly
-        _, op, decomp = k22
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
+        _, op, _ = k22
+        space = PathSpace(_sector(op), 1.0, 1)
         paths = enumerate_paths(space)
         beta = 1.0
         z = sum(math.exp(-beta * p.energy) for p in paths)
@@ -326,7 +334,7 @@ class TestPathMachinery:
                 / op.d_k
             )
             total += pr * e_q
-        res = exhaustive_check(op, decomp, t=1.0, r_t=1)
+        res = exhaustive_check(op, t=1.0, r_t=1)
         assert total == pytest.approx(res["expectation_matrix"], rel=1e-10)
 
     def test_cosh_closed_form_two_by_two(self):
@@ -346,8 +354,8 @@ class TestPathMachinery:
         assert space.log_partition() == pytest.approx(math.log(expect), abs=1e-10)
 
     def test_endpoint_closure_enforced(self, k22):
-        _, op, decomp = k22
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
+        _, op, _ = k22
+        space = PathSpace(_sector(op), 1.0, 1)
         first = space.terms[space.schedule[0]]
         for p in enumerate_paths(space):
             # the loop closes on the anchor eigenvector by construction, and
@@ -357,8 +365,8 @@ class TestPathMachinery:
             assert p.valid
 
     def test_stationary_log_prob(self, k22):
-        _, op, decomp = k22
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1)
+        _, op, _ = k22
+        space = PathSpace(_sector(op), 1.0, 1)
         p = enumerate_paths(space)[0]
         assert stationary_log_prob(p, 1.0, 1) == pytest.approx(-p.energy)
         bad = p.__class__(p.eig_indices, p.anchor_state, p.energy, 0.0, -math.inf, False)
@@ -488,11 +496,9 @@ class TestPartitionConsistency:
             if not enumerate_cliques(g, k):
                 continue
             op = penalized_operator(g, k)
-            decomp = one_sparse_decompose(op.matrix)
+            decomp = _sector(op)
             try:
-                msgs, transfer, enum = self._three_ways(
-                    restrict(decomp, op.basis.weight_k_clique_indices), 1.0, 1, max_paths=1 << 11
-                )
+                msgs, transfer, enum = self._three_ways(decomp, 1.0, 1, max_paths=1 << 11)
             except RuntimeError:
                 continue
             assert msgs == pytest.approx(transfer, rel=1e-9)
@@ -529,8 +535,8 @@ class TestMetropolis:
 
     def test_detailed_balance_local_moves(self, k22):
         # p_a p_ab == p_b p_ba for sign flips across 100 random valid pairs
-        _, op, decomp = k22
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.2, 1)
+        _, op, _ = k22
+        space = PathSpace(_sector(op), 1.2, 1)
         paths = enumerate_paths(space)
         by_key = {p.eig_indices: p for p in paths}
         rng = np.random.default_rng(0)
@@ -558,8 +564,8 @@ class TestMetropolis:
     def test_detailed_balance_redraw_move(self, k22):
         # independence proposal from the pattern measure, q(x) = therm(x) /
         # (|A| Z_anchor(x)): p_a q(b) min(1, Zb/Za) == p_b q(a) min(1, Za/Zb)
-        _, op, decomp = k22
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 1.2, 1)
+        _, op, _ = k22
+        space = PathSpace(_sector(op), 1.2, 1)
         log_z = ExactPathSampler(space).log_z(PATTERN)
         paths = enumerate_paths(space)
         rng = np.random.default_rng(2)
@@ -575,8 +581,8 @@ class TestMetropolis:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_stationary_distribution_tv(self, k22):
-        _, op, decomp = k22
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), 0.6, 1)
+        _, op, _ = k22
+        space = PathSpace(_sector(op), 0.6, 1)
         paths = enumerate_paths(space)
         beta = 0.6
         weights = {p.eig_indices: math.exp(-beta * p.energy) for p in paths}
@@ -610,8 +616,8 @@ class TestMetropolis:
         assert after.valid and before.valid
 
     def test_mh_chain_api(self, k22):
-        _, op, decomp = k22
-        chain = mh_chain(restrict(decomp, op.basis.weight_k_clique_indices), 0.8, 1, 50, seed=4)
+        _, op, _ = k22
+        chain = mh_chain(_sector(op), 0.8, 1, 50, seed=4)
         assert len(chain) == 50
         assert all(p.valid for p in chain)
 
@@ -648,7 +654,7 @@ def _draw_cases():
 
 def _space(g, k, t, r_t):
     op = penalized_operator(g, k)
-    return op, PathSpace(restrict(one_sparse_decompose(op.matrix, op.ghost), op.basis.weight_k_clique_indices), t, r_t)
+    return op, PathSpace(_sector(op, op.ghost), t, r_t)
 
 
 class _Replay:
@@ -748,8 +754,7 @@ class TestDrawRoutine:
         # |value| <= |Cl_k| exp(-shift t) max_a Z^abs_a / d_k for every sample
         for g, k, t, r_t in _draw_cases()[:12]:
             op, space = _space(g, k, t, r_t)
-            decomp = one_sparse_decompose(op.matrix, op.ghost)
-            res = estimate_from_operator(g, k, op, decomp, PIMCConfig(t=t, r_t=r_t, n_samp=400, chains=2))
+            res = estimate_from_operator(g, k, op, space.decomp, PIMCConfig(t=t, r_t=r_t, n_samp=400, chains=2))
             log_bound = (
                 math.log(space.decomp.dim) - math.log(op.d_k) - space.scalar_shift * t
                 + float(ExactPathSampler(space).log_z(MAGNITUDE).max())
@@ -903,7 +908,7 @@ class TestExactReferences:
             op = penalized_operator(g, k)
             decomp = one_sparse_decompose(op.matrix)
             for t, r_t in ((1.0, 1), (2.5, 2)):
-                res = estimate_from_operator(g, k, op, decomp, PIMCConfig(t=t, r_t=r_t, n_samp=64, chains=1))
+                res = estimate_from_operator(g, k, op, _sector(op), PIMCConfig(t=t, r_t=r_t, n_samp=64, chains=1))
                 diag = res.diagnostics
                 assert diag["exact_trotter_mean"] == pytest.approx(_trotter_mean(op, decomp, t, r_t), rel=1e-9)
                 assert 0.0 < diag["average_sign"] <= 1.0
@@ -948,35 +953,121 @@ class TestMergedBatch:
             assert got == want, (g.n, g.edges, k, cfg)
 
 
+class TestCliqueDraw:
+    """The batched clique draw against a row-by-row oracle on the same uniforms."""
+
+    @staticmethod
+    def _cases():
+        """(graph, k, count): k = 1, complete graphs, one k-clique, blocks past one chunk and seeded G(n, p)."""
+        cases = [
+            (CYCLE4, 1, 50),
+            (Graph(1, ()), 1, 10),
+            (gen_kpartite(1, 6), 3, 200),  # every subset is a clique
+            (gen_kpartite(1, 9), 4, 37),
+            # one 3-clique among C(20, 3) = 1140 subsets: a block of 42766 rows, 3276 to a chunk
+            (Graph.from_edges(20, [(0, 1), (0, 2), (1, 2)]), 3, 30),
+            # four 2-cliques among C(64, 2) = 2016 pairs: a block of 12616 rows, 1024 to a chunk
+            (Graph.from_edges(64, [(60, 61), (60, 62), (61, 63), (62, 63)]), 2, 20),
+        ]
+        rng = np.random.default_rng(41)
+        while len(cases) < 24:
+            n, k = int(rng.integers(2, 10)), int(rng.integers(1, 4))
+            g = gen_erdos_renyi(n, float(rng.uniform(0.3, 0.9)), int(rng.integers(1000)))
+            if k <= n and enumerate_cliques(g, k):
+                cases.append((g, k, int(rng.integers(1, 300))))
+        return cases
+
+    @staticmethod
+    def _draws(g, k, count, seed):
+        """Two successive draws of ``count`` from one generator, and the sampler's counters after them."""
+        draw, counters = make_clique_sampler(g, k, penalized_operator(g, k).basis)
+        rng = np.random.default_rng(seed)
+        return [draw(rng, count), draw(rng, count)], counters
+
+    def test_matches_the_row_by_row_oracle(self):
+        for seed, (g, k, count) in enumerate(self._cases()):
+            got, counters = self._draws(g, k, count, seed)
+            rng = np.random.default_rng(seed)
+            want = [scalar_clique_draw(g, k, rng, count) for _ in range(2)]
+            for positions, (ref, _, _) in zip(got, want):
+                assert positions.dtype == np.int64 and positions.tolist() == ref, (g.n, g.edges, k)
+            assert counters == {"draws": sum(w[1] for w in want), "accepts": sum(w[2] for w in want)}
+
+    def test_positions_do_not_depend_on_the_chunk(self, monkeypatch):
+        cases = self._cases()
+        want = [self._draws(g, k, count, seed) for seed, (g, k, count) in enumerate(cases)]
+        monkeypatch.setattr(estimator, "CLIQUE_CHUNK", 5)  # one row to a chunk from six vertices on
+        for seed, ((g, k, count), (ref, ref_counters)) in enumerate(zip(cases, want)):
+            got, counters = self._draws(g, k, count, seed)
+            assert [p.tolist() for p in got] == [p.tolist() for p in ref] and counters == ref_counters
+
+    def test_uniform_over_the_sector(self):
+        # 40000 draws over the triangles of G(10, 0.6) seed 5; the band,
+        # df + 5 sqrt(2 df), was fixed before the run
+        g = gen_erdos_renyi(10, 0.6, 5)
+        m = len(enumerate_cliques(g, 3))
+        draw, _ = make_clique_sampler(g, 3, penalized_operator(g, 3).basis)
+        counts = np.bincount(draw(np.random.default_rng(2026), 40000), minlength=m)
+        expected = 40000 / m
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        df = m - 1
+        assert counts.size == m and df >= 10
+        assert chi2 <= df + 5.0 * math.sqrt(2.0 * df), (chi2, df)
+
+
 class TestRestrict:
-    """The decomposition on the weight-k sector, and the path space on it against the all-states space."""
+    """The decomposition built on a set of states, and the path space on the weight-k sector against the all-states space."""
 
     FIELDS = ("lam", "sup1", "sup2", "amp1", "amp2", "partner")
 
     def test_matches_the_oracle_restriction(self):
-        # onto the weight-k sector of the clique basis, and from the ambient
-        # window onto its clique states
+        # onto the weight-k sector of the clique basis, with and without the
+        # ghost value, and from the ambient window onto its clique states
         for g, k in _oracle_cases():
             op = penalized_operator(g, k)
             window = ambient_operator(g, k)
             sector = np.zeros(op.basis.states.size, dtype=bool)
             sector[op.basis.weight_k_clique_indices] = True
-            for decomp, flags in ((one_sparse_decompose(op.matrix, op.ghost), sector),
-                                  (one_sparse_decompose(window.matrix), window.basis.clique_flags)):
-                got = restrict(decomp, np.flatnonzero(flags))
+            for mat, ghost, flags in ((op.matrix, op.ghost, sector), (op.matrix, None, sector),
+                                      (window.matrix, None, window.basis.clique_flags)):
+                got = one_sparse_decompose(mat, ghost, np.flatnonzero(flags))
                 assert got.dim == flags.sum()
-                for a, b in zip(got.terms, restrict_to_cliques(decomp, flags), strict=True):
+                for a, b in zip(got.terms, restrict_to_cliques(one_sparse_decompose(mat, ghost), flags), strict=True):
+                    assert (a.coeff, a.kind) == (b.coeff, b.kind)
+                    for name in self.FIELDS:
+                        x, y = getattr(a, name), getattr(b, name)
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (g.n, g.edges, k, name)
+
+    def test_all_states_is_the_whole_decomposition(self):
+        # listing every state renumbers nothing
+        for g, k in _oracle_cases():
+            op = penalized_operator(g, k)
+            for ghost in (op.ghost, None):
+                whole = one_sparse_decompose(op.matrix, ghost)
+                listed = one_sparse_decompose(op.matrix, ghost, np.arange(op.matrix.shape[0]))
+                assert listed.dim == whole.dim
+                for a, b in zip(listed.terms, whole.terms, strict=True):
                     assert (a.coeff, a.kind) == (b.coeff, b.kind)
                     for name in self.FIELDS:
                         x, y = getattr(a, name), getattr(b, name)
                         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (g.n, g.edges, k, name)
 
     def test_straddling_pair_raises(self):
-        decomp = one_sparse_decompose(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+        mat = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
         for states in ([0], [1, 2], [0, 2]):
             with pytest.raises(ValueError, match="straddles"):
-                restrict(decomp, states)
-        assert restrict(decomp, [2]).dim == 1 and restrict(decomp, [0, 1]).dim == 2
+                one_sparse_decompose(mat, states=states)
+        assert one_sparse_decompose(mat, states=[2]).dim == 1 and one_sparse_decompose(mat, states=[0, 1]).dim == 2
+
+    def test_a_matching_with_no_pair_inside_fixes_every_state(self):
+        # the one matching pairs states 0 and 1; on state 2 alone it keeps
+        # its place in the term order, with one fixed eigenvector
+        mat = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        whole, sector = one_sparse_decompose(mat), one_sparse_decompose(mat, states=[2])
+        assert [t.kind for t in sector.terms] == [t.kind for t in whole.terms]
+        [matching] = [t for t in sector.terms if t.kind == "matching"]
+        assert matching.lam.tolist() == [0.0] and matching.sup1.tolist() == [0]
+        assert matching.sup2.tolist() == [-1] and matching.partner.tolist() == [-1]
 
     @staticmethod
     def _cases():
@@ -1005,7 +1096,7 @@ class TestRestrict:
             op = penalized_operator(g, k)
             decomp = one_sparse_decompose(op.matrix, op.ghost)
             wk = op.basis.weight_k_clique_indices
-            sector, full = PathSpace(restrict(decomp, wk), t, r_t), PathSpace(decomp, t, r_t)
+            sector, full = PathSpace(_sector(op, op.ghost), t, r_t), PathSpace(decomp, t, r_t)
             assert sector.schedule == full.schedule and sector.scalar_shift == full.scalar_shift
             small, big = ExactPathSampler(sector), ExactPathSampler(full)
             for measure in (MAGNITUDE, PATTERN):
@@ -1056,7 +1147,8 @@ class TestCliqueBasisOracle:
             cfg = PIMCConfig(t=t, r_t=r_t, n_samp=400, seed=seed)
             got = estimate_normalized_betti(g, k, cfg)
             window = ambient_operator(g, k)
-            want = estimate_from_operator(g, k, window, one_sparse_decompose(window.matrix), cfg)
+            sector = one_sparse_decompose(window.matrix, states=window.basis.weight_k_clique_indices)
+            want = estimate_from_operator(g, k, window, sector, cfg)
             assert dataclasses.asdict(got) == dataclasses.asdict(want), (g.n, g.edges, k)
             # the ghost value's reflection is a scalar on the clique states,
             # which the identity shift cancels
@@ -1074,7 +1166,7 @@ class TestEstimator:
         target = _trotter_mean(op, decomp, 3.0, 1)
         assert 1.0 / 6.0 <= target <= 1.01 / 6.0
         cfg = PIMCConfig(t=3.0, r_t=1, n_samp=20000, seed=11, chains=4)
-        res = estimate_from_operator(g, 2, op, decomp, cfg)
+        res = estimate_from_operator(g, 2, op, _sector(op), cfg)
         assert abs(res.estimate - target) <= 3.0 * res.stderr
         assert res.stderr < 0.01
 
@@ -1087,10 +1179,19 @@ class TestEstimator:
         res = estimate_normalized_betti(g, 3, cfg)
         assert abs(res.estimate - target) <= 3.0 * res.stderr
 
-    def test_mh_mode_agrees(self, k22):
+    @pytest.mark.parametrize("sampler", ["exact", "mh"])
+    def test_window_decomposition_is_refused(self, k22, sampler):
+        # the paths run on the weight-k sector; the decomposition of the
+        # whole window holds the 4 weight-1 states of K(2,2) as well
         g, op, decomp = k22
+        cfg = PIMCConfig(t=3.0, r_t=1, n_samp=100, seed=11, sampler=sampler)
+        with pytest.raises(ValueError, match="dimension 8, not the 4 weight-k cliques"):
+            estimate_from_operator(g, 2, op, decomp, cfg)
+
+    def test_mh_mode_agrees(self, k22):
+        g, op, _ = k22
         cfg = PIMCConfig(t=3.0, r_t=1, n_samp=6000, seed=11, chains=4, sampler="mh")
-        res = estimate_from_operator(g, 2, op, decomp, cfg)
+        res = estimate_from_operator(g, 2, op, _sector(op), cfg)
         assert abs(res.estimate - 1.0 / 6.0) <= 3.0 * res.stderr
 
     def test_complete_graph_betti_zero_floor(self):
@@ -1130,7 +1231,7 @@ class TestEstimator:
         means, errs = [], []
         for seed in range(6):
             cfg = PIMCConfig(t=t, r_t=r_t, n_samp=4000, seed=seed, chains=2)
-            res = estimate_from_operator(g, 2, op, decomp, cfg)
+            res = estimate_from_operator(g, 2, op, _sector(op), cfg)
             means.append(res.estimate)
             errs.append(res.stderr)
         grand = float(np.mean(means))
@@ -1164,9 +1265,9 @@ class TestEstimator:
         # as t -> 0 the exponential factors collapse and each pattern-measure
         # sample reduces to its overlap-product weight times the (uniform-law)
         # constants
-        g, op, decomp = k22
+        g, op, _ = k22
         t = 1e-12
-        space = PathSpace(restrict(decomp, op.basis.weight_k_clique_indices), t, 1)
+        space = PathSpace(_sector(op), t, 1)
         sampler = ExactPathSampler(space)
         rng = np.random.default_rng(0)
         n_anchor = space.decomp.dim

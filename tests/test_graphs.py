@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bettiforge import graphs
 from bettiforge.errors import DeskScaleError
 from bettiforge.graphs import (
     Graph,
@@ -216,6 +217,18 @@ class TestCliques:
         for s in (1, 2, 3):
             cl = enumerate_cliques(g, s)
             assert all(a < b for a, b in zip(cl, cl[1:]))
+
+    def test_budget_refuses_past_max_cliques(self, monkeypatch):
+        # K8 has C(8, 4) = 70 cliques of 4 vertices: all listed at a budget
+        # of 70, refused at 69, and the budget holds per size
+        g = gen_kpartite(1, 8)
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 70)
+        assert enumerate_cliques(g, 4) == brute_force_cliques(g, 4)
+        assert len(build_clique_complex(g, 4).basis(5)) == 56
+        monkeypatch.setattr(graphs, "MAX_CLIQUES", 69)
+        with pytest.raises(DeskScaleError, match="more than 69 cliques of 4 vertices"):
+            enumerate_cliques(g, 4)
+        assert len(enumerate_cliques(g, 3)) == 56
 
 
 class TestGraphJson:
